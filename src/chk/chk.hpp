@@ -80,6 +80,9 @@ enum class Mutant : int {
   kRingBufferWrapCopy = 4,
   /// Acquire loads execute as relaxed (kills the mpsc consume edge).
   kLoadAcquireToRelaxed = 5,
+  /// Compile-time sim::BasicRankSync<Model, /*kSlotBuffers=*/1>: one
+  /// bound/stop cell per rank instead of one per window parity.
+  kRankSyncSingleSlot = 6,
 };
 
 /// Applies to every subsequent explore() in this process. Not thread-safe;
@@ -301,6 +304,9 @@ struct Model {
   using mutex = Mutex;
   using cond_var = CondVar;
   static void thread_fence(std::memory_order o) { chk::thread_fence(o); }
+  /// A spin-wait poll yields to the other virtual threads instead of
+  /// burning the step budget on a value that cannot change meanwhile.
+  static void yield() { spin_yield(); }
 };
 
 }  // namespace das::chk

@@ -162,13 +162,8 @@ class SimExecutor final : public Executor {
     return JobTicket{id, engine_.now() + arrival_offset_s};
   }
   double wait_job(JobId id) override {
-    // Pump instead of calling engine_.wait's internal loop so deferred
-    // service notifications (job-done, timers) are delivered between
-    // steps; the step sequence itself is identical.
-    while (!engine_.job_done(id))
-      DAS_CHECK_MSG(engine_.pump_one(),
-                    "deadlock: job " + std::to_string(id) +
-                        " is waiting on an empty event queue");
+    // engine_.wait pumps: each pump runs to the next service notification
+    // (job-done, timer) and delivers it before the next pump starts.
     return engine_.wait(id);
   }
   void svc_block_until(SvcWait cond, JobId id) override {
@@ -179,7 +174,7 @@ class SimExecutor final : public Executor {
         MutexLock g(svc_mu_);
         if (svc_cond_locked(cond, id)) return;
       }
-      DAS_CHECK_MSG(engine_.pump_one(),
+      DAS_CHECK_MSG(engine_.pump(),
                     "service deadlock: job " + std::to_string(id) +
                         " cannot progress with no engine events pending "
                         "(blocked admission with nothing in flight?)");
@@ -191,14 +186,16 @@ class SimExecutor final : public Executor {
   bool engine_defers_arrivals() const override { return true; }
   bool svc_finished_by(JobId id, double deadline_s) override {
     // Single driving thread: pump virtual time until the job resolves or
-    // the virtual clock passes the deadline. Deterministic like everything
-    // else on this backend — same seed + same calls = same outcome.
+    // the virtual clock passes the deadline (the pump's horizon stops it
+    // right after the event that crosses it). Deterministic like
+    // everything else on this backend — same seed + same calls = same
+    // outcome.
     for (;;) {
       const JobProbe p = probe_job(id);
       if (p.terminal) return true;
       if (p.released && engine_.job_done(p.engine_id)) return true;
       if (engine_.now() > deadline_s) return false;
-      if (!engine_.pump_one()) return false;  // nothing left that could finish it
+      if (!engine_.pump(deadline_s)) return false;  // nothing left to finish it
     }
   }
   std::uint64_t engine_tasks_reexecuted() const override {

@@ -4,19 +4,21 @@
 // One queue per ordered rank pair (sender -> receiver) carries cross-rank
 // DAG releases between per-rank event loops (sim/engine.hpp). The producer
 // is the sender rank's worker thread staging releases while it processes a
-// time window; the consumer is the receiver rank draining at the next
-// window-phase boundary (sim/rank_sync.hpp publishes the phase epochs that
-// separate the two).
+// time window; the consumer is the receiver rank draining after the
+// window's barrier (sim/rank_sync.hpp publishes the epochs that separate
+// the two). The engine keeps one queue per rank pair and window parity, so
+// a sender already staging window k+1 never pushes into the queue its
+// receiver is still draining for window k.
 //
 // The ring itself is safe under *concurrent* producer/consumer use — slot
 // payloads are published by the release store of tail_ and consumed behind
-// the acquire load — so the protocol does not depend on the phase barrier
+// the acquire load — so the protocol does not depend on the window barrier
 // for memory safety, only for determinism (drain order must be a pure
 // function of the event streams, not the thread schedule). Overflow past
 // the fixed ring capacity spills to a producer-owned vector whose
-// publication DOES ride the phase epoch: spill_ is only touched by the
+// publication DOES ride the window epoch: spill_ is only touched by the
 // producer between drains, and drain() may only observe it after the
-// caller synchronized with the producer's phase publication. daslint's
+// caller synchronized with the producer's arrival at the barrier. daslint's
 // hot-path rules apply to push(): the ring fast path allocates nothing.
 //
 // Templated on the sync model (util/sync_model.hpp) so the deterministic

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "core/cost_expr.hpp"
+#include "platform/affinity.hpp"
 #include "util/assert.hpp"
 
 namespace das::sim {
@@ -60,6 +61,14 @@ using GenericMode = SimMode<DynamicPolicyHooks, CallableCostEval>;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Polls a protocol thread makes at a barrier or at its command wait before
+/// it parks, each followed by a sched_yield (util/sync_model.hpp): ~1 ms on
+/// an x86 Linux guest. Window barriers on the sim_throughput halo shapes
+/// wait microseconds, almost all under 1000 polls; the margin absorbs a
+/// straggler's occasional preemption, and a thread whose peers are gone
+/// for longer (the calling thread between pumps) still parks soon.
+constexpr int kSpinPolls = 1 << 12;
+
 }  // namespace
 
 SimEngine::SimEngine(std::vector<RankSpec> ranks, Policy policy,
@@ -110,9 +119,11 @@ SimEngine::SimEngine(std::vector<RankSpec> ranks, Policy policy,
       sh.idle_bits[static_cast<std::size_t>(c) >> 6] |= std::uint64_t{1}
                                                         << (c & 63);
     if (num_ranks > 1) {
-      sh.out.resize(num_ranks);
-      for (std::size_t d = 0; d < num_ranks; ++d)
-        if (d != r) sh.out[d] = std::make_unique<BoundaryQueue<BoundaryMsg>>();
+      for (auto& set : sh.out) {
+        set.resize(num_ranks);
+        for (std::size_t d = 0; d < num_ranks; ++d)
+          if (d != r) set[d] = std::make_unique<BoundaryQueue<BoundaryMsg>>();
+      }
     }
     // Seed the rank's fault schedule into its heap (kFault events carry the
     // schedule index in their job field). Without faults nothing is pushed
@@ -141,6 +152,11 @@ SimEngine::SimEngine(std::vector<RankSpec> ranks, Policy policy,
   // execution would interleave ranks' records nondeterministically.
   DAS_CHECK_MSG(options_.timeline == nullptr || protocol_threads_ == 1,
                 "timeline recording requires des_threads <= 1");
+  // Spin only while every protocol thread can hold a CPU of its own: with
+  // more threads than CPUs a spinning waiter delays the very thread it
+  // waits for.
+  if (protocol_threads_ > 1 && protocol_threads_ <= allowed_cpu_count())
+    sync_.set_spin_polls(kSpinPolls);
   refresh_dispatch();
 }
 
@@ -152,10 +168,10 @@ SimEngine::SimEngine(const Topology& topo, Policy policy,
 
 SimEngine::~SimEngine() {
   if (!workers_.empty()) {
-    // Workers are parked awaiting the next window command (every wait()/
-    // pump_one() leaves them quiescent); publish an exit command instead.
+    // Workers wait for the next pump command (every pump() leaves them
+    // there); publish an exit command instead.
     cmd_exit_.store(true, std::memory_order_release);
-    cmd_round_.store(++round_, std::memory_order_release);
+    cmd_.store(++pumps_, std::memory_order_release);
     cmd_ec_.notify();
     for (std::thread& w : workers_) w.join();
   }
@@ -351,13 +367,15 @@ JobId SimEngine::submit(const Dag& dag, double arrival_offset_s) {
 }
 
 double SimEngine::wait(JobId id) {
+  // Pump until THIS job completes. Events of other in-flight jobs that fall
+  // before its completion execute on the way — the interleave is a pure
+  // function of (seed, submission trace). A pump stops at every job
+  // completion and notification; the job is re-resolved after each one
+  // because a delivered hook may submit() and move job_slots_.
+  while (!job_of(id).done) {
+    if (!pump()) break;
+  }
   Job& job = job_of(id);
-  // Advance the event loop until THIS job completes. Events of other
-  // in-flight jobs that fall before its completion execute on the way — the
-  // interleave is a pure function of (seed, submission trace). The whole
-  // loop runs inside ONE dispatch instantiation (drain_fn_), so a fused
-  // configuration pays no per-event indirect call at all.
-  drain_fn_(*this, job);
   DAS_CHECK_MSG(job.done,
                 "event queue drained with " +
                     std::to_string(job.dag->num_nodes() - job.completed) +
@@ -474,6 +492,7 @@ void SimEngine::note_timer_fired(Shard& sh, const Event& e, double t) {
   DAS_ASSERT(timer_hook_);
   sh.deferred.push_back(
       Deferred{true, static_cast<std::uint64_t>(e.job), t});
+  sh.yield = true;
 }
 
 // --- fail-stop / freeze machinery --------------------------------------------
@@ -590,17 +609,9 @@ void SimEngine::schedule_timer(double offset_s, std::uint64_t token) {
                                kInvalidNode, -1});
 }
 
-bool SimEngine::pump_one() {
-  if (shards_.size() == 1) {
-    if (shards_[0].events.empty()) return false;
-    step();
-  } else {
-    // Multi-rank quantum = one conservative window (the finest step whose
-    // end state is schedule-independent).
-    refresh_times();
-    if (sync_.min_time() == kInf) return false;
-    run_window();
-  }
+bool SimEngine::pump(double horizon_s) {
+  if (!events_pending()) return false;
+  advance_fn_(*this, horizon_s);
   deliver_deferred();
   return true;
 }
@@ -611,7 +622,7 @@ void SimEngine::deliver_deferred() {
   // mutation), which must not run under the live Job& a handler holds.
   // Rank-ascending shard order keeps multi-rank delivery deterministic;
   // within a shard the list is in event order. Index loop: a hook must not
-  // re-enter pump_one(), but appends would still be delivered.
+  // re-enter pump(), but appends would still be delivered.
   for (Shard& sh : shards_) {
     for (std::size_t i = 0; i < sh.deferred.size(); ++i) {
       const Deferred d = sh.deferred[i];
@@ -974,6 +985,7 @@ void SimEngine::handle_done_t(Shard& sh, const Event& e, double t) {
       if (job.completed == job.dag->num_nodes()) {
         job.done = true;
         job.finish_s = t;
+        sh.yield = true;
         if (job_done_hook_)
           sh.deferred.push_back(
               Deferred{false, static_cast<std::uint64_t>(e.job), t});
@@ -993,9 +1005,10 @@ void SimEngine::handle_done_t(Shard& sh, const Event& e, double t) {
             sh.events.push(t + edge.delay_s, rel);
           }
         } else {
-          sh.out[static_cast<std::size_t>(target)]->push(BoundaryMsg{
-              t + edge.delay_s,
-              Event{Ev::kRelease, -1, e.job, edge.to, kRemoteWaker}});
+          const double at = t + edge.delay_s;
+          sh.out[sh.parity][static_cast<std::size_t>(target)]->push(BoundaryMsg{
+              at, Event{Ev::kRelease, -1, e.job, edge.to, kRemoteWaker}});
+          sh.staged_min = std::min(sh.staged_min, at);
         }
       }
       // Cross-shard completion accounting. finish_s is the MAX over
@@ -1015,6 +1028,7 @@ void SimEngine::handle_done_t(Shard& sh, const Event& e, double t) {
         const double finish = fin.load(std::memory_order_acquire);
         std::atomic_ref<bool>(job.done).store(true,
                                               std::memory_order_release);
+        sh.yield = true;
         if (job_done_hook_)
           sh.deferred.push_back(
               Deferred{false, static_cast<std::uint64_t>(e.job), finish});
@@ -1040,22 +1054,88 @@ void SimEngine::handle_release_t(Shard& sh, const Event& e, double t) {
   if (--preds == 0) make_ready_t<Mode>(sh, e.job, e.task, e.from_core, t);
 }
 
-// --- conservative window protocol (multi-rank) -------------------------------
+// --- pump loops --------------------------------------------------------------
+
+template <class Mode>
+void SimEngine::advance_t(double horizon) {
+  if (shards_.size() == 1) {
+    Shard& sh = shards_[0];
+    sh.yield = false;
+    while (!sh.events.empty()) {
+      step_t<Mode>(sh);
+      if (sh.yield || sh.now > horizon) return;
+    }
+    return;
+  }
+  // Multi-rank: between pumps the calling thread owns every shard (the
+  // workers wait for a command), so the first window start is read straight
+  // off the queues — the value the previous window's bounds would have
+  // given, had no hook submitted since.
+  double w = kInf;
+  for (Shard& sh : shards_) {
+    sh.yield = false;
+    w = std::min(w, sh.next_event_time());
+  }
+  DAS_ASSERT(w != kInf);  // pump() checked events_pending()
+  first_window_hi_ = w + lookahead_;  // +inf lookahead: one window drains all
+  pump_horizon_ = horizon;
+  if (protocol_threads_ > 1) {
+    ensure_workers();
+    // One command per pump: the release publishes the fields above (and
+    // everything this thread wrote since the last pump) to the workers.
+    cmd_.store(++pumps_, std::memory_order_release);
+    cmd_ec_.notify();
+  }
+  windows_ = window_loop_t<Mode>(0);
+  // Every thread left the loop right after the last window's barrier,
+  // without touching a shard again: this thread owns them all and drains
+  // that window's staged releases itself, in the same per-receiver sender
+  // order the threads would have used.
+  const int parity = static_cast<int>(windows_ & 1);
+  for (Shard& sh : shards_) drain_inbound(sh, parity);
+}
+
+template <class Mode>
+std::uint64_t SimEngine::window_loop_t(int thread_index) {
+  const auto [lo, hi] = rank_block(thread_index);
+  const double horizon = pump_horizon_;
+  double window_hi = first_window_hi_;
+  for (std::uint64_t k = windows_ + 1;; ++k) {
+    const int parity = static_cast<int>(k & 1);
+    for (int r = lo; r < hi; ++r) {
+      Shard& sh = shards_[static_cast<std::size_t>(r)];
+      window_phase1_t<Mode>(sh, window_hi, parity);
+      // The rank's lower bound on the next window start: everything it
+      // will hold after the drain is either already queued locally or was
+      // staged by it or another rank this window — the min over all
+      // ranks' bounds is exactly the next window start.
+      sync_.arrive(r, k, std::min(sh.next_event_time(), sh.staged_min),
+                   sh.yield || sh.now > horizon);
+    }
+    sync_.wait_all_at_least(k);
+    const RankSync::Round next = sync_.collect(k);
+    if (next.stop || next.next_start == kInf) return k;
+    for (int r = lo; r < hi; ++r)
+      drain_inbound(shards_[static_cast<std::size_t>(r)], parity);
+    window_hi = next.next_start + lookahead_;
+  }
+}
 
 // daslint: begin-hot-path(rank-window)
 // The per-rank window loop: pure shard-local event processing between two
-// phase publications. No allocation, no locks, no parking — a rank that
-// blocks here stalls every other rank at the next phase boundary.
+// barriers. No allocation, no locks, no parking — a rank that blocks here
+// stalls every other rank at the next barrier.
 template <class Mode>
-void SimEngine::window_phase1_t(Shard& sh) {
-  const double hi = window_hi_;
+void SimEngine::window_phase1_t(Shard& sh, double hi, int parity) {
+  sh.parity = parity;
+  sh.staged_min = kInf;
   // INCLUSIVE horizon: with zero lookahead the window degenerates to
   // [W, W] and the protocol still advances one timestamp per round.
   while (!sh.events.empty() && sh.events.top().time <= hi) step_t<Mode>(sh);
 }
 // daslint: end-hot-path
 
-void SimEngine::window_phase2(Shard& sh) {
+void SimEngine::drain_inbound(Shard& sh, int parity) {
   // Drain in-bound boundary links in SENDER-RANK order, FIFO within each
   // link: the receiving queue's seq assignment — and with it every
   // same-time tie-break — is a pure function of the event streams,
@@ -1066,61 +1146,8 @@ void SimEngine::window_phase2(Shard& sh) {
   for (int s = 0; s < nr; ++s) {
     if (s == sh.rank) continue;
     shards_[static_cast<std::size_t>(s)]
-        .out[static_cast<std::size_t>(sh.rank)]
+        .out[parity][static_cast<std::size_t>(sh.rank)]
         ->drain([&sh](const BoundaryMsg& m) { sh.events.push(m.time, m.ev); });
-  }
-  sync_.set_time(sh.rank, sh.next_event_time());
-}
-
-void SimEngine::refresh_times() {
-  // Only legal between windows: every protocol thread is parked, so the
-  // driving thread owns all slots (its previous wait_all_at_least
-  // synchronized with their last publications).
-  for (const Shard& sh : shards_) sync_.set_time(sh.rank, sh.next_event_time());
-}
-
-void SimEngine::run_window() {
-  const double w = sync_.min_time();
-  DAS_ASSERT(w != kInf);
-  window_hi_ = w + lookahead_;  // +inf lookahead: one window drains all
-  ++round_;
-  if (protocol_threads_ <= 1) {
-    // Serial multi-rank: the SAME protocol on one thread, phases in rank
-    // order. This is the reference ordering the parallel path must (and
-    // does) reproduce bitwise — phase separation, drain order and seq
-    // assignment are identical.
-    for (Shard& sh : shards_) window_fn_(*this, sh);
-    for (Shard& sh : shards_) window_phase2(sh);
-    return;
-  }
-  ensure_workers();
-  // The command publication (release) carries window_hi_ and everything
-  // else written since the workers parked; workers pick it up with an
-  // acquire load of cmd_round_.
-  cmd_round_.store(round_, std::memory_order_release);
-  cmd_ec_.notify();
-  const auto [lo, hi] = rank_block(0);
-  for (int r = lo; r < hi; ++r)
-    window_fn_(*this, shards_[static_cast<std::size_t>(r)]);
-  for (int r = lo; r < hi; ++r) sync_.publish_phase(r, 3 * round_ - 2);
-  sync_.wait_all_at_least(3 * round_ - 2);
-  for (int r = lo; r < hi; ++r)
-    window_phase2(shards_[static_cast<std::size_t>(r)]);
-  for (int r = lo; r < hi; ++r) sync_.publish_phase(r, 3 * round_ - 1);
-  // Regaining exclusive access: after this wait every worker has published
-  // its last phase and gone back to parking on cmd_round_ — the driving
-  // thread may read and write any shard until the next command.
-  sync_.wait_all_at_least(3 * round_ - 1);
-}
-
-void SimEngine::drain_windows(const Job& job) {
-  for (;;) {
-    // Plain read is safe: the workers are quiescent between windows and
-    // the final done-store happened-before the last phase publication.
-    if (job.done) return;
-    refresh_times();
-    if (sync_.min_time() == kInf) return;  // drained: wait() raises deadlock
-    run_window();
   }
 }
 
@@ -1138,48 +1165,25 @@ std::pair<int, int> SimEngine::rank_block(int thread_index) const {
 }
 
 void SimEngine::worker_loop(int thread_index) {
-  const auto [lo, hi] = rank_block(thread_index);
-  for (std::uint64_t round = 1;; ++round) {
-    // Park until the driver publishes window command `round` (or exit).
-    while (cmd_round_.load(std::memory_order_acquire) < round) {
-      const auto key = cmd_ec_.prepare_wait();
-      if (cmd_round_.load(std::memory_order_acquire) >= round) {
-        cmd_ec_.cancel_wait();
-        break;
-      }
-      cmd_ec_.commit_wait(key);
-    }
+  for (std::uint64_t pump = 1;; ++pump) {
+    cmd_ec_.await(
+        [&] { return cmd_.load(std::memory_order_acquire) >= pump; },
+        sync_.spin_polls());
     if (cmd_exit_.load(std::memory_order_acquire)) return;
-    for (int r = lo; r < hi; ++r)
-      window_fn_(*this, shards_[static_cast<std::size_t>(r)]);
-    for (int r = lo; r < hi; ++r) sync_.publish_phase(r, 3 * round - 2);
-    sync_.wait_all_at_least(3 * round - 2);
-    for (int r = lo; r < hi; ++r)
-      window_phase2(shards_[static_cast<std::size_t>(r)]);
-    // No wait on the final phase here: the worker touches nothing shared
-    // until the next command, and the driver's wait_all_at_least is what
-    // closes the round.
-    for (int r = lo; r < hi; ++r) sync_.publish_phase(r, 3 * round - 1);
+    window_loop_fn_(*this, thread_index);
   }
 }
 
 // --- dispatch selection ------------------------------------------------------
 
 template <class Mode>
-void SimEngine::drain_t(const Job& job) {
-  if (shards_.size() == 1) {
-    Shard& sh = shards_[0];
-    while (!job.done && !sh.events.empty()) step_t<Mode>(sh);
-    return;
-  }
-  drain_windows(job);
-}
-
-template <class Mode>
 void SimEngine::set_mode() {
-  step_fn_ = [](SimEngine& e) { e.step_t<Mode>(e.shards_[0]); };
-  drain_fn_ = [](SimEngine& e, const Job& j) { e.drain_t<Mode>(j); };
-  window_fn_ = [](SimEngine& e, Shard& sh) { e.window_phase1_t<Mode>(sh); };
+  advance_fn_ = [](SimEngine& e, double horizon) {
+    e.advance_t<Mode>(horizon);
+  };
+  window_loop_fn_ = [](SimEngine& e, int thread_index) {
+    e.window_loop_t<Mode>(thread_index);
+  };
 }
 
 template <class Tag>

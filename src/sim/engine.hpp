@@ -52,33 +52,47 @@
 // global core to a rank at all. A single-rank engine is exactly shard 0 and
 // byte-for-byte reproduces the historical event/RNG streams (the
 // sim_determinism goldens pin this). A multi-rank engine runs a
-// conservative (Chandy-Misra-style) time-window protocol over the shards:
+// conservative (Chandy-Misra-style) time-window protocol over the shards,
+// with ONE barrier per window (sim/rank_sync.hpp):
 //
 //   window:  [W, W + L], L = min cross-rank DagEdge::delay_s over the
-//            in-flight jobs (Dag::min_cross_rank_delay(), sealed metadata);
-//            W = min next-event time across shards.
+//            in-flight jobs (Dag::min_cross_rank_delay(), sealed metadata).
 //   phase 1: every rank processes its local events with time <= W + L;
 //            cross-rank releases are staged into bounded SPSC boundary
 //            queues (sim/boundary_queue.hpp), never pushed remotely.
-//   phase 2: after all ranks published phase 1 (per-rank atomic epochs +
-//            eventcount parking — sim/rank_sync.hpp, no barrier object, no
-//            lock), each rank drains its in-bound boundary queues in
-//            sender-rank order and publishes its next-event time; the next
-//            W is the min over those.
+//   arrive:  every rank publishes a lower bound on the next window start —
+//            min(its next local event, the earliest release it staged this
+//            window) — plus a stop flag, then waits at the barrier.
+//   drain:   each rank drains its in-bound boundary queues in sender-rank
+//            order; the next W is the min over the published bounds, which
+//            every thread computes from the same slots.
 //
-// Because a cross-rank release sent from t_send >= W arrives at
+// A fast rank may start window k+1 while a slow one still drains window k,
+// so the bound slots and the boundary queues are double-buffered by window
+// parity. Because a cross-rank release sent from t_send >= W arrives at
 // t_send + delay >= W + L, nothing can land inside a horizon a rank already
 // processed — the window partition, the drain order and therefore the whole
 // simulation are pure functions of the event streams, independent of the
-// thread schedule. SimOptions::des_threads > 1 runs the SAME protocol with
-// one worker thread per rank block; des_threads == 1 (default) runs it on
-// the calling thread in rank order. Serial and parallel multi-rank runs are
-// bitwise identical by construction (tests/parallel_des_test.cpp asserts
-// per-rank trace hashes and RunResults across the policy grid).
+// thread schedule. SimOptions::des_threads > 1 runs the SAME loop on
+// min(des_threads, ranks) protocol threads, the calling thread included,
+// each owning a block of ranks; des_threads == 1 (default) runs it on the
+// calling thread alone. Serial and parallel multi-rank runs are bitwise
+// identical by construction (tests/parallel_des_test.cpp asserts per-rank
+// trace hashes and RunResults across the policy grid).
+//
+// Pumping: every advance of the clock goes through pump(), which runs the
+// step loop (single rank) or the window loop (multi-rank) until the next
+// service notification — a job completed or a timer fired — or until the
+// queues drain or an optional virtual-time horizon passes. A multi-rank
+// pump hands the worker threads one command; they then run windows on
+// their own and return to their command wait when the loop stops. Barrier
+// and command waits spin briefly before parking when the protocol threads
+// fit on the process's CPUs, and park at once otherwise.
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -169,7 +183,7 @@ class SimEngine {
   /// trace: the same (seed, submit/arrival sequence) is bitwise deterministic.
   JobId submit(const Dag& dag, double arrival_offset_s = 0.0);
 
-  /// Advances the event loop until job `id` completes (events of other
+  /// Pumps the event loop until job `id` completes (events of other
   /// in-flight jobs interleave in virtual-time order) and returns the job's
   /// makespan: completion - release, in virtual seconds. Each job can be
   /// waited exactly once; waiting an unknown/already-waited id throws.
@@ -229,11 +243,13 @@ class SimEngine {
   // in event order: "job X finished at t" (to free an in-flight slot and
   // release queued jobs) and "timer T fired at t" (deferred tenant
   // arrivals). Both MAY re-enter the engine (submit(), schedule_timer()), so
-  // they are NOT invoked from inside step() — step holds a live Job& while
-  // job_slots_ could reallocate under a re-entrant submit. Instead step()
-  // records them in a deferred list that pump_one() delivers after the
-  // handler frame unwinds. Without hooks installed nothing is recorded and
-  // the event/RNG streams are bit-identical to the bare engine.
+  // they are NOT invoked from inside an event handler — a handler holds a
+  // live Job& while job_slots_ could reallocate under a re-entrant submit.
+  // Instead the handlers record them in a deferred list, and the event that
+  // records one ends the pump (the window that records one, multi-rank);
+  // pump() delivers the list after the loop unwinds. Without hooks
+  // installed nothing is recorded and the event/RNG streams are
+  // bit-identical to the bare engine.
 
   /// Installs the service hooks. Must be called before the first event that
   /// would fire one; typically right after construction.
@@ -243,12 +259,14 @@ class SimEngine {
   /// the timer hook (rank 0's event stream). Requires service hooks
   /// installed.
   void schedule_timer(double offset_s, std::uint64_t token);
-  /// Advances the simulation by one quantum — one event (single-rank), one
-  /// conservative window (multi-rank) — then delivers any deferred service
-  /// notifications it produced; returns false (advancing nothing) when
-  /// every event queue is empty. Hooks may submit()/schedule_timer() but
-  /// must not re-enter pump_one()/wait().
-  bool pump_one();
+  /// Advances the simulation until the next service notification: runs
+  /// events (single-rank) or conservative windows (multi-rank) until one
+  /// records a deferred notification or completes a job, every queue
+  /// drains, or the virtual clock passes `horizon_s` — then delivers the
+  /// deferred notifications. Returns false (advancing nothing) when every
+  /// event queue is already empty. Hooks may submit()/schedule_timer() but
+  /// must not re-enter pump()/wait().
+  bool pump(double horizon_s = std::numeric_limits<double>::infinity());
   /// True once job `id`'s last task completed. `id` must be in flight
   /// (submitted, not yet wait()ed).
   bool job_done(JobId id) { return job_of(id).done; }
@@ -338,8 +356,8 @@ class SimEngine {
   };
 
   // Deferred service notifications (see set_service_hooks): appended by the
-  // event handlers in event order, drained by pump_one() after the quantum
-  // completes. Empty unless hooks are installed.
+  // event handlers in event order, delivered by pump() after its loop
+  // stops. Empty unless hooks are installed.
   struct Deferred {
     bool timer = false;
     std::uint64_t id = 0;  // JobId (done) or timer token
@@ -367,8 +385,12 @@ class SimEngine {
     /// TaskState so submit seeds it with one flat copy from the DAG's
     /// sealed predecessor_counts() instead of a strided scatter.
     std::vector<std::int32_t> preds;
-    std::int64_t completed = 0;
     double release_s = 0.0;   ///< virtual arrival instant of the roots
+    /// The cross-rank accounting starts a cache line of its own: every task
+    /// completion on every rank RMWs it, and sharing a line with the
+    /// read-mostly pointers above made each of those RMWs evict the
+    /// pointers from the other ranks' caches.
+    alignas(64) std::int64_t completed = 0;
     double finish_s = -1.0;   ///< completion of the last task; -1 while open
     bool done = false;
   };
@@ -402,6 +424,10 @@ class SimEngine {
     std::vector<std::uint64_t> idle_bits;  // bit set <=> !cores[c].active
     std::vector<std::uint64_t> wsq_bits;   // bit set <=> !cores[c].wsq.empty()
     std::vector<Deferred> deferred;
+    /// Set when this shard completes a job or records a deferred
+    /// notification; the pump in progress stops after the current event
+    /// (single-rank) or window (multi-rank). Cleared at each pump start.
+    bool yield = false;
     /// This rank's resolved fault schedule (empty without faults). Seeded
     /// into the event heap at construction; kFault events carry an index
     /// into this vector in their job field.
@@ -409,9 +435,15 @@ class SimEngine {
     std::uint64_t tasks_reexecuted = 0;
     int cores_failed = 0;
     /// Out-bound boundary-release queues, one per destination rank
-    /// ([self] stays null). This shard is the only producer; the
-    /// destination shard drains in window phase 2.
-    std::vector<std::unique_ptr<BoundaryQueue<BoundaryMsg>>> out;
+    /// ([self] stays null), double-buffered by window parity: window k
+    /// stages into out[k % 2], which the destinations drain after the
+    /// window-k barrier while this shard may already stage window k+1
+    /// into the other set. This shard is the only producer.
+    std::vector<std::unique_ptr<BoundaryQueue<BoundaryMsg>>> out[2];
+    int parity = 0;  ///< out[] set of the window in progress
+    /// Earliest release staged into out[parity] this window: half of the
+    /// rank's lower bound on the next window start.
+    double staged_min = 0.0;
 
     double next_event_time() const;
   };
@@ -465,9 +497,6 @@ class SimEngine {
   /// activate(c, t) for every idle core of the shard in ascending core
   /// order — the bitmap replacement for the all-cores activation sweep.
   void wake_idle_cores(Shard& sh, double t);
-  /// Dispatches one shard-0 event (single-rank pump path) through whichever
-  /// loop refresh_dispatch() selected.
-  void step() { step_fn_(*this); }
   bool events_pending() const;
   /// Outlined kTimer record (the call site sits inside the step hot-path
   /// lint region; the deferred-list push must not).
@@ -531,31 +560,32 @@ class SimEngine {
                                  const ExecutionPlace& place, double t);
   static double lognormal_noise(Shard& sh, double sigma);
 
-  // --- conservative window protocol (multi-rank) ---------------------------
-  /// Phase 1 of the current window for one shard: process local events up
-  /// to and including window_hi_, staging cross-rank releases.
-  template <class Mode> void window_phase1_t(Shard& sh);
-  /// Phase 2: drain in-bound boundary queues in sender-rank order (the
-  /// deterministic seq assignment), publish the shard's next-event time.
-  void window_phase2(Shard& sh);
-  /// Runs one complete window [window start = sync_ min, + lookahead_] over
-  /// all shards — on the calling thread in rank order (des_threads <= 1) or
-  /// with the parked worker threads (des_threads > 1). Caller must have
-  /// refreshed the published next-event times (refresh_times()).
-  void run_window();
-  /// Re-publishes every shard's next-event time; only valid while the
-  /// workers are quiescent (between windows). submit() invalidates the
-  /// published times, hence this runs at the top of every drain/pump.
-  void refresh_times();
-  /// Window loop until `job` completes or every queue drains.
-  void drain_windows(const Job& job);
+  // --- pump loops -----------------------------------------------------------
+  /// pump()'s loop, inside one dispatch instantiation: single-rank, events
+  /// until the shard yields or the clock passes `horizon`; multi-rank, the
+  /// calling thread's share of the window loop plus the final window's
+  /// drain.
+  template <class Mode> void advance_t(double horizon);
+  /// One protocol thread's window loop over its rank block (see
+  /// sim/rank_sync.hpp): phase 1, arrive, barrier, drain, next window —
+  /// until some rank asks to stop (yield, horizon) or every queue drains.
+  /// The window that stops the loop is left undrained for the calling
+  /// thread.
+  /// Returns the number of the last window run.
+  template <class Mode> std::uint64_t window_loop_t(int thread_index);
+  /// Phase 1 of a window for one shard: process local events up to and
+  /// including `hi`, staging cross-rank releases into out[parity].
+  template <class Mode> void window_phase1_t(Shard& sh, double hi, int parity);
+  /// Drains the shard's in-bound boundary queues of window parity `parity`
+  /// in sender-rank order (the deterministic seq assignment).
+  void drain_inbound(Shard& sh, int parity);
   /// Delivers the deferred service notifications of every shard in rank
   /// order (event order within a shard), then clears them.
   void deliver_deferred();
   /// Lazily spawns the worker threads (multi-rank, des_threads > 1).
   void ensure_workers();
-  /// Worker-thread body: waits for window commands, runs the owned rank
-  /// block's phases, parks again.
+  /// Worker-thread body: waits for a pump command, runs the owned rank
+  /// block's window loop, waits again.
   void worker_loop(int thread_index);
   /// Ranks owned by protocol thread `t` (contiguous block partition; thread
   /// 0 is the caller). The partition does not affect results — only which
@@ -563,7 +593,7 @@ class SimEngine {
   std::pair<int, int> rank_block(int thread_index) const;
 
   // --- dispatch selection ---------------------------------------------------
-  /// Rebinds step_fn_/drain_fn_/window_fn_ to the loop matching (policy,
+  /// Rebinds advance_fn_/window_loop_fn_ to the loops matching (policy,
   /// registry): a fused (policy-tag x cost-class) instantiation when every
   /// executable cost model carries a closed form, the generic loop
   /// otherwise (or under SimOptions::force_generic_dispatch). Called at
@@ -571,7 +601,6 @@ class SimEngine {
   void refresh_dispatch();
   template <class Mode> void set_mode();
   template <class Tag> void set_fused(CostClass cls);
-  template <class Mode> void drain_t(const Job& job);
 
   std::vector<Rank> ranks_;
   std::vector<Shard> shards_;
@@ -609,29 +638,32 @@ class SimEngine {
   /// the submission trace, which is what makes the window partition (and
   /// with it every cross-rank seq assignment) replayable.
   double lookahead_ = std::numeric_limits<double>::infinity();
-  /// Inclusive horizon of the window currently executing; written by the
-  /// driving thread before the command publication, read by workers after
-  /// its acquire.
-  double window_hi_ = 0.0;
+  // The pump in progress: the first window's inclusive horizon and the
+  // stop horizon, written by the calling thread before the command
+  // publication and read by every protocol thread after its acquire.
+  double first_window_hi_ = 0.0;
+  double pump_horizon_ = 0.0;
+  /// Windows run so far: window numbers are the barrier epochs, so they
+  /// continue across pumps. Written by the calling thread between pumps.
+  std::uint64_t windows_ = 0;
   RankSync sync_{1};              // ctor initializes with the real rank count
-  std::uint64_t round_ = 0;       // windows issued (command sequence)
-  std::atomic<std::uint64_t> cmd_round_{0};
+  std::uint64_t pumps_ = 0;       // commands published
+  std::atomic<std::uint64_t> cmd_{0};
   std::atomic<bool> cmd_exit_{false};
-  EventCount cmd_ec_;             // workers park here between windows
+  EventCount cmd_ec_;             // workers wait here between pumps
   std::vector<std::thread> workers_;
   int protocol_threads_ = 1;      // min(des_threads, num_ranks)
 
-  // Selected event loop (see refresh_dispatch): step_fn_ dispatches one
-  // event, drain_fn_ runs the wait() loop entirely inside one instantiation
-  // so not even the per-event indirect call survives on the hot path;
-  // window_fn_ runs one shard's window phase 1 (the multi-rank inner loop —
-  // one indirect call per window, not per event).
-  using StepFn = void (*)(SimEngine&);
-  using DrainFn = void (*)(SimEngine&, const Job&);
-  using WindowFn = void (*)(SimEngine&, Shard&);
-  StepFn step_fn_ = nullptr;
-  DrainFn drain_fn_ = nullptr;
-  WindowFn window_fn_ = nullptr;
+  // Selected loops (see refresh_dispatch). Each runs entirely inside one
+  // instantiation, so the hot path pays one indirect call per pump, none
+  // per event or window: advance_fn_ is pump()'s loop, window_loop_fn_ a
+  // worker thread's window loop. A pump runs until the next service
+  // notification, so the facade's wait pays that call once per job
+  // completion or timer, not once per event.
+  using AdvanceFn = void (*)(SimEngine&, double);
+  using WindowLoopFn = void (*)(SimEngine&, int);
+  AdvanceFn advance_fn_ = nullptr;
+  WindowLoopFn window_loop_fn_ = nullptr;
   const char* dispatch_variant_ = "generic";
 };
 

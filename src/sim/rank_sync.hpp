@@ -1,28 +1,46 @@
 #pragma once
-// Barrier-free window synchronization for the conservative parallel DES.
+// One barrier per window for the conservative parallel DES.
 //
-// Each DES rank thread (sim/engine.hpp) advances through a sequence of
-// phases per time window: (1) process every local event inside the window
-// horizon, staging cross-rank releases into boundary queues; (2) after all
-// ranks finished phase 1, drain the in-bound boundary queues and publish
-// the rank's next-event time. A rank publishes each phase transition as a
-// monotone per-rank epoch; ranks that reach a phase boundary early park on
-// the PR 4 eventcount until the stragglers' epochs catch up. There is no
-// central coordinator and no lock on the fast path — one release store +
-// notify per phase, one acquire sweep (usually already satisfied) per wait.
+// Every DES protocol thread (sim/engine.hpp) runs the same loop over its
+// block of ranks; window k is:
 //
-// Determinism contract: the epochs only order *phases*; everything a rank
-// publishes for others to read (next-event times, boundary spill buffers)
-// is written before its phase store and read after the waiter's acquire
-// sweep. The window-min rule (next window start = min over published
-// next-event times) is computed redundantly per rank over the same
-// published slots, so every rank derives the same window without another
-// round of communication.
+//   1. phase 1 — process the rank's events inside the window horizon,
+//      staging cross-rank releases into boundary queues;
+//   2. arrive(rank, k, bound, stop) — publish a lower bound on the next
+//      window start (min of the rank's next local event and the earliest
+//      release it staged this window) plus a stop request;
+//   3. wait_all_at_least(k) — the window's only barrier;
+//   4. drain the in-bound boundary queues in sender-rank order;
+//   5. collect(k): next window start = min over the published bounds, or
+//      leave the loop if any rank asked to stop.
+//
+// Every thread reduces the same published slots, so all of them derive the
+// same next window (and the same stop decision) without another round.
+//
+// Double buffering: arrive() writes the slot of parity k % 2. After the
+// window-k barrier a fast rank may finish window k+1 and publish again
+// while a slow rank is still reading the window-k slots; that publication
+// lands in the other parity. It can reach parity k % 2 again only at
+// window k+2, i.e. after the window-(k+1) barrier, which the slow rank joins
+// only once it is done reading. kSlotBuffers = 1 is the single-buffered
+// mutant the model checker must catch as a race (tests/model_check_test).
+//
+// Waiting: a rank that reaches the barrier early polls the epochs up to
+// spin_polls times, yielding the CPU between polls (Model::yield: a
+// sched_yield here, a scheduler yield in the model checker), and then
+// parks on the eventcount. The engine spins only when its protocol
+// threads fit on the CPUs of the process's affinity mask; with more
+// threads than CPUs it parks at once.
+//
+// Determinism contract: the epochs only order windows; everything a rank
+// publishes for others to read (its slot, boundary spill buffers) is
+// written before its epoch store and read after the waiter's acquire
+// sweep.
 //
 // Templated on the sync model (util/sync_model.hpp): the model-checker
 // scenarios in tests/model_check_test.cpp explore this exact template and
-// catch the seeded clock-publication and park/wake mutants before any real
-// thread runs the protocol.
+// catch the seeded publication, park/wake and single-buffer mutants before
+// any real thread runs the protocol.
 
 #include <cstdint>
 #include <limits>
@@ -34,9 +52,17 @@
 
 namespace das::sim {
 
-template <class Model = RealModel>
+template <class Model = RealModel, int kSlotBuffers = 2>
 class BasicRankSync {
  public:
+  /// The window's reduction over every rank's slot: the next window start
+  /// (+infinity once every queue drained) and whether any rank asked the
+  /// loop to stop.
+  struct Round {
+    double next_start;
+    bool stop;
+  };
+
   explicit BasicRankSync(int num_ranks)
       : slots_(static_cast<std::size_t>(num_ranks)) {
     DAS_CHECK(num_ranks > 0);
@@ -45,61 +71,56 @@ class BasicRankSync {
   BasicRankSync(const BasicRankSync&) = delete;
   BasicRankSync& operator=(const BasicRankSync&) = delete;
 
-  /// Publishes `rank`'s phase epoch (strictly monotone per rank) and wakes
-  /// any rank parked in wait_all_at_least. Everything the rank wrote for
-  /// other ranks to read this phase — its next-event time slot, boundary
-  /// spill buffers — happens-before this store.
-  void publish_phase(int rank, std::uint64_t phase) {
-    slot(rank).phase.store(phase, std::memory_order_release);
+  /// Epoch polls before a waiter parks; 0 parks at once. Set before any
+  /// protocol thread runs.
+  void set_spin_polls(int polls) { spin_polls_ = polls; }
+  int spin_polls() const { return spin_polls_; }
+
+  /// `rank`'s publication for window `window` (strictly increasing per
+  /// rank, starting at 1): the slot of the window's parity, then the epoch
+  /// (release) and a wake for any parked waiter.
+  void arrive(int rank, std::uint64_t window, double bound, bool stop) {
+    Slot& s = slot(rank);
+    Cell& c = s.cells[window % kSlotBuffers];
+    c.bound = bound;
+    c.stop = stop;
+    s.epoch.store(window, std::memory_order_release);
     ec_.notify();
   }
 
-  /// Blocks until every rank's published epoch is >= `phase`, parking on
-  /// the eventcount between sweeps. On return the caller is synchronized
-  /// with every rank's publish_phase(phase) — their time slots (and
-  /// anything else they published before the phase store) are visible.
-  void wait_all_at_least(std::uint64_t phase) {
-    while (!all_at_least(phase)) {
-      const auto key = ec_.prepare_wait();
-      if (all_at_least(phase)) {
-        ec_.cancel_wait();
-        return;
-      }
-      ec_.commit_wait(key);
-    }
+  /// The barrier: returns once every rank arrived at `window` or later. On
+  /// return the caller is synchronized with every rank's arrive(window) —
+  /// its slot, and anything else it wrote before arriving, is visible.
+  void wait_all_at_least(std::uint64_t window) {
+    ec_.await([&] { return all_at_least(window); }, spin_polls_);
   }
 
-  /// Stores `rank`'s next-event time for the window-min rule. Must be
-  /// followed by publish_phase before any other rank reads it.
-  void set_time(int rank, double t) { slot(rank).time = t; }
-
-  /// Minimum published next-event time across all ranks; +infinity when
-  /// every queue drained. Callers must hold a wait_all_at_least
-  /// synchronization covering the set_time writes they read.
-  double min_time() const {
-    double m = std::numeric_limits<double>::infinity();
+  /// Reduces window `window`'s slots. Valid from wait_all_at_least(window)
+  /// until the caller's next arrive(): no rank can overwrite this parity
+  /// before every rank arrived at window + 1.
+  Round collect(std::uint64_t window) const {
+    Round r{std::numeric_limits<double>::infinity(), false};
     for (const Slot& s : slots_) {
-      const double t = s.time;
-      if (t < m) m = t;
+      const Cell& c = s.cells[window % kSlotBuffers];
+      const double b = c.bound;
+      if (b < r.next_start) r.next_start = b;
+      if (c.stop) r.stop = true;
     }
-    return m;
+    return r;
   }
-
-  /// `rank`'s published epoch (acquire): test/diagnostic hook.
-  std::uint64_t phase(int rank) const {
-    return slot(rank).phase.load(std::memory_order_acquire);
-  }
-
-  int num_ranks() const { return static_cast<int>(slots_.size()); }
 
  private:
-  // Cacheline-padded so rank A's phase stores do not invalidate the line
+  struct Cell {
+    typename Model::template var<double> bound{
+        std::numeric_limits<double>::infinity()};
+    typename Model::template var<bool> stop{false};
+  };
+  // Cacheline-padded so rank A's epoch stores do not invalidate the line
   // rank B spins its sweep on. (The chk instantiation's cells are fat
   // bookkeeping objects anyway; padding is for RealModel.)
   struct alignas(64) Slot {
-    typename Model::template atomic<std::uint64_t> phase{0};
-    typename Model::template var<double> time{
-        std::numeric_limits<double>::infinity()};
+    typename Model::template atomic<std::uint64_t> epoch{0};
+    Cell cells[kSlotBuffers];
   };
 
   Slot& slot(int rank) { return slots_[static_cast<std::size_t>(rank)]; }
@@ -107,14 +128,15 @@ class BasicRankSync {
     return slots_[static_cast<std::size_t>(rank)];
   }
 
-  bool all_at_least(std::uint64_t phase) const {
+  bool all_at_least(std::uint64_t window) const {
     for (const Slot& s : slots_)
-      if (s.phase.load(std::memory_order_acquire) < phase) return false;
+      if (s.epoch.load(std::memory_order_acquire) < window) return false;
     return true;
   }
 
   std::vector<Slot> slots_;
   BasicEventCount<Model> ec_;
+  int spin_polls_ = 0;
 };
 
 using RankSync = BasicRankSync<RealModel>;

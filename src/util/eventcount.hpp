@@ -76,6 +76,28 @@ class BasicEventCount {
     waiters_.fetch_sub(1, std::memory_order_seq_cst);
   }
 
+  /// Blocks until `pred()` holds: the three-phase loop above, preceded by up
+  /// to `spin_polls` polls of the predicate with Model::yield() between
+  /// them. Spinning first pays when the waker runs on another CPU and
+  /// arrives within microseconds (a park/wake round-trip costs more than
+  /// the wait itself); callers pass 0 whenever their own threads may
+  /// outnumber CPUs.
+  template <class Pred>
+  void await(Pred&& pred, int spin_polls = 0) {
+    for (int i = 0; i < spin_polls; ++i) {
+      if (pred()) return;
+      Model::yield();
+    }
+    while (!pred()) {
+      const auto key = prepare_wait();
+      if (pred()) {
+        cancel_wait();
+        return;
+      }
+      commit_wait(key);
+    }
+  }
+
   /// Wakes every waiter whose prepare_wait() predates this call. Callers
   /// make the predicate true FIRST; the fence below then guarantees either
   /// this call sees their waiter count, or the waiter's predicate re-check

@@ -19,10 +19,12 @@
 //   using cond_var = ...;                    // wait(unique_lock<mutex>&),
 //                                            // notify_one/notify_all
 //   static void thread_fence(std::memory_order);
+//   static void yield();                     // between two spin-wait polls
 
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <thread>
 
 namespace das {
 
@@ -39,6 +41,10 @@ struct RealModel {
   static void thread_fence(std::memory_order order) {
     std::atomic_thread_fence(order);
   }
+  /// Between two polls of a spin-wait: offers the CPU to any other runnable
+  /// thread (sched_yield), and returns at once when there is none. Unlike
+  /// a `pause` loop it never holds a CPU that a descheduled peer needs.
+  static void yield() { std::this_thread::yield(); }
 };
 
 }  // namespace das

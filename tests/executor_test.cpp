@@ -1,14 +1,20 @@
 // Tests for the das::Executor facade: the backend/policy string registries
 // round-trip over every Table-1 name, the same DAG runs to completion on
 // both backends through make_executor with consistent RunResult / stats
-// shapes, the multi-rank factory works, and the unified seed default holds.
+// shapes, the multi-rank factory works (and its pumped session path is
+// independent of the DES thread count), and the unified seed default holds.
 
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <vector>
 
 #include "exec/executor.hpp"
 #include "kernels/registry.hpp"
 #include "platform/affinity.hpp"
 #include "rt/runtime.hpp"
+#include "sim/engine.hpp"
+#include "workloads/heat.hpp"
 #include "workloads/synthetic_dag.hpp"
 
 namespace das {
@@ -210,6 +216,99 @@ TEST_F(ExecutorTest, MultiRankFactoryBuildsSimAndRejectsRt) {
                PreconditionError);
   EXPECT_THROW(make_executor(Backend::kSim, {}, Policy::kDamC, registry_),
                PreconditionError);
+}
+
+/// The sim facade pumps a multi-rank engine until each service notification
+/// (job done, arrival and deadline timers): a session stream through
+/// make_executor(kSim, ranks, ...) — two weighted tenants, staggered arrival
+/// offsets, a queueing deadline and one wait_for that gives up first — must
+/// give the same RunResults at des_threads 1 and 4, and its opening bare
+/// job must equal SimEngine::run.
+TEST_F(ExecutorTest, MultiRankSessionStreamEqualAcrossDesThreads) {
+  workloads::HeatConfig heat;
+  heat.rows = 96;
+  heat.cols = 48;
+  heat.ranks = 4;
+  heat.iterations = 4;
+  heat.tasks_per_rank = 3;
+  heat.net_latency_s = 30e-6;
+  const Dag dag =
+      workloads::make_heat_sim_dag(heat, ids_.heat_compute, ids_.comm);
+  const Topology haswell = Topology::haswell20();
+  const Topology small = Topology::symmetric(2, 3, 1.0);
+  const std::vector<sim::RankSpec> ranks = {
+      sim::RankSpec{&topo_, nullptr}, sim::RankSpec{&haswell, nullptr},
+      sim::RankSpec{&small, nullptr}, sim::RankSpec{&topo_, nullptr}};
+
+  sim::SimOptions direct;
+  direct.seed = kDefaultSeed;
+  sim::SimEngine eng(ranks, Policy::kDamC, registry_, direct);
+  const double engine_makespan = eng.run(dag);
+
+  struct Stream {
+    double bare_makespan = 0.0;
+    bool wait_for_finished = true;
+    double now_after_wait_for = 0.0;
+    std::vector<RunResult> results;  // drain_grouped order
+    double end_now = 0.0;
+  };
+  const auto run_stream = [&](int des_threads) {
+    auto exec = make_executor(Backend::kSim, ranks, Policy::kDamC, registry_,
+                              ExecutorConfig::builder()
+                                  .seed(kDefaultSeed)
+                                  .sim_des_threads(des_threads)
+                                  .max_service_inflight(3)
+                                  .build());
+    Stream out;
+    out.bare_makespan = exec->run(dag).makespan_s;
+    TenantConfig light;
+    light.name = "light";
+    light.max_in_flight = 1;
+    TenantConfig heavy;
+    heavy.name = "heavy";
+    heavy.weight = 3.0;
+    heavy.max_in_flight = 2;
+    auto sl = exec->open_session(light);
+    auto sh = exec->open_session(heavy);
+    std::vector<JobId> ids;
+    for (int i = 0; i < 6; ++i) {
+      SubmitOptions so;
+      so.arrival_offset_s = 40e-6 * i;
+      if (i == 4) so.deadline_s = 5e-6;  // still queued then: times out
+      ids.push_back((i % 2 == 0 ? sl : sh)->submit(dag, so));
+    }
+    const std::optional<RunResult> early = exec->wait_for(ids[1], 20e-6);
+    out.wait_for_finished = early.has_value();
+    out.now_after_wait_for = exec->now();
+    for (const TenantResults& group : exec->drain_grouped())
+      for (const RunResult& r : group.results) out.results.push_back(r);
+    out.end_now = exec->now();
+    return out;
+  };
+
+  const Stream serial = run_stream(1);
+  const Stream parallel = run_stream(4);
+  EXPECT_EQ(serial.bare_makespan, engine_makespan);
+  EXPECT_EQ(parallel.bare_makespan, engine_makespan);
+  EXPECT_FALSE(serial.wait_for_finished);  // the deadline path really ran
+  EXPECT_EQ(serial.wait_for_finished, parallel.wait_for_finished);
+  EXPECT_EQ(serial.now_after_wait_for, parallel.now_after_wait_for);
+  EXPECT_EQ(serial.end_now, parallel.end_now);
+  ASSERT_EQ(serial.results.size(), 6u);
+  ASSERT_EQ(parallel.results.size(), serial.results.size());
+  int timed_out = 0;
+  for (std::size_t i = 0; i < serial.results.size(); ++i) {
+    const RunResult& a = serial.results[i];
+    const RunResult& b = parallel.results[i];
+    EXPECT_EQ(a.job, b.job) << i;
+    EXPECT_EQ(a.tenant, b.tenant) << i;
+    EXPECT_EQ(a.outcome, b.outcome) << i;
+    EXPECT_EQ(a.makespan_s, b.makespan_s) << i;
+    EXPECT_EQ(a.queue_s, b.queue_s) << i;
+    EXPECT_EQ(a.arrival_s, b.arrival_s) << i;
+    if (a.outcome == RunResult::Outcome::kTimedOut) ++timed_out;
+  }
+  EXPECT_EQ(timed_out, 1);
 }
 
 TEST_F(ExecutorTest, ConfigScenarioIsFallbackForScenarioLessRanks) {

@@ -550,21 +550,25 @@ TEST(ModelCheckRingMutants, WrapCopyBugCaught) {
 // ---------------------------------------------------------------------------
 // Parallel-DES window protocol scenarios (sim/boundary_queue.hpp,
 // sim/rank_sync.hpp). These explore the REAL templates the conservative
-// parallel engine (sim/engine.cpp) is built on, and encode its three
+// parallel engine (sim/engine.cpp) is built on, and encode its four
 // ordering claims BEFORE any real thread runs them:
 //
 //   1. ring publication — a release staged by the sender rank's push() is
 //      visible (payload and all) to a concurrently draining receiver;
-//   2. phase handoff — spill overflow and next-event clocks published
-//      before a rank's phase store are visible after wait_all_at_least,
-//      and drain order is push order (seq assignment determinism);
-//   3. park/wake — a rank parked at a window-phase boundary is always
-//      woken by the last straggler's publish.
+//   2. window handoff — spill overflow and next-window bounds published
+//      by a rank's arrive() are visible after wait_all_at_least, and drain
+//      order is push order (seq assignment determinism);
+//   3. park/wake — a rank parked at a window barrier is always woken by
+//      the last straggler's arrive;
+//   4. double buffering — over consecutive windows, a fast rank's
+//      window-k+1 publication is never read as its window-k slot.
 //
 // Each claim has a seeded mutant test that must FAIL the exploration.
 
 using ChkBoundary = sim::BasicBoundaryQueue<std::uint64_t, chk::Model>;
 using ChkRankSync = sim::BasicRankSync<chk::Model>;
+/// The single-buffered slot mutant: one bound/stop cell per rank.
+using ChkRankSyncSingleSlot = sim::BasicRankSync<chk::Model, 1>;
 
 /// Claim 1: producer pushes two releases into the ring while the consumer
 /// concurrently drains. Slots are chk::Var cells, so consuming a slot not
@@ -596,13 +600,12 @@ chk::Scenario boundary_ring_scenario() {
   return s;
 }
 
-/// Claims 1+2 together, exactly as the engine's window round uses them: the
+/// Claims 1+2 together, exactly as the engine's window loop uses them: the
 /// sender stages three releases into a capacity-2 ring (the third spills),
-/// publishes its next-event clock, then its phase epoch. The receiver
-/// publishes its own clock/phase, waits for the round, drains, and computes
-/// the window-min. The spill vector and time slots are plain cells — their
-/// safety is exactly the happens-before edge of publish_phase /
-/// wait_all_at_least.
+/// then arrives with its next-window bound. The receiver arrives with its
+/// own bound, waits at the barrier, drains, and reduces the bounds. The
+/// spill vector and bound slots are plain cells — their safety is exactly
+/// the happens-before edge of arrive / wait_all_at_least.
 chk::Scenario window_phase_scenario() {
   struct State {
     ChkBoundary q{2};
@@ -610,20 +613,18 @@ chk::Scenario window_phase_scenario() {
   };
   auto st = std::make_shared<State>();
   chk::Scenario s;
-  s.threads.push_back([st] {  // rank 0: phase 1 of a window round
+  s.threads.push_back([st] {  // rank 0: phase 1 of a window
     st->q.push(1);
     st->q.push(2);
     st->q.push(3);  // ring full -> spills
-    st->sync.set_time(0, 1.5);
-    st->sync.publish_phase(0, 1);
-    // (The round-close wait is exercised by rank_sync_park_scenario;
-    // leaving it out keeps this state space exhaustible and keeps the
-    // no-park schedules — the ones a downgraded publish races in — near
-    // the front of the DFS order.)
+    st->sync.arrive(0, 1, 1.5, false);
+    // (The barrier wait is exercised by rank_sync_park_scenario; leaving
+    // it out keeps this state space exhaustible and keeps the no-park
+    // schedules — the ones a downgraded publish races in — near the front
+    // of the DFS order.)
   });
-  s.threads.push_back([st] {  // rank 1: phase 2 (drain + window-min)
-    st->sync.set_time(1, 2.5);
-    st->sync.publish_phase(1, 1);
+  s.threads.push_back([st] {  // rank 1: barrier, drain, next window start
+    st->sync.arrive(1, 1, 2.5, false);
     st->sync.wait_all_at_least(1);
     std::uint64_t got[3] = {0, 0, 0};
     std::size_t n = 0;
@@ -633,14 +634,14 @@ chk::Scenario window_phase_scenario() {
     });
     chk::expect(n == 3 && got[0] == 1 && got[1] == 2 && got[2] == 3,
                 "boundary: staged releases lost across the phase boundary");
-    chk::expect(st->sync.min_time() == 1.5,
-                "rank-sync: window-min read a stale clock");
+    chk::expect(st->sync.collect(1).next_start == 1.5,
+                "rank-sync: window-min read a stale bound");
   });
   return s;
 }
 
-/// Claim 3: two ranks finish a phase in either order; each waits for the
-/// other. A lost wakeup (the engine's round-close handshake) is a deadlock.
+/// Claim 3: two ranks reach a window barrier in either order; each waits
+/// for the other. A lost wakeup is a deadlock.
 chk::Scenario rank_sync_park_scenario() {
   struct State {
     ChkRankSync sync{2};
@@ -648,13 +649,46 @@ chk::Scenario rank_sync_park_scenario() {
   auto st = std::make_shared<State>();
   chk::Scenario s;
   s.threads.push_back([st] {
-    st->sync.publish_phase(0, 1);
+    st->sync.arrive(0, 1, 0.0, false);
     st->sync.wait_all_at_least(1);
   });
   s.threads.push_back([st] {
-    st->sync.publish_phase(1, 1);
+    st->sync.arrive(1, 1, 0.0, false);
     st->sync.wait_all_at_least(1);
   });
+  return s;
+}
+
+/// Claim 4: two ranks run two consecutive windows through the barrier.
+/// Rank r publishes bound 10k + r at window k, and rank 1 asks to stop at
+/// window 2; every reduction must see exactly its own window's slots. With
+/// a single-buffered slot, a fast rank's window-2 arrive overwrites the
+/// cell its peer is still reducing for window 1 — a race on the bound cell.
+/// `spin_polls` > 0 exercises spin-then-park; the checker's Model::yield
+/// also grants eventual visibility (a happens-before edge to every earlier
+/// store), so the race mutant runs with 0, where nothing but the barrier
+/// orders the accesses.
+template <class Sync>
+chk::Scenario rank_sync_two_window_scenario(int spin_polls) {
+  struct State {
+    Sync sync{2};
+  };
+  auto st = std::make_shared<State>();
+  st->sync.set_spin_polls(spin_polls);
+  chk::Scenario s;
+  for (int rank = 0; rank < 2; ++rank) {
+    s.threads.push_back([st, rank] {
+      for (std::uint64_t k = 1; k <= 2; ++k) {
+        st->sync.arrive(rank, k, 10.0 * static_cast<double>(k) + rank,
+                        rank == 1 && k == 2);
+        st->sync.wait_all_at_least(k);
+        const auto round = st->sync.collect(k);
+        chk::expect(round.next_start == 10.0 * static_cast<double>(k) &&
+                        round.stop == (k == 2),
+                    "rank-sync: a window reduction read another window's slot");
+      }
+    });
+  }
   return s;
 }
 
@@ -675,18 +709,46 @@ TEST(ModelCheckParallelDes, WindowPhaseHandoffBoundedDfs) {
 
 TEST(ModelCheckParallelDes, ParkWakeBoundedDfs) {
   chk::Options o;
-  o.max_schedules = long_mode() ? 400000 : 60000;
+  o.max_schedules = long_mode() ? 400000 : 100000;
   auto r = chk::explore(o, rank_sync_park_scenario);
   EXPECT_TRUE(r.ok) << r.violation;
 }
 
+TEST(ModelCheckParallelDes, TwoWindowsDoubleBufferedBoundedDfs) {
+  chk::Options o;
+  o.max_schedules = long_mode() ? 400000 : 20000;
+  auto r = chk::explore(
+      o, [] { return rank_sync_two_window_scenario<ChkRankSync>(0); });
+  EXPECT_TRUE(r.ok) << r.violation;
+}
+
+TEST(ModelCheckParallelDes, TwoWindowsSpinThenParkRandomSweep) {
+  chk::Options o;
+  o.mode = chk::Options::Mode::kRandom;
+  o.max_schedules = long_mode() ? 200000 : 5000;
+  o.seed = 0x2b1;
+  auto r = chk::explore(
+      o, [] { return rank_sync_two_window_scenario<ChkRankSync>(2); });
+  EXPECT_TRUE(r.ok) << r.violation;
+}
+
+// The bounded-DFS tests above already walk each scenario's DFS prefix in
+// full (same deterministic order), so the coverage count re-explores only a
+// slice of each to add up the distinct interleavings.
 TEST(ModelCheckParallelDes, CoverageAtLeast10k) {
   std::uint64_t total = 0;
   for (auto* scen : {&boundary_ring_scenario, &window_phase_scenario,
                      &rank_sync_park_scenario}) {
     chk::Options o;
-    o.max_schedules = 100000;
+    o.max_schedules = 10000;
     total += chk::explore(o, *scen).distinct_interleavings;
+  }
+  {
+    chk::Options o;
+    o.max_schedules = 10000;
+    total += chk::explore(o, [] {
+               return rank_sync_two_window_scenario<ChkRankSync>(0);
+             }).distinct_interleavings;
   }
   chk::Options rnd;
   rnd.mode = chk::Options::Mode::kRandom;
@@ -721,6 +783,17 @@ TEST(ModelCheckParallelDesMutants, PhasePublishDowngradeCaught) {
   o.max_schedules = 100000;
   auto r = chk::explore(o, window_phase_scenario);
   EXPECT_FALSE(r.ok) << "mutant 1 survived " << r.schedules << " schedules";
+  EXPECT_NE(r.violation.find("race"), std::string::npos) << r.violation;
+}
+
+TEST(ModelCheckParallelDesMutants, SingleBufferedSlotIsRace) {
+  chk::Options o;
+  o.max_schedules = 20000;
+  auto r = chk::explore(o, [] {
+    return rank_sync_two_window_scenario<ChkRankSyncSingleSlot>(0);
+  });
+  EXPECT_FALSE(r.ok) << "single-slot mutant survived " << r.schedules
+                     << " schedules";
   EXPECT_NE(r.violation.find("race"), std::string::npos) << r.violation;
 }
 
@@ -815,6 +888,11 @@ TEST(ModelCheckEngine, EnvMutantIsCaught) {
       break;
     case chk::Mutant::kRingBufferWrapCopy:
       r = chk::explore(o, ring_wrap_grow_scenario<true>);
+      break;
+    case chk::Mutant::kRankSyncSingleSlot:
+      r = chk::explore(o, [] {
+        return rank_sync_two_window_scenario<ChkRankSyncSingleSlot>(0);
+      });
       break;
     default:
       FAIL() << "unknown DAS_CHK_MUTANT";
