@@ -15,6 +15,9 @@
 // submitted N times back-to-back (overlapping in virtual time), exercising
 // the multi-job interleave path.
 //
+// Each cell also times building and sealing its DAG (dag_build_s in the
+// table and the JSON; reported, not gated).
+//
 // Regression gate (the CI cell): --baseline=PATH compares each cell's
 // events/s against a checked-in JSON baseline and exits 1 when any cell
 // regresses by more than --tolerance (default 0.25, the ">25%" CI
@@ -150,6 +153,7 @@ Dag make_multi_rank_dag(TaskTypeId type, int ranks, int total_tasks,
       }
     }
   }
+  dag.seal();  // builders hand out sealed (CSR-compacted) DAGs
   return dag;
 }
 
@@ -269,7 +273,8 @@ int main(int argc, char** argv) {
   print_backend(b);
   print_title("Simulator throughput: events/s over topology and DAG sweeps");
   TextTable table({"cell", "policy", "events", "wall[s]", "events/s",
-                   "sim tasks/s", "vmakespan[s]", "rank ev/s", "x-serial"});
+                   "sim tasks/s", "vmakespan[s]", "rank ev/s", "x-serial",
+                   "dag build[s]"});
   std::vector<Cell> cells;
   // Serial (no "/des=" suffix) events/s per shape, for the speedup column.
   std::map<std::string, double> serial_eps;
@@ -294,12 +299,14 @@ int main(int argc, char** argv) {
                            : par == 0 ? static_cast<int>(cores)
                                       : static_cast<int>(tasks);
         spec.total_tasks = static_cast<int>(tasks);
+        const Stopwatch build;
         const Dag dag =
             ranks_n == 1
                 ? workloads::make_synthetic_dag(spec)
                 : make_multi_rank_dag(empty_id, static_cast<int>(ranks_n),
                                       static_cast<int>(tasks),
                                       spec.parallelism, 30e-6);
+        const double dag_build_s = build.elapsed_s();
 
         sim::SimOptions opts;
         opts.seed = b.seed;
@@ -393,6 +400,7 @@ int main(int argc, char** argv) {
         rec.set("tasks", total_tasks);
         rec.set("sim_tasks_per_s", sim_tasks_per_s);
         rec.set("makespan_s", last_makespan);
+        rec.set("dag_build_s", dag_build_s);
         b.report_raw(std::move(rec));
 
         std::string rank_col = "-";
@@ -411,7 +419,8 @@ int main(int argc, char** argv) {
             .add(last_makespan, 6)
             .add(rank_col)
             .add(speedup > 0.0 ? fmt_double(speedup, 2) + "x"
-                               : std::string("-"));
+                               : std::string("-"))
+            .add(dag_build_s, 4);
        }
        }
        }

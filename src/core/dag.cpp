@@ -7,37 +7,20 @@
 
 namespace das {
 
-std::size_t Dag::SuccessorRange::size() const {
-  std::size_t n = static_cast<std::size_t>(seg_end_ - seg_);
-  for (std::int32_t c = chain_; c >= 0;
-       c = (*pool_)[static_cast<std::size_t>(c)].next)
-    ++n;
-  return n;
-}
+namespace {
+const WorkFn kNoWork;
+}  // namespace
 
-const DagEdge& Dag::SuccessorRange::operator[](std::size_t i) const {
-  const std::size_t seg_len = static_cast<std::size_t>(seg_end_ - seg_);
-  if (i < seg_len) return seg_[i];
-  i -= seg_len;
-  std::int32_t c = chain_;
-  while (i > 0 && c >= 0) {
-    c = (*pool_)[static_cast<std::size_t>(c)].next;
-    --i;
-  }
-  DAS_CHECK_MSG(c >= 0, "successor index out of range");
-  return (*pool_)[static_cast<std::size_t>(c)].edge;
-}
-
-NodeId Dag::add_node(TaskTypeId type, Priority priority, TaskParams params,
-                     WorkFn work) {
+NodeId Dag::add_node(TaskTypeId type, Priority priority,
+                     const TaskParams& params, WorkFn work) {
   DAS_CHECK(type != kInvalidTaskType);
-  DagNode n;
-  n.type = type;
-  n.priority = priority;
-  n.params = params;
-  n.work = std::move(work);
-  nodes_.push_back(std::move(n));
-  return static_cast<NodeId>(nodes_.size()) - 1;
+  const auto id = static_cast<NodeId>(nodes_.size());
+  nodes_.emplace_back(type, priority, params);
+  if (work) {
+    work_.resize(nodes_.size());
+    work_.back() = std::move(work);
+  }
+  return id;
 }
 
 void Dag::add_edge(NodeId from, NodeId to, double delay_s) {
@@ -45,100 +28,83 @@ void Dag::add_edge(NodeId from, NodeId to, double delay_s) {
   DAS_CHECK(to >= 0 && to < num_nodes());
   DAS_CHECK_MSG(from != to, "self-edges are not allowed");
   DAS_CHECK(delay_s >= 0.0);
-  if (chain_head_.size() < nodes_.size()) {
-    chain_head_.resize(nodes_.size(), -1);
-    chain_tail_.resize(nodes_.size(), -1);
-  }
-  const std::int32_t cell = static_cast<std::int32_t>(pool_.size());
-  pool_.push_back(EdgeCell{DagEdge{to, delay_s}, -1});
-  const auto f = static_cast<std::size_t>(from);
-  if (chain_tail_[f] < 0) {
-    chain_head_[f] = cell;
-  } else {
-    pool_[static_cast<std::size_t>(chain_tail_[f])].next = cell;
-  }
-  chain_tail_[f] = cell;
+  staged_.push_back(StagedEdge{from, to, delay_s});
   nodes_[static_cast<std::size_t>(to)].num_predecessors++;
-  if (preds_counts_.size() < nodes_.size()) preds_counts_.resize(nodes_.size(), 0);
-  preds_counts_[static_cast<std::size_t>(to)]++;
-  num_edges_++;
 }
 
-Dag::SuccessorRange Dag::successors(NodeId id) const {
+const WorkFn& Dag::work(NodeId id) const {
   DAS_ASSERT(id >= 0 && id < num_nodes());
   const auto i = static_cast<std::size_t>(id);
-  const DagEdge* seg = nullptr;
-  const DagEdge* seg_end = nullptr;
-  if (i + 1 < csr_off_.size()) {
-    seg = csr_edges_.data() + csr_off_[i];
-    seg_end = csr_edges_.data() + csr_off_[i + 1];
-  }
-  const std::int32_t chain = i < chain_head_.size() ? chain_head_[i] : -1;
-  return SuccessorRange(seg, seg_end, &pool_, chain);
+  return i < work_.size() ? work_[i] : kNoWork;
 }
 
 void Dag::seal() const {
+  if (sealed()) return;
   const std::size_t n = nodes_.size();
-  if (pool_.empty() && csr_off_.size() == n + 1) return;
+  const std::size_t old_n = off_.empty() ? 0 : off_.size() - 1;
 
-  std::vector<DagEdge> edges;
-  edges.reserve(num_edges_);
+  // Stable counting sort by source. off[i + 1] first counts node i's staged
+  // edges; the sweep turns it into the slot where they start (after the
+  // node's previously sealed edges), and the scatter advances it to the
+  // node's end, which is node i + 1's start.
   std::vector<std::int32_t> off(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    off[i] = static_cast<std::int32_t>(edges.size());
-    if (i + 1 < csr_off_.size()) {
-      for (std::int32_t k = csr_off_[i]; k < csr_off_[i + 1]; ++k)
-        edges.push_back(csr_edges_[static_cast<std::size_t>(k)]);
-    }
-    if (i < chain_head_.size()) {
-      for (std::int32_t c = chain_head_[i]; c >= 0;
-           c = pool_[static_cast<std::size_t>(c)].next)
-        edges.push_back(pool_[static_cast<std::size_t>(c)].edge);
-    }
-  }
-  off[n] = static_cast<std::int32_t>(edges.size());
-  DAS_ASSERT(edges.size() == num_edges_);
+  for (const StagedEdge& e : staged_)
+    ++off[static_cast<std::size_t>(e.from) + 1];
+  std::vector<DagEdge> edges(num_edges());
 
-  csr_edges_ = std::move(edges);
-  csr_off_ = std::move(off);
-  // Release the staging pool outright (swap, not clear): after a seal the
-  // arena owns every edge, and steady-state DAG reuse should not pin a
-  // second copy's worth of memory.
-  std::vector<EdgeCell>().swap(pool_);
-  std::vector<std::int32_t>().swap(chain_head_);
-  std::vector<std::int32_t>().swap(chain_tail_);
-
-  // Snapshot the submit metadata in one pass, so engines neither revalidate
-  // nor rescan the node array per submit (K-means resubmits the same sealed
-  // DAG every iteration and pays this once).
-  preds_counts_.resize(n, 0);
+  // The same sweep snapshots the submit metadata, so engines neither
+  // revalidate nor rescan the node array per submit (K-means resubmits the
+  // same sealed DAG every iteration and pays this once).
+  preds_counts_.resize(n);
   roots_cache_.clear();
   distinct_types_.clear();
   min_rank_ = n > 0 ? nodes_[0].rank : 0;
   max_rank_ = min_rank_;
-  min_cross_rank_delay_ = std::numeric_limits<double>::infinity();
+  double min_cross = std::numeric_limits<double>::infinity();
+  // Conservative DES lookahead (min_cross_rank_delay()).
+  auto note_edge = [&](std::size_t from, const DagEdge& e) {
+    if (nodes_[from].rank != nodes_[static_cast<std::size_t>(e.to)].rank &&
+        e.delay_s < min_cross)
+      min_cross = e.delay_s;
+  };
+  std::int32_t at = 0;
   for (std::size_t i = 0; i < n; ++i) {
+    if (i < old_n) {
+      for (std::int32_t k = off_[i]; k < off_[i + 1]; ++k) {
+        const DagEdge& e = edges_[static_cast<std::size_t>(k)];
+        note_edge(i, e);
+        edges[static_cast<std::size_t>(at++)] = e;
+      }
+    }
+    const std::int32_t staged = off[i + 1];
+    off[i + 1] = at;
+    at += staged;
+
     const DagNode& node = nodes_[i];
+    preds_counts_[i] = node.num_predecessors;
     if (node.num_predecessors == 0)
       roots_cache_.push_back(static_cast<NodeId>(i));
-    if (node.rank < min_rank_) min_rank_ = node.rank;
-    if (node.rank > max_rank_) max_rank_ = node.rank;
-    // Conservative DES lookahead (min_cross_rank_delay()): one pass over the
-    // freshly compacted CSR spans, amortized into the metadata sweep.
-    for (std::int32_t k = csr_off_[i]; k < csr_off_[i + 1]; ++k) {
-      const DagEdge& e = csr_edges_[static_cast<std::size_t>(k)];
-      if (nodes_[static_cast<std::size_t>(e.to)].rank != node.rank &&
-          e.delay_s < min_cross_rank_delay_)
-        min_cross_rank_delay_ = e.delay_s;
-    }
-    bool seen = false;
-    for (const TaskTypeId t : distinct_types_)
-      if (t == node.type) {
-        seen = true;
-        break;
-      }
-    if (!seen) distinct_types_.push_back(node.type);
+    min_rank_ = std::min(min_rank_, node.rank);
+    max_rank_ = std::max(max_rank_, node.rank);
+    if (std::find(distinct_types_.begin(), distinct_types_.end(), node.type) ==
+        distinct_types_.end())
+      distinct_types_.push_back(node.type);
   }
+  for (const StagedEdge& s : staged_) {
+    const auto from = static_cast<std::size_t>(s.from);
+    const DagEdge e{s.to, s.delay_s};
+    note_edge(from, e);
+    edges[static_cast<std::size_t>(off[from + 1]++)] = e;
+  }
+  DAS_ASSERT(static_cast<std::size_t>(at) == edges.size());
+
+  min_cross_rank_delay_ = min_cross;
+  edges_ = std::move(edges);
+  off_ = std::move(off);
+  // Release the staging vector outright (swap, not clear): after a seal the
+  // arena owns every edge, and steady-state DAG reuse should not pin a
+  // second copy's worth of memory.
+  std::vector<StagedEdge>().swap(staged_);
 }
 
 std::vector<NodeId> Dag::roots() const {

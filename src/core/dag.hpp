@@ -1,28 +1,33 @@
 #pragma once
 // Task DAG representation (paper §2).
 //
-// A Dag is built ahead of execution (static DAG); engines additionally allow
-// tasks to insert successors at runtime (dynamic DAG — used by K-means).
-// Each node carries a type (keys the PTT), a priority (high = critical), the
-// cost-model parameters, and — for the real-thread engine — a work closure
-// executed cooperatively by all participants of the chosen execution place.
+// A Dag is built ahead of execution (static DAG). Each node carries a type
+// (keys the PTT), a priority (high = critical), the cost-model parameters,
+// and — for the real-thread engine — an optional work closure executed
+// cooperatively by all participants of the chosen execution place.
 //
-// Edge storage is a CSR adjacency arena, not per-node vectors: add_edge
-// appends to a chained staging pool, and seal() compacts every staged edge
-// into (offsets, one contiguous edge array) preserving per-node insertion
-// order. Engines seal at submit, so the release fan-out on the completion
-// hot path walks a flat span — no pointer-chasing through a million little
-// vectors, and a million-node DAG costs two allocations instead of a
-// million. Edges added AFTER a seal land back in the staging pool (the
-// overflow region) and are still iterated by successors(), so the dynamic
-// add_edge API is unchanged; the next seal() folds them in. seal() is
-// logically const (engines hold const Dag&) but not thread-safe while it
-// has staged edges to compact — every workload builder returns sealed DAGs,
-// which makes the engine-side seal-on-submit a read-only no-op.
+// Storage is flat. Nodes are trivially copyable records, so building a DAG
+// appends them in place and vector growth relocates them with memcpy. Work
+// closures live in a side table (work()) that the Dag allocates only once
+// some node carries one: DES-only DAGs never pay for a std::function.
+// add_edge appends {from, to, delay} to one staging vector. seal() turns the
+// staged edges into a CSR arena (offsets + one contiguous edge array) with a
+// stable counting sort by source node, in the same sweep that snapshots the
+// submit metadata below. Per node, edges sealed earlier come first, then the
+// newly staged ones in insertion order.
+//
+// successors() returns a span into the arena. On a DAG with staged edges it
+// seals first, so edges added after a seal still show up; that makes it, like
+// seal(), logically const but not thread-safe until the DAG is sealed.
+// Engines seal at submit, and every workload builder returns sealed DAGs, so
+// the engines' concurrent readers only ever see a sealed DAG and the
+// completion fan-out walks a flat span.
 
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/task_type.hpp"
@@ -63,90 +68,31 @@ struct DagNode {
   TaskTypeId type = kInvalidTaskType;
   Priority priority = Priority::kLow;
   TaskParams params;
-  WorkFn work;                  ///< may be empty (DES-only DAGs)
   int num_predecessors = 0;     ///< maintained by add_edge
   int rank = 0;                 ///< scheduling domain (MPI-rank analogue)
   int affinity_core = -1;       ///< waking-core hint; -1 = released-by core
   int phase = 0;                ///< stats phase tag (application iteration)
 };
+static_assert(std::is_trivially_copyable_v<DagNode>);
 
 class Dag {
-  struct EdgeCell {
-    DagEdge edge;
-    std::int32_t next = -1;  ///< staging-chain link within pool_
-  };
-
  public:
-  /// Forward range over one node's out-edges: the sealed CSR span first,
-  /// then any edges staged after the seal (insertion order throughout).
-  /// For a sealed DAG this iterates a contiguous array.
-  class SuccessorRange {
-   public:
-    class iterator {
-     public:
-      const DagEdge& operator*() const { return *p_; }
-      const DagEdge* operator->() const { return p_; }
-      iterator& operator++() {
-        ++p_;
-        if (p_ == seg_end_) advance_segment();
-        return *this;
-      }
-      friend bool operator==(const iterator& a, const iterator& b) {
-        return a.p_ == b.p_;
-      }
-      friend bool operator!=(const iterator& a, const iterator& b) {
-        return a.p_ != b.p_;
-      }
+  /// One node's out-edges, contiguous, in insertion order.
+  using SuccessorRange = std::span<const DagEdge>;
 
-     private:
-      friend class SuccessorRange;
-      iterator(const DagEdge* p, const DagEdge* seg_end,
-               const std::vector<EdgeCell>* pool, std::int32_t chain)
-          : p_(p), seg_end_(seg_end), pool_(pool), chain_(chain) {
-        if (p_ == seg_end_) advance_segment();
-      }
-      void advance_segment() {
-        if (chain_ < 0) {
-          p_ = seg_end_ = nullptr;  // end sentinel
-          return;
-        }
-        const EdgeCell& c = (*pool_)[static_cast<std::size_t>(chain_)];
-        p_ = &c.edge;
-        seg_end_ = p_ + 1;
-        chain_ = c.next;
-      }
-      const DagEdge* p_;
-      const DagEdge* seg_end_;
-      const std::vector<EdgeCell>* pool_;
-      std::int32_t chain_;
-    };
-
-    iterator begin() const { return iterator(seg_, seg_end_, pool_, chain_); }
-    iterator end() const { return iterator(nullptr, nullptr, pool_, -1); }
-    bool empty() const { return seg_ == seg_end_ && chain_ < 0; }
-    std::size_t size() const;
-    /// Linear in the index past the CSR span — convenience for tests, not
-    /// for hot loops.
-    const DagEdge& operator[](std::size_t i) const;
-
-   private:
-    friend class Dag;
-    SuccessorRange(const DagEdge* seg, const DagEdge* seg_end,
-                   const std::vector<EdgeCell>* pool, std::int32_t chain)
-        : seg_(seg), seg_end_(seg_end), pool_(pool), chain_(chain) {}
-    const DagEdge* seg_;
-    const DagEdge* seg_end_;
-    const std::vector<EdgeCell>* pool_;
-    std::int32_t chain_;
-  };
-
+  /// `work` may be empty (DES-only nodes); see work().
   NodeId add_node(TaskTypeId type, Priority priority = Priority::kLow,
-                  TaskParams params = {}, WorkFn work = {});
+                  const TaskParams& params = {}, WorkFn work = {});
   /// Adds the dependency edge from -> to. Rejects self-edges.
   void add_edge(NodeId from, NodeId to, double delay_s = 0.0);
+  /// Pre-sizes storage for a builder that knows its final size.
+  void reserve(std::size_t nodes, std::size_t edges) {
+    nodes_.reserve(nodes);
+    staged_.reserve(edges);
+  }
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
-  std::size_t num_edges() const { return num_edges_; }
+  std::size_t num_edges() const { return edges_.size() + staged_.size(); }
   // Inline: engines resolve a node once or twice per event, and an outlined
   // call costs more than the bounds check itself.
   DagNode& node(NodeId id) {
@@ -157,36 +103,44 @@ class Dag {
     DAS_CHECK(id >= 0 && id < num_nodes());
     return nodes_[static_cast<std::size_t>(id)];
   }
+  /// The node's work closure, or an empty function if it has none. The
+  /// reference stays valid until the next add_node.
+  const WorkFn& work(NodeId id) const;
 
-  /// The node's out-edges in insertion order.
-  SuccessorRange successors(NodeId id) const;
-  /// successors(id).size() without building the range.
+  /// The node's out-edges in insertion order; seals first if edges are
+  /// staged (see the header comment).
+  SuccessorRange successors(NodeId id) const {
+    DAS_ASSERT(id >= 0 && id < num_nodes());
+    if (!sealed()) seal();
+    const auto i = static_cast<std::size_t>(id);
+    return {edges_.data() + off_[i], edges_.data() + off_[i + 1]};
+  }
   std::size_t num_successors(NodeId id) const { return successors(id).size(); }
 
-  /// Compacts every staged edge into the CSR arena (idempotent; a no-op
-  /// when nothing was staged since the last seal). Engines call this at
-  /// submit; not thread-safe while staged edges exist (see header comment).
-  /// Also snapshots the submit metadata below, so engines validate and
-  /// release a million-node DAG without rescanning every node per submit.
+  /// Folds every staged edge into the CSR arena and snapshots the submit
+  /// metadata below, so engines validate and release a million-node DAG
+  /// without rescanning every node per submit. Idempotent: a no-op on a
+  /// sealed DAG. Engines call it at submit; not thread-safe while edges are
+  /// staged (see the header comment).
   void seal() const;
 
   // --- sealed metadata (valid after seal(); snapshots node fields as of
   // the seal — post-seal mutations of rank/type are not re-reflected) -----
 
   /// Per-node predecessor counts, contiguous (engines memcpy this into a
-  /// job's countdown array). Maintained incrementally by add_edge.
+  /// job's countdown array).
   const std::vector<std::int32_t>& predecessor_counts() const {
-    DAS_ASSERT(csr_off_.size() == nodes_.size() + 1);
+    DAS_ASSERT(sealed());
     return preds_counts_;
   }
   /// Nodes with no predecessors, ascending.
   const std::vector<NodeId>& root_ids() const {
-    DAS_ASSERT(csr_off_.size() == nodes_.size() + 1);
+    DAS_ASSERT(sealed());
     return roots_cache_;
   }
   /// Every distinct task type, in first-appearance order.
   const std::vector<TaskTypeId>& distinct_types() const {
-    DAS_ASSERT(csr_off_.size() == nodes_.size() + 1);
+    DAS_ASSERT(sealed());
     return distinct_types_;
   }
   int min_node_rank() const { return min_rank_; }
@@ -197,7 +151,7 @@ class Dag {
   /// so all ranks may safely simulate a window of this width concurrently
   /// (sim/engine.hpp).
   double min_cross_rank_delay() const {
-    DAS_ASSERT(csr_off_.size() == nodes_.size() + 1);
+    DAS_ASSERT(sealed());
     return min_cross_rank_delay_;
   }
 
@@ -214,21 +168,26 @@ class Dag {
   double dag_parallelism() const;
 
  private:
+  struct StagedEdge {
+    NodeId from;
+    NodeId to;
+    double delay_s;
+  };
+
+  bool sealed() const {
+    return staged_.empty() && off_.size() == nodes_.size() + 1;
+  }
+
   std::vector<DagNode> nodes_;
-  std::size_t num_edges_ = 0;
-  // Staging pool: per-node chains of edges not yet folded into the CSR
-  // (freshly added, or added after the last seal — the overflow region).
-  // Mutable with the CSR members so seal() can run behind const engine
-  // references; see the thread-safety note in the header comment.
-  mutable std::vector<EdgeCell> pool_;
-  mutable std::vector<std::int32_t> chain_head_;  // per node; -1 = none
-  mutable std::vector<std::int32_t> chain_tail_;
-  // Sealed CSR arena: csr_off_ has num_nodes()+1 offsets into csr_edges_.
-  mutable std::vector<std::int32_t> csr_off_;
-  mutable std::vector<DagEdge> csr_edges_;
-  // Sealed metadata (see accessors). preds_counts_ is maintained eagerly by
-  // add_edge (and length-adjusted by seal); the rest are seal-time
-  // snapshots.
+  std::vector<WorkFn> work_;  // closure side table; empty until one is added
+  // Edges added since the last seal, in insertion order. Mutable with the
+  // CSR members so seal() can run behind const engine references; see the
+  // thread-safety note in the header comment.
+  mutable std::vector<StagedEdge> staged_;
+  // Sealed CSR arena: off_ has num_nodes()+1 offsets into edges_.
+  mutable std::vector<std::int32_t> off_;
+  mutable std::vector<DagEdge> edges_;
+  // Sealed metadata (see accessors), snapshot by seal().
   mutable std::vector<std::int32_t> preds_counts_;
   mutable std::vector<NodeId> roots_cache_;
   mutable std::vector<TaskTypeId> distinct_types_;

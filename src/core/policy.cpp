@@ -160,27 +160,33 @@ ExecutionPlace PolicyEngine::search(TaskTypeId type,
   // zero key and therefore win, yielding the paper's explore-everything
   // start-up behaviour. Exact key ties are broken by fewest samples, then
   // round-robin (or randomly under options_.random_tie_break) so the initial
-  // exploration fans out instead of hammering candidate #0.
-  double best_key = std::numeric_limits<double>::infinity();
-  std::uint64_t best_samples = 0;
-  std::vector<const ExecutionPlace*> ties;
-  for (const ExecutionPlace& p : candidates) {
+  // exploration fans out instead of hammering candidate #0. Two passes and
+  // no tie list: the first finds the minimum and counts its ties, the
+  // second walks to the chosen one.
+  auto key_of = [&](const ExecutionPlace& p, std::uint64_t& samples) {
     const int pid = topo_->place_id(p);
     const double v = table.value(pid);
-    const double key =
-        objective == Objective::kCost ? v * static_cast<double>(p.width) : v;
-    const std::uint64_t s = table.samples(pid);
+    samples = table.samples(pid);
+    return objective == Objective::kCost ? v * static_cast<double>(p.width) : v;
+  };
+  double best_key = std::numeric_limits<double>::infinity();
+  std::uint64_t best_samples = 0;
+  std::size_t first = 0;  // the first tie in candidate order
+  std::size_t ties = 0;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    std::uint64_t s = 0;
+    const double key = key_of(candidates[i], s);
     if (key < best_key || (key == best_key && s < best_samples)) {
       best_key = key;
       best_samples = s;
-      ties.clear();
-      ties.push_back(&p);
+      first = i;
+      ties = 1;
     } else if (key == best_key && s == best_samples) {
-      ties.push_back(&p);
+      if (ties++ == 0) first = i;
     }
   }
-  DAS_ASSERT(!ties.empty());
-  if (ties.size() == 1) return *ties.front();
+  DAS_ASSERT(ties > 0);
+  if (ties == 1) return candidates[first];
 
   std::size_t idx;
   if (options_.random_tie_break) {
@@ -189,11 +195,21 @@ ExecutionPlace PolicyEngine::search(TaskTypeId type,
     std::uint64_t s = rng_state_.fetch_add(0x9e3779b97f4a7c15ULL,
                                            std::memory_order_relaxed);
     SplitMix64 sm(s);
-    idx = static_cast<std::size_t>(sm.next() % ties.size());
+    idx = static_cast<std::size_t>(sm.next() % ties);
   } else {
-    idx = tie_counter_.fetch_add(1, std::memory_order_relaxed) % ties.size();
+    idx = tie_counter_.fetch_add(1, std::memory_order_relaxed) % ties;
   }
-  return *ties[idx];
+  // Walk to the idx-th tie. A concurrent PTT update (real-thread engine) can
+  // change keys between the passes; the walk then settles on the last tie
+  // it still sees.
+  std::size_t pick = first;
+  for (std::size_t i = first; i < candidates.size(); ++i) {
+    std::uint64_t s = 0;
+    if (key_of(candidates[i], s) != best_key || s != best_samples) continue;
+    pick = i;
+    if (idx-- == 0) break;
+  }
+  return candidates[pick];
 }
 
 void PolicyEngine::dheft_drain(const ExecutionPlace& place, double seconds) {

@@ -6,6 +6,12 @@ namespace {
 
 constexpr std::uint32_t kDagMagic = 0x44414731;  // "DAG1"
 constexpr std::uint16_t kDagVersion = 1;
+// Fixed wire size of one node record (type, priority, p0..p2, rank,
+// affinity, phase, out-degree) and of one edge (target, delay).
+constexpr std::size_t kNodeWireBytes = sizeof(TaskTypeId) + 1 +
+                                       3 * sizeof(double) +
+                                       4 * sizeof(std::int32_t);
+constexpr std::size_t kEdgeWireBytes = sizeof(NodeId) + sizeof(double);
 
 }  // namespace
 
@@ -42,16 +48,23 @@ Dag decode_dag(WireReader& r) {
   const auto n = r.pod<std::int32_t>();
   DAS_CHECK_MSG(n >= 0, "decode_dag: negative node count");
   const auto declared_edges = r.pod<std::uint64_t>();
+  // Bound both counts by the bytes actually present before reserving
+  // anything: a forged header must fail as malformed, not as a huge
+  // allocation.
+  DAS_CHECK_MSG(static_cast<std::size_t>(n) <= r.remaining() / kNodeWireBytes,
+                "decode_dag: node count exceeds the payload");
+  const std::size_t node_bytes = static_cast<std::size_t>(n) * kNodeWireBytes;
+  DAS_CHECK_MSG(
+      declared_edges <= (r.remaining() - node_bytes) / kEdgeWireBytes,
+      "decode_dag: edge count exceeds the payload");
   Dag dag;
-  // Two passes are unnecessary: node ids are dense [0, n) by construction,
-  // so edges can reference forward nodes only after every node exists.
-  // Stage the edge lists, add all nodes, then add edges.
-  struct PendingEdge {
-    NodeId from, to;
-    double delay_s;
-  };
-  std::vector<PendingEdge> edges;
-  edges.reserve(static_cast<std::size_t>(declared_edges));
+  dag.reserve(static_cast<std::size_t>(n),
+              static_cast<std::size_t>(declared_edges));
+  // Edges may point at nodes further down the payload, which add_edge
+  // would reject, so read it twice: nodes first, skipping each edge list,
+  // then the edges from a second cursor over the same bytes.
+  WireReader edge_reader = r;
+  std::uint64_t total_edges = 0;
   for (NodeId id = 0; id < n; ++id) {
     const auto type = r.pod<TaskTypeId>();
     const auto priority = r.pod<std::uint8_t>();
@@ -60,24 +73,27 @@ Dag decode_dag(WireReader& r) {
     params.p0 = r.pod<double>();
     params.p1 = r.pod<double>();
     params.p2 = r.pod<double>();
-    const NodeId added =
-        dag.add_node(type, static_cast<Priority>(priority), params);
-    DAS_CHECK(added == id);
-    DagNode& node = dag.node(added);
+    dag.add_node(type, static_cast<Priority>(priority), params);
+    DagNode& node = dag.node(id);
     node.rank = r.pod<std::int32_t>();
     node.affinity_core = r.pod<std::int32_t>();
     node.phase = r.pod<std::int32_t>();
     const auto degree = r.pod<std::uint32_t>();
+    r.skip(degree * kEdgeWireBytes);
+    total_edges += degree;
+  }
+  DAS_CHECK_MSG(total_edges == declared_edges,
+                "decode_dag: edge count mismatch");
+  for (NodeId id = 0; id < n; ++id) {
+    edge_reader.skip(kNodeWireBytes - sizeof(std::uint32_t));
+    const auto degree = edge_reader.pod<std::uint32_t>();
     for (std::uint32_t j = 0; j < degree; ++j) {
-      const auto to = r.pod<NodeId>();
-      const auto delay_s = r.pod<double>();
+      const auto to = edge_reader.pod<NodeId>();
+      const auto delay_s = edge_reader.pod<double>();
       DAS_CHECK_MSG(to >= 0 && to < n, "decode_dag: edge target out of range");
-      edges.push_back(PendingEdge{id, to, delay_s});
+      dag.add_edge(id, to, delay_s);
     }
   }
-  DAS_CHECK_MSG(edges.size() == declared_edges,
-                "decode_dag: edge count mismatch");
-  for (const PendingEdge& e : edges) dag.add_edge(e.from, e.to, e.delay_s);
   dag.seal();
   return dag;
 }

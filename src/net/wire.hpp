@@ -20,7 +20,9 @@
 //
 // Decode validates structure (magic, version, bounds) via DAS_CHECK and is
 // tolerant of trailing bytes — payloads may be framed inside larger
-// messages.
+// messages. It checks the declared node and edge counts against the bytes
+// actually present before reserving anything, so a forged header fails as
+// a PreconditionError, not as a huge allocation.
 
 #include <cstddef>
 #include <cstdint>
@@ -84,6 +86,10 @@ class WireReader {
     return s;
   }
 
+  void skip(std::size_t n) {
+    DAS_CHECK_MSG(n <= size_ - at_, "wire: truncated payload");
+    at_ += n;
+  }
   std::size_t remaining() const { return size_ - at_; }
 
  private:

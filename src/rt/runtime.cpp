@@ -81,10 +81,8 @@ int Runtime::parked_workers() const {
 }
 
 void Runtime::submit_roots(Job& job) {
-  const Dag& dag = *job.dag;
-  for (NodeId i = 0; i < dag.num_nodes(); ++i) {
-    const DagNode& n = dag.node(i);
-    if (n.num_predecessors != 0) continue;
+  for (const NodeId i : job.dag->root_ids()) {
+    const DagNode& n = job.dag->node(i);
     const int waking = n.affinity_core >= 0 ? n.affinity_core : 0;
     DAS_CHECK(waking < topo_->num_cores());
     wake_task(&job.records[static_cast<std::size_t>(i)], waking,
@@ -98,14 +96,6 @@ JobId Runtime::submit(const Dag& dag) {
   // through it. A no-op for the (usual) already-sealed DAG; submitting one
   // UNSEALED Dag from several threads concurrently is the caller's race.
   dag.seal();
-  for (NodeId i = 0; i < dag.num_nodes(); ++i) {
-    const DagNode& n = dag.node(i);
-    DAS_CHECK_MSG(n.rank == 0, "the threaded runtime executes single-rank DAGs"
-                               " (distributed DAGs run via das::net)");
-    DAS_CHECK_MSG(n.work != nullptr || registry_->info(n.type).cost != nullptr ||
-                      registry_->info(n.type).expr.kind != CostExpr::Kind::kCallable,
-                  "node without work closure needs a cost model to emulate");
-  }
 
   auto job = std::make_unique<Job>();
   job->dag = &dag;
@@ -116,12 +106,23 @@ JobId Runtime::submit(const Dag& dag) {
   job->num_wide_chunks =
       (static_cast<std::size_t>(dag.num_nodes()) + kWideChunkTasks - 1) /
       kWideChunkTasks;
+  // One pass validates each node and fills its record; a rejected DAG
+  // throws before the job is published.
   for (NodeId i = 0; i < dag.num_nodes(); ++i) {
+    const DagNode& n = dag.node(i);
+    const WorkFn& work = dag.work(i);
+    DAS_CHECK_MSG(n.rank == 0, "the threaded runtime executes single-rank DAGs"
+                               " (distributed DAGs run via das::net)");
+    DAS_CHECK_MSG(
+        work != nullptr || registry_->info(n.type).cost != nullptr ||
+            registry_->info(n.type).expr.kind != CostExpr::Kind::kCallable,
+        "node without work closure needs a cost model to emulate");
     TaskRec& r = job->records[static_cast<std::size_t>(i)];
-    r.node = &dag.node(i);
+    r.node = &n;
+    r.work = work ? &work : nullptr;
     r.id = i;
     r.job = job.get();
-    r.preds.store(r.node->num_predecessors, std::memory_order_relaxed);
+    r.preds.store(n.num_predecessors, std::memory_order_relaxed);
   }
   job->outstanding.store(dag.num_nodes(), std::memory_order_release);
   job->submit_ns = now_ns();

@@ -187,6 +187,7 @@ class Runtime {
 
   struct TaskRec {
     const DagNode* node = nullptr;
+    const WorkFn* work = nullptr;   // the node's closure; null = cost model
     NodeId id = kInvalidNode;
     Job* job = nullptr;             // owning job (set before publication)
     std::atomic<int> preds{0};

@@ -308,8 +308,9 @@ MpscQueue::Node* Runtime::wide_hooks(Job* job, NodeId id) {
 std::int64_t Runtime::run_work(int core, TaskRec* task, int rank) {
   const DagNode& node = *task->node;
   const std::int64_t t0 = now_ns();
-  if (node.work) {
-    node.work(ExecContext{rank, task->place.width, task->place.leader, core});
+  if (task->work != nullptr) {
+    (*task->work)(
+        ExecContext{rank, task->place.width, task->place.leader, core});
   } else {
     // DES-style node: emulate the cost model's native-speed duration, which
     // the throttle below then stretches by the core's scenario speed.

@@ -12,6 +12,8 @@ Dag make_synthetic_dag(const SyntheticDagSpec& spec) {
   const int layers = std::max(1, spec.total_tasks / spec.parallelism);
 
   Dag dag;
+  dag.reserve(static_cast<std::size_t>(layers) * spec.parallelism,
+              static_cast<std::size_t>(layers - 1) * spec.parallelism);
   NodeId prev_critical = kInvalidNode;
   for (int layer = 0; layer < layers; ++layer) {
     NodeId critical = kInvalidNode;

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
+#include <utility>
 
 #include "core/dag.hpp"
 #include "util/assert.hpp"
@@ -13,6 +15,17 @@ namespace das {
 namespace {
 
 constexpr TaskTypeId kT = 0;
+
+// Nodes relocate with memcpy and carry no closure (see Dag::work).
+static_assert(std::is_trivially_copyable_v<DagNode>);
+
+using EdgeList = std::vector<std::pair<NodeId, double>>;
+
+EdgeList out_edges(const Dag& d, NodeId id) {
+  EdgeList out;
+  for (const DagEdge& e : d.successors(id)) out.emplace_back(e.to, e.delay_s);
+  return out;
+}
 
 TEST(Dag, BuilderBasics) {
   Dag d;
@@ -38,6 +51,96 @@ TEST(Dag, BuilderBasics) {
   EXPECT_EQ(d.node(a).priority, Priority::kHigh);
   EXPECT_EQ(d.node(b).priority, Priority::kLow);
   EXPECT_EQ(d.roots(), std::vector<NodeId>{a});
+}
+
+TEST(Dag, EdgesStagedOutOfSourceOrderKeepInsertionOrderPerNode) {
+  // The halo builders add a rank's local edges and then edges from the
+  // neighbouring ranks' previous layer, so sources interleave in staging.
+  Dag d;
+  for (int i = 0; i < 6; ++i) d.add_node(kT);
+  d.add_edge(2, 3, 0.1);
+  d.add_edge(0, 4, 0.2);
+  d.add_edge(2, 5, 0.3);
+  d.add_edge(1, 3, 0.4);
+  d.add_edge(0, 3, 0.5);
+  d.add_edge(2, 4, 0.6);
+  d.seal();
+  EXPECT_EQ(out_edges(d, 0), (EdgeList{{4, 0.2}, {3, 0.5}}));
+  EXPECT_EQ(out_edges(d, 1), (EdgeList{{3, 0.4}}));
+  EXPECT_EQ(out_edges(d, 2), (EdgeList{{3, 0.1}, {5, 0.3}, {4, 0.6}}));
+  for (NodeId i = 3; i < 6; ++i) EXPECT_TRUE(d.successors(i).empty());
+  EXPECT_EQ(d.predecessor_counts(),
+            (std::vector<std::int32_t>{0, 0, 0, 3, 2, 1}));
+}
+
+TEST(Dag, AddEdgeAfterSealAppendsAndResealRefreshesMetadata) {
+  Dag d;
+  const NodeId a = d.add_node(kT);
+  const NodeId b = d.add_node(kT);
+  const NodeId c = d.add_node(kT);
+  const NodeId e = d.add_node(kT);
+  d.node(c).rank = 1;
+  d.node(e).rank = 1;
+  d.add_edge(a, b);
+  d.add_edge(a, c, 0.5);
+  d.seal();
+  EXPECT_EQ(d.num_edges(), 2u);
+  EXPECT_EQ(d.predecessor_counts(), (std::vector<std::int32_t>{0, 1, 1, 0}));
+  EXPECT_EQ(d.root_ids(), (std::vector<NodeId>{a, e}));
+  EXPECT_DOUBLE_EQ(d.min_cross_rank_delay(), 0.5);
+
+  // A cross-rank edge and a node (with an edge) added after the seal.
+  d.add_edge(a, e, 0.25);
+  const NodeId f = d.add_node(kT);
+  d.add_edge(e, f, 0.125);
+  EXPECT_EQ(d.num_edges(), 4u);
+  d.seal();
+  EXPECT_EQ(d.num_edges(), 4u);
+  EXPECT_EQ(d.predecessor_counts(), (std::vector<std::int32_t>{0, 1, 1, 1, 1}));
+  EXPECT_EQ(d.root_ids(), (std::vector<NodeId>{a}));
+  EXPECT_DOUBLE_EQ(d.min_cross_rank_delay(), 0.125);
+  // The late edge follows a's sealed ones.
+  EXPECT_EQ(out_edges(d, a), (EdgeList{{b, 0.0}, {c, 0.5}, {e, 0.25}}));
+  EXPECT_EQ(out_edges(d, e), (EdgeList{{f, 0.125}}));
+}
+
+TEST(Dag, SuccessorsAgreeBeforeAndAfterSeal) {
+  const std::vector<std::pair<NodeId, NodeId>> edges{
+      {3, 4}, {0, 1}, {3, 5}, {0, 2}, {1, 4}, {0, 5}, {2, 3}, {1, 5}};
+  Dag staged;     // queried with every edge staged
+  Dag sealed;     // sealed before it is queried
+  Dag resealed;   // sealed halfway through the edge list
+  for (Dag* d : {&staged, &sealed, &resealed})
+    for (int i = 0; i < 6; ++i) d->add_node(kT);
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    const double delay = static_cast<double>(k) / 8;
+    for (Dag* d : {&staged, &sealed, &resealed})
+      d->add_edge(edges[k].first, edges[k].second, delay);
+    if (k == edges.size() / 2) resealed.seal();
+  }
+  sealed.seal();
+  for (NodeId i = 0; i < 6; ++i) {
+    const EdgeList want = out_edges(staged, i);
+    EXPECT_EQ(out_edges(sealed, i), want) << "node " << i;
+    EXPECT_EQ(out_edges(resealed, i), want) << "node " << i;
+    EXPECT_EQ(staged.num_successors(i), want.size());
+  }
+  EXPECT_EQ(out_edges(staged, 0),
+            (EdgeList{{1, 0.125}, {2, 0.375}, {5, 0.625}}));
+}
+
+TEST(Dag, WorkSideTableHoldsClosures) {
+  Dag d;
+  int calls = 0;
+  const NodeId bare = d.add_node(kT);
+  const NodeId with = d.add_node(kT, Priority::kLow, {},
+                                 [&calls](const ExecContext&) { ++calls; });
+  const NodeId after = d.add_node(kT, Priority::kHigh, {}, WorkFn{});
+  EXPECT_FALSE(d.work(bare));
+  EXPECT_FALSE(d.work(after));
+  ASSERT_TRUE(d.work(with));
+  d.work(with)(ExecContext{});
+  EXPECT_EQ(calls, 1);
 }
 
 TEST(Dag, RejectsBadEdges) {

@@ -88,6 +88,28 @@ TEST_F(NetServiceTest, MalformedDagPayloadThrows) {
   net::encode_dag(paper_dag(2, 10), ok);
   net::WireReader r2(ok.data(), ok.size() / 2);  // truncated
   EXPECT_THROW(net::decode_dag(r2), PreconditionError);
+
+  // Forged 26-byte headers: counts the payload cannot hold are rejected
+  // before anything is reserved, not as a length_error or bad_alloc.
+  struct Forged {
+    std::int32_t nodes;
+    std::uint64_t edges;
+  };
+  for (const Forged f : {Forged{0, ~std::uint64_t{0}},
+                         Forged{0, std::uint64_t{1} << 40},
+                         Forged{0, std::uint64_t{1} << 28},
+                         Forged{1 << 30, 0}}) {
+    net::WireWriter h;
+    h.pod(std::uint32_t{0x44414731});  // "DAG1"
+    h.pod(std::uint16_t{1});
+    h.pod(f.nodes);
+    h.pod(f.edges);
+    h.pod(std::uint64_t{0});
+    ASSERT_EQ(h.size(), 26u);
+    net::WireReader r(h.data(), h.size());
+    EXPECT_THROW(net::decode_dag(r), PreconditionError)
+        << f.nodes << " nodes, " << f.edges << " edges";
+  }
 }
 
 TEST_F(NetServiceTest, RunResultWireRoundTrip) {
