@@ -12,7 +12,9 @@ Runtime::Runtime(const Topology& topo, Policy policy,
   ptt_ = std::make_unique<PttStore>(topo, registry.size(), options_.ptt_ratio);
   policy_ = std::make_unique<PolicyEngine>(policy, topo, ptt_.get(),
                                            options_.seed, options_.policy_options);
-  stats_ = std::make_unique<ExecutionStats>(topo, options_.stats_phases);
+  // One count block per worker: each records only into its own.
+  stats_ = std::make_unique<ExecutionStats>(topo, options_.stats_phases,
+                                            topo.num_cores());
   epoch_ns_ = now_ns();
   if (options_.scenario != nullptr) {
     DAS_CHECK_MSG(&options_.scenario->topology() == &topo,
@@ -24,6 +26,9 @@ Runtime::Runtime(const Topology& topo, Policy policy,
   bind_progress();  // before the workers spawn: they read progress_fn_ raw
 
   const int n = topo.num_cores();
+  // The rule the threaded DES uses for its protocol threads: poll before
+  // parking only when every worker can have a CPU of its own.
+  spin_when_idle_ = n <= allowed_cpu_count();
   faults_armed_ = !options_.faults.empty() || options_.enable_watchdog;
   if (faults_armed_) {
     for (const CoreFault& f : options_.faults.events) {

@@ -35,14 +35,31 @@
 // routing state (`place`, `has_fixed_place`) BEFORE pushing; the MPSC push
 // publishes with a release store that the consumer's pop acquires, so the
 // consumer always observes a fully-routed task. The WSQ keeps the Chase-Lev
-// orderings documented in rt/wsq.hpp. Idle workers park on a per-worker
-// EventCount (util/eventcount.hpp) under the three-phase
-// prepare/re-check/commit protocol; every push either targets a specific
-// worker (inbox/AQ/feeder: notify that worker's eventcount) or is stealable
-// (WSQ push: wake one worker from the parked-set registry). The seq_cst
-// fences inside the eventcount close the push-vs-park race, so a parked
-// worker never misses work and an idle pool burns ~0 CPU instead of
-// spinning on the producers' cache lines.
+// orderings documented in rt/wsq.hpp.
+//
+// Idle protocol (worker.cpp). A worker whose progress round finds nothing
+//   1. retries twice with a short pause burst in between;
+//   2. then, only if the pool fits the CPUs of the process's affinity mask
+//      (num_cores() <= allowed_cpu_count(), the rule the threaded DES uses
+//      for its protocol threads), keeps polling, with a sched_yield after
+//      each round, for at most ~1 ms of wall time;
+//   3. then parks on its per-worker EventCount (util/eventcount.hpp) under
+//      the three-phase prepare/re-check/commit protocol.
+// Stage 2 is what fine-grained DAGs need: the next layer's tasks usually
+// arrive within microseconds, and a polling worker picks them up without
+// the futex sleep/wake pair a parked one costs. It is bounded because an
+// idle pool must still go quiet: after ~1 ms without work every worker
+// parks and the pool burns ~0 CPU. An oversubscribed pool skips it, since
+// there a poller would hold a CPU that a producer needs. Every push either
+// targets a specific worker (inbox/AQ/feeder: notify that worker's
+// eventcount) or is stealable (WSQ push: wake one worker from the
+// parked-set registry). The seq_cst fences inside the eventcount close the
+// push-vs-park race, so a parked worker never misses work.
+//
+// Stats: the pool's ExecutionStats holds one count block per worker
+// (trace/stats.hpp). The worker that finishes a task records it into its
+// own block, and its busy time into its own core's counter, with
+// single-writer stores: no shared counter line is written per task.
 //
 // Job service: the runtime executes a *stream* of independent DAGs (jobs).
 // submit() registers a job and releases its roots into the worker queues
@@ -195,7 +212,6 @@ class Runtime {
     ExecutionPlace place{};
     std::atomic<int> arrivals{0};
     std::atomic<int> departures{0};
-    std::atomic<std::int64_t> start_ns{0};
     std::atomic<std::int64_t> max_busy_ns{0};  ///< slowest participant
     // Intrusive channel hook (allocation-free queue membership). A task is
     // in at most one wake-up channel at a time (inbox OR feeder), and by
@@ -374,6 +390,10 @@ class Runtime {
   // notify_stealers' fence — see util/eventcount.hpp).
   std::atomic<int> parked_count_{0};
   std::atomic<bool> shutdown_{false};
+  /// Idle workers poll with yields before they park (worker.cpp's idle
+  /// protocol). Set once at construction: true iff the pool fits the CPUs
+  /// of the process's affinity mask.
+  bool spin_when_idle_ = false;
 
   // Fault-tolerance state (rt/watchdog.cpp). faults_armed_ is written once
   // before the workers spawn; every per-dispatch fault check hides behind

@@ -105,7 +105,6 @@ void Runtime::requeue_task(TaskRec* task) {
   // against the shrunken pool.
   task->arrivals.store(0, std::memory_order_relaxed);
   task->departures.store(0, std::memory_order_relaxed);
-  task->start_ns.store(0, std::memory_order_relaxed);
   task->max_busy_ns.store(0, std::memory_order_relaxed);
   task->has_fixed_place = false;
   tasks_reexecuted_.fetch_add(1, std::memory_order_relaxed);

@@ -1,3 +1,5 @@
+#include <thread>
+
 #include "core/cost_expr.hpp"
 #include "platform/affinity.hpp"
 #include "rt/runtime.hpp"
@@ -9,11 +11,15 @@ namespace das::rt {
 
 namespace {
 
-/// Failed progress rounds a worker tolerates (with pause bursts) before it
-/// parks on its eventcount. Small on purpose: a round already probes every
-/// local channel plus `steal_attempts_per_round` victims, and parking frees
-/// the core on oversubscribed machines where spinning starves producers.
+/// Idle protocol (rt/runtime.hpp gives the rationale): after a failed
+/// progress round a worker pauses briefly, kSpinRoundsBeforePark times;
+/// then, only if spin_when_idle_ (the pool fits the CPU mask), it keeps
+/// running rounds with a sched_yield after each for at most kYieldPollNs;
+/// then it parks on its eventcount. The bound is wall time, not a round
+/// count, so a worker that the OS keeps descheduled still parks on time,
+/// and an idle pool burns at most one such window per worker.
 constexpr int kSpinRoundsBeforePark = 2;
+constexpr std::int64_t kYieldPollNs = 1'000'000;
 
 }  // namespace
 
@@ -24,6 +30,7 @@ void Runtime::worker_loop(int core) {
   Worker& self = *workers_[static_cast<std::size_t>(core)];
 
   int idle_rounds = 0;
+  std::int64_t polling_since_ns = 0;  // start of the current stage 2
   for (;;) {
     if (faults_armed_) [[unlikely]] {
       // Fault checks happen only here, at a loop top — never mid-task — so
@@ -60,6 +67,14 @@ void Runtime::worker_loop(int core) {
     if (++idle_rounds <= kSpinRoundsBeforePark) {
       for (int i = 0; i < 64; ++i) cpu_relax();
       continue;
+    }
+    if (spin_when_idle_ && !shutdown_.load(std::memory_order_relaxed)) {
+      const std::int64_t now = now_ns();
+      if (idle_rounds == kSpinRoundsBeforePark + 1) polling_since_ns = now;
+      if (now - polling_since_ns < kYieldPollNs) {
+        std::this_thread::yield();
+        continue;
+      }
     }
     idle_rounds = 0;
 
@@ -332,7 +347,7 @@ std::int64_t Runtime::run_work(int core, TaskRec* task, int rank) {
     busy_wait_ns(deficit);
     busy += deficit;
   }
-  stats_->record_busy(core, busy);
+  stats_->record_busy_st(core, busy);  // this worker is core's only writer
   return busy;
 }
 
@@ -358,26 +373,18 @@ void Runtime::participate_t(int core, TaskRec* task) {
 
   if (width == 1) {
     // Width-1 fast path: this participant IS the assembly. No arrival or
-    // departure counters, no start-stamp CAS, no max-busy folding — the
-    // participant's busy time is both the PTT sample and the span, and two
-    // clock reads per task (inside run_work) replace the wide path's four.
+    // departure counters, no max-busy folding — the participant's busy time
+    // is the PTT sample.
     const std::int64_t busy = run_work(core, task, /*rank=*/0);
-    const double busy_s = ns_to_s(busy);
-    Hooks::record_sample(*policy_, node.type, task->place, busy_s);
-    stats_->record_task_at(node.priority, topo_->place_id(task->place), busy_s,
-                           node.phase);
+    Hooks::record_sample(*policy_, node.type, task->place, ns_to_s(busy));
+    stats_->record_task_at_st(node.priority, topo_->place_id(task->place),
+                              node.phase, /*writer=*/core);
     finish_last_t<Hooks>(core, task);
     return;
   }
 
   const int rank = task->arrivals.fetch_add(1, std::memory_order_acq_rel);
   DAS_ASSERT(rank >= 0 && rank < width);
-  // First arrival stamps the assembly start (CAS so any arrival order works).
-  std::int64_t expected = 0;
-  const std::int64_t arrive_ns = now_ns();
-  task->start_ns.compare_exchange_strong(expected, arrive_ns,
-                                         std::memory_order_acq_rel);
-
   const std::int64_t busy = run_work(core, task, rank);
   // Fold this participant's busy time into the assembly maximum (CAS loop:
   // no fetch_max before C++26).
@@ -395,13 +402,11 @@ void Runtime::participate_t(int core, TaskRec* task) {
   // step 8). The PTT learns the slowest participant's busy time — the
   // task's intrinsic duration at this place, what the paper's leader core
   // observes — not the assembly span, which arrival skew would poison.
-  const double span =
-      ns_to_s(now_ns() - task->start_ns.load(std::memory_order_acquire));
   Hooks::record_sample(
       *policy_, node.type, task->place,
       ns_to_s(task->max_busy_ns.load(std::memory_order_acquire)));
-  stats_->record_task_at(node.priority, topo_->place_id(task->place), span,
-                         node.phase);
+  stats_->record_task_at_st(node.priority, topo_->place_id(task->place),
+                            node.phase, /*writer=*/core);
   finish_last_t<Hooks>(core, task);
 }
 

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <tuple>
 
 #include "core/cost_expr.hpp"
 #include "platform/affinity.hpp"
@@ -319,6 +320,12 @@ JobId SimEngine::submit(const Dag& dag, double arrival_offset_s) {
   } else {
     slot = static_cast<std::int32_t>(job_slots_.size());
     job_slots_.emplace_back();
+    if (shards_.size() > 1) {
+      for (Shard& sh : shards_) {
+        sh.tally.resize(job_slots_.size());
+        sh.tally_slots.reserve(job_slots_.size());
+      }
+    }
   }
   Job& job = job_slots_[static_cast<std::size_t>(slot)];
   job.dag = &dag;
@@ -620,19 +627,26 @@ void SimEngine::deliver_deferred() {
   // Deliver deferred notifications AFTER the handler frames unwound: the
   // hooks may submit() or schedule_timer() (job_slots_/event-queue
   // mutation), which must not run under the live Job& a handler holds.
-  // Rank-ascending shard order keeps multi-rank delivery deterministic;
-  // within a shard the list is in event order. Index loop: a hook must not
-  // re-enter pump(), but appends would still be delivered.
-  for (Shard& sh : shards_) {
-    for (std::size_t i = 0; i < sh.deferred.size(); ++i) {
-      const Deferred d = sh.deferred[i];
-      if (d.timer)
-        timer_hook_(d.id, d.time);
-      else
-        job_done_hook_(static_cast<JobId>(d.id), d.time);
-    }
-    sh.deferred.clear();
+  // Order: (virtual time, JobId or timer token). Multi-rank, the shard that
+  // records a job's notification is whichever folded its last count, which
+  // depends on thread timing; the sort makes the order a function of the
+  // simulation alone. A single-rank pump stops at its first notification.
+  std::vector<Deferred>& list = shards_[0].deferred;
+  for (std::size_t r = 1; r < shards_.size(); ++r) {
+    std::vector<Deferred>& other = shards_[r].deferred;
+    list.insert(list.end(), other.begin(), other.end());
+    other.clear();
   }
+  std::sort(list.begin(), list.end(), [](const Deferred& a, const Deferred& b) {
+    return std::tie(a.time, a.id, a.timer) < std::tie(b.time, b.id, b.timer);
+  });
+  for (const Deferred& d : list) {
+    if (d.timer)
+      timer_hook_(d.id, d.time);
+    else
+      job_done_hook_(static_cast<JobId>(d.id), d.time);
+  }
+  list.clear();
 }
 
 void SimEngine::activate(Shard& sh, int core, double at, bool direct) {
@@ -798,8 +812,6 @@ void SimEngine::start_participation_t(Shard& sh, int core,
                           "another is still running");
   Job& job = job_at(p.job);
   TaskState& ts = job.tasks[static_cast<std::size_t>(p.task)];
-  if (ts.arrivals == 0) ts.first_arrival = t;
-  ts.arrivals++;
   const double cost =
       participation_cost_t<Mode>(sh, job, p.task, core, p.rank_in_assembly, t);
   ts.max_cost = std::max(ts.max_cost, cost);
@@ -962,10 +974,9 @@ void SimEngine::handle_done_t(Shard& sh, const Event& e, double t) {
     // core observes — NOT the assembly span: the span includes arrival skew
     // (participants queueing behind other work), which would make wide
     // places look slow for reasons that have nothing to do with the place.
-    const double span = t - ts.first_arrival;
     Mode::PolicyHooks::record_sample(*r.policy, n.type, ts.place, ts.max_cost);
     const int place_id = r.topo->place_id(ts.place);
-    r.stats->record_task_at_st(n.priority, place_id, span, n.phase);
+    r.stats->record_task_at_st(n.priority, place_id, n.phase);
     ts.completion = t;
     if (shards_.size() == 1) {
       // Single-rank: the historical plain-field path, byte-for-byte.
@@ -1011,28 +1022,15 @@ void SimEngine::handle_done_t(Shard& sh, const Event& e, double t) {
           sh.staged_min = std::min(sh.staged_min, at);
         }
       }
-      // Cross-shard completion accounting. finish_s is the MAX over
-      // completion instants — order-free, so schedule-independent; the
-      // atomic-max CAS publishes it, and the acq_rel counter RMW makes
-      // every prior finisher's CAS visible to whichever shard lands the
-      // final increment.
-      std::atomic_ref<double> fin(job.finish_s);
-      double prev = fin.load(std::memory_order_acquire);
-      while (prev < t &&
-             !fin.compare_exchange_weak(prev, t, std::memory_order_release,
-                                        std::memory_order_acquire)) {
+      // Completion accounting stays shard-local until the window's fold
+      // (fold_completions): no shared RMW per task.
+      const auto slot = static_cast<std::size_t>(&job - job_slots_.data());
+      CompletionTally& tally = sh.tally[slot];
+      if (tally.completed++ == 0) {
+        tally.job = e.job;
+        sh.tally_slots.push_back(static_cast<std::int32_t>(slot));
       }
-      std::atomic_ref<std::int64_t> completed(job.completed);
-      if (completed.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-          job.dag->num_nodes()) {
-        const double finish = fin.load(std::memory_order_acquire);
-        std::atomic_ref<bool>(job.done).store(true,
-                                              std::memory_order_release);
-        sh.yield = true;
-        if (job_done_hook_)
-          sh.deferred.push_back(
-              Deferred{false, static_cast<std::uint64_t>(e.job), finish});
-      }
+      tally.finish_s = std::max(tally.finish_s, t);
     }
   }
 
@@ -1132,8 +1130,40 @@ void SimEngine::window_phase1_t(Shard& sh, double hi, int parity) {
   // INCLUSIVE horizon: with zero lookahead the window degenerates to
   // [W, W] and the protocol still advances one timestamp per round.
   while (!sh.events.empty() && sh.events.top().time <= hi) step_t<Mode>(sh);
+  if (!sh.tally_slots.empty()) fold_completions(sh);
 }
 // daslint: end-hot-path
+
+void SimEngine::fold_completions(Shard& sh) {
+  for (const std::int32_t slot : sh.tally_slots) {
+    CompletionTally& tally = sh.tally[static_cast<std::size_t>(slot)];
+    Job& job = job_slots_[static_cast<std::size_t>(slot)];
+    // finish_s is the MAX over completion instants — order-free, so
+    // schedule-independent; the atomic-max CAS publishes it, and the
+    // acq_rel counter RMW makes every earlier fold's CAS visible to
+    // whichever shard lands the final count.
+    std::atomic_ref<double> fin(job.finish_s);
+    double prev = fin.load(std::memory_order_acquire);
+    while (prev < tally.finish_s &&
+           !fin.compare_exchange_weak(prev, tally.finish_s,
+                                      std::memory_order_release,
+                                      std::memory_order_acquire)) {
+    }
+    std::atomic_ref<std::int64_t> completed(job.completed);
+    const std::int64_t before =
+        completed.fetch_add(tally.completed, std::memory_order_acq_rel);
+    if (before + tally.completed == job.dag->num_nodes()) {
+      const double finish = fin.load(std::memory_order_acquire);
+      std::atomic_ref<bool>(job.done).store(true, std::memory_order_release);
+      sh.yield = true;
+      if (job_done_hook_)
+        sh.deferred.push_back(
+            Deferred{false, static_cast<std::uint64_t>(tally.job), finish});
+    }
+    tally = CompletionTally{};
+  }
+  sh.tally_slots.clear();
+}
 
 void SimEngine::drain_inbound(Shard& sh, int parity) {
   // Drain in-bound boundary links in SENDER-RANK order, FIFO within each

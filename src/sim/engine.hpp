@@ -240,16 +240,16 @@ class SimEngine {
 
   // --- service hooks (the exec-layer session/admission machinery) ----------
   // The job-service layer above the engine needs two notifications delivered
-  // in event order: "job X finished at t" (to free an in-flight slot and
-  // release queued jobs) and "timer T fired at t" (deferred tenant
+  // in virtual-time order: "job X finished at t" (to free an in-flight slot
+  // and release queued jobs) and "timer T fired at t" (deferred tenant
   // arrivals). Both MAY re-enter the engine (submit(), schedule_timer()), so
   // they are NOT invoked from inside an event handler — a handler holds a
   // live Job& while job_slots_ could reallocate under a re-entrant submit.
   // Instead the handlers record them in a deferred list, and the event that
   // records one ends the pump (the window that records one, multi-rank);
-  // pump() delivers the list after the loop unwinds. Without hooks
-  // installed nothing is recorded and the event/RNG streams are
-  // bit-identical to the bare engine.
+  // pump() delivers the list after the loop unwinds, in (virtual time, id)
+  // order. Without hooks installed nothing is recorded and the event/RNG
+  // streams are bit-identical to the bare engine.
 
   /// Installs the service hooks. Must be called before the first event that
   /// would fire one; typically right after construction.
@@ -337,14 +337,12 @@ class SimEngine {
   struct TaskState {
     bool has_fixed_place = false;
     ExecutionPlace place{};
-    int arrivals = 0;
     int departures = 0;
     /// Participations lost to core deaths: the task re-releases (fresh
     /// attempt on survivors) once departures + lost == place.width — live
     /// participants always finish their busy window first, so completion
     /// stays exactly-once.
     int lost = 0;
-    double first_arrival = 0.0;
     double max_cost = 0.0;  ///< slowest participant's busy time
     double completion = -1.0;
     /// Registry row, resolved ONCE at make_ready: every participant of the
@@ -356,12 +354,22 @@ class SimEngine {
   };
 
   // Deferred service notifications (see set_service_hooks): appended by the
-  // event handlers in event order, delivered by pump() after its loop
-  // stops. Empty unless hooks are installed.
+  // event handlers (multi-rank job-done: by the window fold), delivered by
+  // pump() after its loop stops. Empty unless hooks are installed.
   struct Deferred {
     bool timer = false;
     std::uint64_t id = 0;  // JobId (done) or timer token
     double time = 0.0;
+  };
+
+  /// Multi-rank completion accounting of one in-flight job on one shard:
+  /// the tasks the shard completed since its last fold and the latest of
+  /// their completion instants. fold_completions() adds them into the
+  /// shared Job fields once per window.
+  struct CompletionTally {
+    JobId job = kInvalidJob;
+    std::int64_t completed = 0;
+    double finish_s = -1.0;
   };
 
   /// One in-flight job: its DAG, per-node state, and completion accounting.
@@ -373,9 +381,10 @@ class SimEngine {
   ///
   /// Sharing across ranks: dag/preds/tasks entries are only ever touched by
   /// the rank owning the node, so the only cross-rank fields are the
-  /// completion accounting below — multi-rank handlers access `completed`,
-  /// `finish_s` (max over completion instants — order-free, hence
-  /// schedule-independent) and `done` through std::atomic_ref; the
+  /// completion accounting below. Multi-rank handlers count completions in
+  /// their shard's CompletionTally; each shard's window fold adds them into
+  /// `completed`, `finish_s` (max over completion instants — order-free,
+  /// hence schedule-independent) and `done` through std::atomic_ref. The
   /// single-rank path keeps the historical plain operations.
   struct Job {
     const Dag* dag = nullptr;
@@ -386,10 +395,9 @@ class SimEngine {
     /// sealed predecessor_counts() instead of a strided scatter.
     std::vector<std::int32_t> preds;
     double release_s = 0.0;   ///< virtual arrival instant of the roots
-    /// The cross-rank accounting starts a cache line of its own: every task
-    /// completion on every rank RMWs it, and sharing a line with the
-    /// read-mostly pointers above made each of those RMWs evict the
-    /// pointers from the other ranks' caches.
+    /// The cross-rank accounting starts a cache line of its own: every
+    /// rank's window fold RMWs it, and sharing a line with the read-mostly
+    /// pointers above would evict them from the other ranks' caches.
     alignas(64) std::int64_t completed = 0;
     double finish_s = -1.0;   ///< completion of the last task; -1 while open
     bool done = false;
@@ -424,6 +432,11 @@ class SimEngine {
     std::vector<std::uint64_t> idle_bits;  // bit set <=> !cores[c].active
     std::vector<std::uint64_t> wsq_bits;   // bit set <=> !cores[c].wsq.empty()
     std::vector<Deferred> deferred;
+    /// Multi-rank only: completion tallies indexed by job slot (sized with
+    /// job_slots_), and the slots with a non-zero tally in first-completion
+    /// order (capacity >= job_slots_.size(), so appends never allocate).
+    std::vector<CompletionTally> tally;
+    std::vector<std::int32_t> tally_slots;
     /// Set when this shard completes a job or records a deferred
     /// notification; the pump in progress stops after the current event
     /// (single-rank) or window (multi-rank). Cleared at each pump start.
@@ -579,8 +592,15 @@ class SimEngine {
   /// Drains the shard's in-bound boundary queues of window parity `parity`
   /// in sender-rank order (the deterministic seq assignment).
   void drain_inbound(Shard& sh, int parity);
-  /// Delivers the deferred service notifications of every shard in rank
-  /// order (event order within a shard), then clears them.
+  /// End of a shard's phase 1 (multi-rank): adds its completion tallies
+  /// into the jobs' shared accounting — one fetch_add and one CAS-max per
+  /// job per window — and records the notification of every job whose
+  /// count it completes. Which shard that is depends on thread timing;
+  /// deliver_deferred()'s order does not.
+  void fold_completions(Shard& sh);
+  /// Delivers every shard's deferred service notifications in (virtual
+  /// time, JobId or timer token) order, independent of the recording
+  /// shard, then clears them.
   void deliver_deferred();
   /// Lazily spawns the worker threads (multi-rank, des_threads > 1).
   void ensure_workers();

@@ -1,20 +1,25 @@
 #include "trace/stats.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/assert.hpp"
 #include "util/time.hpp"
 
 namespace das {
 
-ExecutionStats::ExecutionStats(const Topology& topo, int num_phases)
-    : topo_(&topo), num_phases_(num_phases) {
+ExecutionStats::ExecutionStats(const Topology& topo, int num_phases,
+                               int num_writers)
+    : topo_(&topo), num_phases_(num_phases), num_writers_(num_writers) {
   DAS_CHECK(num_phases >= 1);
+  DAS_CHECK(num_writers >= 1);
   busy_ns_ = std::make_unique<CachePadded<std::atomic<std::int64_t>>[]>(
       static_cast<std::size_t>(topo.num_cores()));
-  counts_size_ = 2ull * static_cast<std::size_t>(num_phases_) *
-                 static_cast<std::size_t>(topo.num_places());
-  counts_ = std::make_unique<std::atomic<std::int64_t>[]>(counts_size_);
+  block_size_ = 2ull * static_cast<std::size_t>(num_phases_) *
+                static_cast<std::size_t>(topo.num_places());
+  block_lines_ = (block_size_ + kPerLine - 1) / kPerLine;
+  lines_ = std::make_unique<CounterLine[]>(
+      static_cast<std::size_t>(num_writers_) * block_lines_);
   reset();
 }
 
@@ -33,25 +38,23 @@ std::size_t ExecutionStats::index(Priority p, int place_id, int phase) const {
          static_cast<std::size_t>(place_id);
 }
 
-void ExecutionStats::record_task(Priority priority, int place_id, double span_s) {
-  record_task_at(priority, place_id, span_s, phase_.load(std::memory_order_relaxed));
+void ExecutionStats::record_task(Priority priority, int place_id) {
+  record_task_at(priority, place_id, phase_.load(std::memory_order_relaxed));
 }
 
-void ExecutionStats::record_task_at(Priority priority, int place_id, double span_s,
+void ExecutionStats::record_task_at(Priority priority, int place_id,
                                     int phase) {
   const int ph = std::clamp(phase, 0, num_phases_ - 1);
-  counts_[index(priority, place_id, ph)].fetch_add(1, std::memory_order_relaxed);
-  span_sum_ns_.fetch_add(s_to_ns(span_s), std::memory_order_relaxed);
+  std::atomic<std::int64_t>& c = counter(0, index(priority, place_id, ph));
+  c.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ExecutionStats::record_task_at_st(Priority priority, int place_id,
-                                       double span_s, int phase) {
+                                       int phase, int writer) {
+  DAS_ASSERT(writer >= 0 && writer < num_writers_);
   const int ph = std::clamp(phase, 0, num_phases_ - 1);
-  std::atomic<std::int64_t>& c = counts_[index(priority, place_id, ph)];
+  std::atomic<std::int64_t>& c = counter(writer, index(priority, place_id, ph));
   c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-  span_sum_ns_.store(
-      span_sum_ns_.load(std::memory_order_relaxed) + s_to_ns(span_s),
-      std::memory_order_relaxed);
 }
 
 void ExecutionStats::record_busy_st(int core, std::int64_t busy_ns) {
@@ -69,15 +72,30 @@ void ExecutionStats::record_busy(int core, std::int64_t busy_ns) {
 
 std::int64_t ExecutionStats::tasks_total() const {
   std::int64_t total = 0;
-  for (std::size_t i = 0; i < counts_size_; ++i)
-    total += counts_[i].load(std::memory_order_relaxed);
+  for (int w = 0; w < num_writers_; ++w)
+    for (std::size_t i = 0; i < block_size_; ++i)
+      total += counter(w, i).load(std::memory_order_relaxed);
   return total;
 }
 
+std::vector<std::int64_t> ExecutionStats::place_counts(Priority p) const {
+  // Priority p's half of a block is contiguous ([phase][place] rows), so
+  // this is one sequential scan per block.
+  const auto places = static_cast<std::size_t>(topo_->num_places());
+  const std::size_t begin = index(p, 0, 0);
+  const std::size_t end =
+      begin + static_cast<std::size_t>(num_phases_) * places;
+  std::vector<std::int64_t> out(places, 0);
+  for (int w = 0; w < num_writers_; ++w)
+    for (std::size_t row = begin; row < end; row += places)
+      for (std::size_t pid = 0; pid < places; ++pid)
+        out[pid] += counter(w, row + pid).load(std::memory_order_relaxed);
+  return out;
+}
+
 std::int64_t ExecutionStats::tasks_with_priority(Priority p) const {
-  std::int64_t total = 0;
-  for (int pid = 0; pid < topo_->num_places(); ++pid) total += tasks_at(p, pid);
-  return total;
+  const std::vector<std::int64_t> counts = place_counts(p);
+  return std::accumulate(counts.begin(), counts.end(), std::int64_t{0});
 }
 
 std::int64_t ExecutionStats::tasks_at(Priority p, int place_id) const {
@@ -89,7 +107,11 @@ std::int64_t ExecutionStats::tasks_at(Priority p, int place_id) const {
 std::int64_t ExecutionStats::tasks_at_phase(Priority p, int place_id, int phase) const {
   DAS_CHECK(place_id >= 0 && place_id < topo_->num_places());
   DAS_CHECK(phase >= 0 && phase < num_phases_);
-  return counts_[index(p, place_id, phase)].load(std::memory_order_relaxed);
+  const std::size_t i = index(p, place_id, phase);
+  std::int64_t total = 0;
+  for (int w = 0; w < num_writers_; ++w)
+    total += counter(w, i).load(std::memory_order_relaxed);
+  return total;
 }
 
 double ExecutionStats::busy_s(int core) const {
@@ -112,14 +134,20 @@ double ExecutionStats::throughput() const {
 
 std::vector<std::pair<ExecutionPlace, double>> ExecutionStats::distribution(
     Priority p) const {
-  const std::int64_t total = tasks_with_priority(p);
+  return distribution_of(place_counts(p));
+}
+
+std::vector<std::pair<ExecutionPlace, double>> ExecutionStats::distribution_of(
+    const std::vector<std::int64_t>& counts) const {
+  const std::int64_t total =
+      std::accumulate(counts.begin(), counts.end(), std::int64_t{0});
   std::vector<std::pair<ExecutionPlace, double>> out;
   if (total == 0) return out;
-  for (int pid = 0; pid < topo_->num_places(); ++pid) {
-    const std::int64_t n = tasks_at(p, pid);
-    if (n > 0)
-      out.emplace_back(topo_->place_at(pid),
-                       static_cast<double>(n) / static_cast<double>(total));
+  for (std::size_t pid = 0; pid < counts.size(); ++pid) {
+    if (counts[pid] > 0)
+      out.emplace_back(topo_->place_at(static_cast<int>(pid)),
+                       static_cast<double>(counts[pid]) /
+                           static_cast<double>(total));
   }
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });
@@ -127,9 +155,13 @@ std::vector<std::pair<ExecutionPlace, double>> ExecutionStats::distribution(
 }
 
 StatsSnapshot ExecutionStats::snapshot() const {
+  // One pass over the blocks per priority (Executor::wait snapshots every
+  // waited job, so this runs once per job, not only at report time).
+  const std::vector<std::int64_t> high = place_counts(Priority::kHigh);
+  const std::vector<std::int64_t> low = place_counts(Priority::kLow);
   StatsSnapshot s;
-  s.tasks_high = tasks_with_priority(Priority::kHigh);
-  s.tasks_low = tasks_with_priority(Priority::kLow);
+  s.tasks_high = std::accumulate(high.begin(), high.end(), std::int64_t{0});
+  s.tasks_low = std::accumulate(low.begin(), low.end(), std::int64_t{0});
   s.tasks_total = s.tasks_high + s.tasks_low;
   s.elapsed_s = elapsed_s();
   s.busy_s.resize(static_cast<std::size_t>(topo_->num_cores()));
@@ -137,16 +169,18 @@ StatsSnapshot ExecutionStats::snapshot() const {
     s.busy_s[static_cast<std::size_t>(c)] = busy_s(c);
     s.total_busy_s += s.busy_s[static_cast<std::size_t>(c)];
   }
-  s.high_distribution = distribution(Priority::kHigh);
+  s.high_distribution = distribution_of(high);
   return s;
 }
 
 void ExecutionStats::reset() {
   for (int c = 0; c < topo_->num_cores(); ++c)
     busy_ns_[static_cast<std::size_t>(c)].value.store(0, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < counts_size_; ++i)
-    counts_[i].store(0, std::memory_order_relaxed);
-  span_sum_ns_.store(0, std::memory_order_relaxed);
+  const std::size_t num_lines =
+      static_cast<std::size_t>(num_writers_) * block_lines_;
+  for (std::size_t l = 0; l < num_lines; ++l)
+    for (std::atomic<std::int64_t>& c : lines_[l].n)
+      c.store(0, std::memory_order_relaxed);
   elapsed_s_.store(0.0, std::memory_order_relaxed);
   phase_.store(0, std::memory_order_relaxed);
 }

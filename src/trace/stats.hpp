@@ -8,8 +8,27 @@
 //     idleness — Figure 6;
 //   - total tasks / elapsed time => throughput — Figures 4, 7, 10.
 //
-// Accumulation is thread-safe and wait-free: per-core padded atomics for
-// busy time and a dense atomic counter grid for place counts.
+// Per-writer counter blocks. The (priority, phase, place) count grid exists
+// once per *writer*, each copy starting on its own cache line, so engines
+// whose recorders are distinct threads never share a counter line:
+//   - rt: one block per worker. The worker that finishes a task records it
+//     into its own block with a single-writer store (record_task_at_st,
+//     writer = its core): no lock-prefixed RMW and no line bouncing per
+//     task. It is likewise the only writer of its core's busy counter
+//     (record_busy_st).
+//   - sim: each rank has its own ExecutionStats with one block, written
+//     only by the rank's shard (one thread at a time) through the `_st`
+//     path.
+//   - record_task/record_task_at/record_busy take no writer: they are
+//     thread-safe RMWs (counts into block 0), for any number of concurrent
+//     callers. They must not race with a `_st` call on the same counters
+//     (block 0, or the same core's busy time), which is a plain load+store;
+//     no engine mixes the two.
+// Queries sum every block. tasks_total, tasks_with_priority, distribution
+// and snapshot make one sequential pass over the blocks, O(writers x
+// phases x places); snapshot runs once per waited job (Executor::wait),
+// never per task. The grid holds counts only: task spans are not
+// accumulated, since no query reads them.
 
 #include <atomic>
 #include <cstdint>
@@ -40,33 +59,36 @@ struct StatsSnapshot {
 class ExecutionStats {
  public:
   /// `num_phases` >= 1; phase 0 is used unless set_phase() is called.
-  explicit ExecutionStats(const Topology& topo, int num_phases = 1);
+  /// `num_writers` >= 1 count blocks, one per single-writer recorder.
+  explicit ExecutionStats(const Topology& topo, int num_phases = 1,
+                          int num_writers = 1);
 
   const Topology& topology() const { return *topo_; }
   int num_phases() const { return num_phases_; }
+  int num_writers() const { return num_writers_; }
 
   /// Sets the phase tag for subsequently recorded tasks (driver calls this
   /// at iteration boundaries; engines never touch it).
   void set_phase(int phase);
   int phase() const { return phase_.load(std::memory_order_relaxed); }
 
-  /// Records a completed task: its priority, where it ran, and its span.
-  /// Tagged with the current phase (see set_phase).
-  void record_task(Priority priority, int place_id, double span_s);
-  /// Same, with an explicit phase tag (clamped to the phase dimension);
-  /// engines use this with DagNode::phase so concurrent workers recording
-  /// tasks of different iterations never race on set_phase.
-  void record_task_at(Priority priority, int place_id, double span_s, int phase);
+  /// Records a completed task: its priority and where it ran. Tagged with
+  /// the current phase (see set_phase).
+  void record_task(Priority priority, int place_id);
+  /// Same, with an explicit phase tag (clamped to the phase dimension), so
+  /// concurrent recorders of tasks of different iterations (DagNode::phase)
+  /// never race on set_phase.
+  void record_task_at(Priority priority, int place_id, int phase);
   /// Adds kernel busy time to a core (emulated time for throttled cores).
   void record_busy(int core, std::int64_t busy_ns);
 
   /// Single-writer variants: same counters, but plain load+store instead of
-  /// an atomic RMW. Only for engines that record from ONE thread (the
-  /// discrete-event simulator) — a lock-prefixed fetch_add per simulated
-  /// task is pure waste there. Concurrent readers still see consistent
-  /// relaxed values.
-  void record_task_at_st(Priority priority, int place_id, double span_s,
-                         int phase);
+  /// an atomic RMW. Only for the ONE thread that writes block `writer`
+  /// (record_task_at_st) or core `core`'s busy counter (record_busy_st) —
+  /// a lock-prefixed fetch_add per task is pure waste there. Concurrent
+  /// readers still see consistent relaxed values.
+  void record_task_at_st(Priority priority, int place_id, int phase,
+                         int writer = 0);
   void record_busy_st(int core, std::int64_t busy_ns);
 
   /// Engines set the experiment's elapsed (virtual or wall) seconds.
@@ -79,7 +101,7 @@ class ExecutionStats {
     return elapsed_s_.load(std::memory_order_relaxed);
   }
 
-  // --- Queries --------------------------------------------------------------
+  // --- Queries (each sums every writer block) -------------------------------
 
   std::int64_t tasks_total() const;
   std::int64_t tasks_with_priority(Priority p) const;
@@ -100,21 +122,40 @@ class ExecutionStats {
   /// Copies the current counters into a value-type snapshot.
   StatsSnapshot snapshot() const;
 
-  /// Clears all counters (phases keep their dimension).
+  /// Clears all counters of every block (phases keep their dimension).
   void reset();
 
  private:
+  /// One cache line of counters. A writer block is a whole number of lines,
+  /// so no two blocks share one.
+  static constexpr std::size_t kPerLine = kCacheLine / sizeof(std::int64_t);
+  struct alignas(kCacheLine) CounterLine {
+    std::atomic<std::int64_t> n[kPerLine];
+  };
+
+  /// Index of (priority, place, phase) inside a block.
   std::size_t index(Priority p, int place_id, int phase) const;
+  /// Priority-`p` count per place, summed over writers and phases.
+  std::vector<std::int64_t> place_counts(Priority p) const;
+  /// distribution() of per-place counts.
+  std::vector<std::pair<ExecutionPlace, double>> distribution_of(
+      const std::vector<std::int64_t>& counts) const;
+  std::atomic<std::int64_t>& counter(int writer, std::size_t i) const {
+    const std::size_t line =
+        static_cast<std::size_t>(writer) * block_lines_ + i / kPerLine;
+    return lines_[line].n[i % kPerLine];
+  }
 
   const Topology* topo_;
   int num_phases_;
+  int num_writers_;
   std::atomic<int> phase_{0};
   std::atomic<double> elapsed_s_{0.0};
   std::unique_ptr<CachePadded<std::atomic<std::int64_t>>[]> busy_ns_;
-  // Dense grid [priority][phase][place] of counters.
-  std::unique_ptr<std::atomic<std::int64_t>[]> counts_;
-  std::size_t counts_size_ = 0;
-  std::atomic<std::int64_t> span_sum_ns_{0};
+  // num_writers_ blocks of a dense [priority][phase][place] counter grid.
+  std::unique_ptr<CounterLine[]> lines_;
+  std::size_t block_size_ = 0;   ///< counters per block
+  std::size_t block_lines_ = 0;  ///< cache lines per block
 };
 
 }  // namespace das

@@ -235,6 +235,74 @@ TEST_F(ParallelDesTest, MultiJobPersistentEngineEqual) {
   EXPECT_TRUE(serial == par);
 }
 
+/// A multi-rank pump delivers its service notifications in (virtual time,
+/// job id / timer token) order, whichever shard recorded them. Two
+/// symmetric ranks run a stream of heat jobs, three in flight with
+/// staggered arrivals, so several jobs' last tasks finish on both ranks
+/// inside one window, and timers fire among them. Each job-done hook
+/// submits the next job, alternating between two DAGs, so a reordered
+/// delivery would also change the results. Twenty runs each at des_threads
+/// 1 and 4 must record one hook order and one set of makespans.
+TEST_F(ParallelDesTest, JobDoneHookOrderIndependentOfThreadTiming) {
+  const std::vector<RankSpec> ranks = {RankSpec{&small_, nullptr},
+                                       RankSpec{&small_, nullptr}};
+  workloads::HeatConfig cfg;
+  cfg.rows = 96;
+  cfg.cols = 48;
+  cfg.ranks = 2;
+  cfg.iterations = 4;
+  cfg.tasks_per_rank = 3;
+  cfg.net_latency_s = 500e-6;  // wide windows: many completions per window
+  const Dag a = workloads::make_heat_sim_dag(cfg, ids_.heat_compute, ids_.comm);
+  cfg.iterations = 3;
+  const Dag b = workloads::make_heat_sim_dag(cfg, ids_.heat_compute, ids_.comm);
+
+  struct Note {
+    bool timer = false;
+    std::uint64_t id = 0;
+    double t = 0.0;
+    bool operator==(const Note&) const = default;
+  };
+  struct Stream {
+    std::vector<Note> hooks;
+    std::vector<double> makespans;
+    bool operator==(const Stream&) const = default;
+  };
+  constexpr std::size_t kJobs = 12;
+  const auto run_stream = [&](int des_threads) {
+    SimOptions o;
+    o.des_threads = des_threads;
+    SimEngine eng(ranks, Policy::kDamC, registry_, o);
+    Stream out;
+    std::vector<JobId> ids;
+    eng.set_service_hooks(
+        [&](JobId id, double t) {
+          out.hooks.push_back(Note{false, static_cast<std::uint64_t>(id), t});
+          if (ids.size() < kJobs)
+            ids.push_back(eng.submit(ids.size() % 2 == 0 ? a : b));
+        },
+        [&](std::uint64_t token, double t) {
+          out.hooks.push_back(Note{true, token, t});
+        });
+    for (int i = 0; i < 3; ++i) ids.push_back(eng.submit(a, 2e-6 * i));
+    for (std::uint64_t k = 0; k < 8; ++k) eng.schedule_timer(400e-6 * k, k);
+    // Index loop: the hooks append to `ids` while we wait.
+    for (std::size_t i = 0; i < ids.size(); ++i)
+      out.makespans.push_back(eng.wait(ids[i]));
+    return out;
+  };
+
+  const Stream ref = run_stream(1);
+  ASSERT_EQ(ref.makespans.size(), kJobs);
+  ASSERT_EQ(ref.hooks.size(), kJobs + 8);
+  for (int rep = 0; rep < 20; ++rep) {
+    for (const int threads : {1, 4}) {
+      const Stream got = run_stream(threads);
+      EXPECT_TRUE(got == ref) << "des_threads " << threads << ", run " << rep;
+    }
+  }
+}
+
 /// The conservative lookahead is the minimum cross-rank edge delay over
 /// all submitted DAGs, monotone under further submissions, and identical
 /// however many threads run the windows.

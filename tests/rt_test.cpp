@@ -1,7 +1,8 @@
 // Tests for the real-thread runtime: conservation, dependency ordering,
 // moldable cooperative execution, steal-exemption of high-priority tasks,
-// multi-run reuse, randomised stress DAGs, throttle-based asymmetry, and
-// eventcount parking (a starved pool must sleep, not spin).
+// multi-run reuse, randomised stress DAGs, throttle-based asymmetry,
+// per-worker stats blocks, and the idle protocol (a starved or idle pool
+// must end up parked, not spinning).
 
 #include <gtest/gtest.h>
 
@@ -258,7 +259,42 @@ TEST_F(RtTest, StarvedPoolParksInsteadOfSpinning) {
   EXPECT_LT(burned, 0.5);
 }
 
+TEST_F(RtTest, IdlePoolParksSoonAfterItsLastJob) {
+  // Two workers fit any CPU mask of two or more CPUs, so when work runs out
+  // they first poll with yields (stage 2 of the idle protocol,
+  // rt/worker.cpp). That poll is bounded: the pool must still be fully
+  // parked within 50 ms of its last job and then burn almost no CPU. One
+  // worker polling through the 200 ms window would burn ~0.2 s.
+  const Topology two = Topology::symmetric(1, 2, 1.0);
+  Runtime rt(two, Policy::kRws, registry_);
+  workloads::SyntheticDagSpec spec;
+  spec.type = ids_.matmul;
+  spec.parallelism = 2;
+  spec.total_tasks = 400;
+  spec.work = [](const ExecContext&) {};
+  const Dag dag = workloads::make_synthetic_dag(spec);
+  for (int j = 0; j < 5; ++j) rt.run(dag);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+  while (rt.parked_workers() < two.num_cores() &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  EXPECT_EQ(rt.parked_workers(), two.num_cores());
+
+  struct rusage before {}, after {};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+  auto cpu_s = [](const rusage& r) {
+    return static_cast<double>(r.ru_utime.tv_sec + r.ru_stime.tv_sec) +
+           1e-6 * static_cast<double>(r.ru_utime.tv_usec + r.ru_stime.tv_usec);
+  };
+  EXPECT_LT(cpu_s(after) - cpu_s(before), 0.05);
+}
+
 TEST_F(RtTest, StressManySmallTasksAllPolicies) {
+  constexpr std::int64_t kJobs = 3;
   for (Policy p : all_policies()) {
     workloads::SyntheticDagSpec spec;
     spec.type = ids_.matmul;
@@ -267,8 +303,16 @@ TEST_F(RtTest, StressManySmallTasksAllPolicies) {
     spec.work = [](const ExecContext&) { busy_wait_ns(2000); };
     Dag dag = workloads::make_synthetic_dag(spec);
     Runtime rt(topo_, p, registry_);
-    rt.run(dag);
-    EXPECT_EQ(rt.stats().tasks_total(), 1200) << policy_name(p);
+    for (int j = 0; j < kJobs; ++j) rt.run(dag);
+    // Each worker counts the tasks it finishes in its own stats block; the
+    // queries must sum every block.
+    const ExecutionStats& st = rt.stats();
+    EXPECT_EQ(st.tasks_total(), kJobs * 1200) << policy_name(p);
+    EXPECT_EQ(st.tasks_with_priority(Priority::kHigh) +
+                  st.tasks_with_priority(Priority::kLow),
+              kJobs * 1200)
+        << policy_name(p);
+    EXPECT_EQ(st.snapshot().tasks_total, kJobs * 1200) << policy_name(p);
   }
 }
 
