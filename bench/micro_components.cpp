@@ -104,13 +104,11 @@ void BM_PolicyLocalSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_PolicyLocalSearch);
 
-// ---- static-dispatch cost cells ------------------------------------------
-// Price of each dispatch layer the fused engine loops eliminate: the
-// dynamic policy entry points (one switch over the static instantiations)
-// vs the inlined *_static templates, and the std::function cost-model call
-// vs the inline closed-form evaluator vs the fixed-cost load. The engine
-// benches (sim_throughput, overhead_scaling) measure the end-to-end effect;
-// these isolate the per-call deltas.
+// ---- dispatch cost cells ---------------------------------------------------
+// Per-call price of the policy hooks (one switch over the policy) and of the
+// std::function cost-model call vs the inline closed-form evaluator vs the
+// fixed-cost load. The engine benches (sim_throughput, overhead_scaling)
+// measure the end-to-end effect; these isolate the per-call deltas.
 
 void BM_DispatchOnReadyDynamic(benchmark::State& state) {
   const Topology topo = Topology::tx2();
@@ -124,19 +122,6 @@ void BM_DispatchOnReadyDynamic(benchmark::State& state) {
 }
 BENCHMARK(BM_DispatchOnReadyDynamic);
 
-void BM_DispatchOnReadyFused(benchmark::State& state) {
-  const Topology topo = Topology::tx2();
-  PttStore store(topo, 1);
-  for (int pid = 0; pid < topo.num_places(); ++pid)
-    store.table(0).update(pid, 1e-3 + pid * 1e-5);
-  PolicyEngine eng(Policy::kDamC, topo, &store);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        eng.on_ready_static<Policy::kDamC>(0, Priority::kLow, 3));
-  }
-}
-BENCHMARK(BM_DispatchOnReadyFused);
-
 void BM_DispatchOnExecuteDynamic(benchmark::State& state) {
   const Topology topo = Topology::tx2();
   PttStore store(topo, 1);
@@ -149,22 +134,9 @@ void BM_DispatchOnExecuteDynamic(benchmark::State& state) {
 }
 BENCHMARK(BM_DispatchOnExecuteDynamic);
 
-void BM_DispatchOnExecuteFused(benchmark::State& state) {
-  const Topology topo = Topology::tx2();
-  PttStore store(topo, 1);
-  for (int pid = 0; pid < topo.num_places(); ++pid)
-    store.table(0).update(pid, 1e-3 + pid * 1e-5);
-  PolicyEngine eng(Policy::kDamC, topo, &store);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        eng.on_execute_static<Policy::kDamC>(0, Priority::kLow, 3));
-  }
-}
-BENCHMARK(BM_DispatchOnExecuteFused);
-
 void BM_DispatchCostEvalErased(benchmark::State& state) {
-  // The pre-fusion hot path: every cost evaluation goes through the
-  // type-erased CostFn (a std::function wrapping CostExprFn).
+  // Every cost evaluation through the type-erased CostFn (a std::function
+  // wrapping CostExprFn): the path a kCallable type takes.
   const Topology topo = Topology::tx2();
   TaskTypeRegistry reg;
   const kernels::PaperKernelIds ids = kernels::register_paper_kernels(reg);
@@ -183,7 +155,7 @@ void BM_DispatchCostEvalErased(benchmark::State& state) {
 BENCHMARK(BM_DispatchCostEvalErased);
 
 void BM_DispatchCostEvalExpr(benchmark::State& state) {
-  // The fused loops' evaluation: the identical arithmetic, inlined.
+  // The engines' evaluation: the identical arithmetic, inlined.
   const Topology topo = Topology::tx2();
   TaskTypeRegistry reg;
   const kernels::PaperKernelIds ids = kernels::register_paper_kernels(reg);
@@ -202,7 +174,7 @@ void BM_DispatchCostEvalExpr(benchmark::State& state) {
 BENCHMARK(BM_DispatchCostEvalExpr);
 
 void BM_DispatchCostEvalFixed(benchmark::State& state) {
-  // The kFixed instantiation's evaluation: one load. The floor the
+  // A kFixed expression's evaluation: one load. The floor the
   // scheduler-overhead benches (grain 0) run on.
   TaskTypeRegistry reg;
   const TaskTypeId fixed =

@@ -121,10 +121,10 @@ int main(int argc, char** argv) {
   // cycle is scheduling machinery. One registered type serves both engines —
   // the closure drives rt, the cost model drives the DES. At grain 0 the
   // cost is the constant 1e-9 (exactly what the lambda would compute), so
-  // registering through the fixed-cost factory lets the engines take their
-  // fused kFixed loop — the overhead floor this bench exists to measure.
-  // A positive grain divides by q.speed and must stay a callable, which
-  // correctly demotes dispatch to the generic loop.
+  // registering through the fixed-cost factory lets the DES evaluate the
+  // closed form inline instead of calling through the std::function — the
+  // overhead floor this bench exists to measure. A positive grain divides by
+  // q.speed and must stay a callable.
   const double grain_s = static_cast<double>(grain_ns) * 1e-9;
   const TaskTypeId empty_id =
       grain_ns == 0

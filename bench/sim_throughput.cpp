@@ -33,13 +33,6 @@
 //                           layer, maximal fan-out — the shape that made
 //                           the old per-core vector queues quadratic).
 //                           Default: auto,fanout
-//   --dispatch=MODE[,MODE]  fused (default: let the engine pick its fused
-//                           (policy x cost-model) loop), generic (pin
-//                           SimOptions::force_generic_dispatch — the
-//                           type-erased fallback), or both. Generic cells
-//                           get a "/dispatch=generic" label suffix, so the
-//                           default labels (and the checked-in baseline)
-//                           are unchanged.
 //   --ranks=N[,N...]        scheduling domains per cell (default 1). For
 //                           N > 1 each rank gets its own --cores-wide
 //                           symmetric topology and the layered DAG is
@@ -165,15 +158,14 @@ int main(int argc, char** argv) {
       flags,
       " --policy=NAME[,..] --scenario=N|FILE --json=PATH --seed=N"
       " --cores=N[,N...] --tasks=N[,N...] --jobs=N"
-      " --parallelism=P[,P...]|auto|fanout --dispatch=fused|generic|both"
+      " --parallelism=P[,P...]|auto|fanout"
       " --ranks=N[,N...] --des-threads=N[,N...]|auto"
       " --baseline=PATH --update-baseline --tolerance=F"
       " (sim-only: no --backend/--scale)");
   cli::require_no_positionals(flags);
   flags.require_known({"policy", "scenario", "json", "seed", "help", "cores",
-                       "tasks", "jobs", "parallelism", "dispatch", "ranks",
-                       "des-threads", "baseline", "update-baseline",
-                       "tolerance"});
+                       "tasks", "jobs", "parallelism", "ranks", "des-threads",
+                       "baseline", "update-baseline", "tolerance"});
 
   Bench b("sim_throughput");
   b.backend = Backend::kSim;
@@ -219,15 +211,6 @@ int main(int argc, char** argv) {
     }
   }
   if (par_sweep.empty()) cli::die("--parallelism must name at least one value");
-  // Dispatch modes: false = fused (engine default), true = force generic.
-  std::vector<bool> dispatch_sweep;
-  {
-    const std::string mode = flags.get("dispatch", "fused");
-    if (mode == "fused") dispatch_sweep = {false};
-    else if (mode == "generic") dispatch_sweep = {true};
-    else if (mode == "both") dispatch_sweep = {false, true};
-    else cli::die("--dispatch expects fused, generic or both, got '" + mode + "'");
-  }
   const auto ranks_sweep = parse_int_list(flags, "ranks", {1});
   // des-threads entries: positive thread counts, -1 = auto (hardware
   // concurrency; the engine clamps to the rank count either way).
@@ -263,10 +246,8 @@ int main(int argc, char** argv) {
 
   // Empty kernel: with ~zero virtual work per task the wall clock measures
   // the event machinery, not the cost model. Registered through the fixed-
-  // cost factory (not a bare lambda) so the registry classifies as
-  // CostClass::kFixed and the engine's fused loop engages — the
-  // configuration the headline events/s figure is quoted for;
-  // --dispatch=generic pins the type-erased fallback for comparison.
+  // cost factory (not a bare lambda) so the engine evaluates the closed
+  // form inline instead of calling through the std::function.
   const TaskTypeId empty_id =
       b.registry.register_type("empty", kernels::fixed_cost(1e-9));
 
@@ -286,7 +267,6 @@ int main(int argc, char** argv) {
           b.make_scenario(topo, [](SpeedScenario&) {});  // default: clean
       for (const std::int64_t tasks : tasks_sweep) {
        for (const std::int64_t par : par_sweep) {
-       for (const bool force_generic : dispatch_sweep) {
        for (const std::int64_t ranks_n : ranks_sweep) {
        for (const int des_req : des_sweep) {
         // A single rank has nothing to thread: one serial cell per shape.
@@ -310,7 +290,6 @@ int main(int argc, char** argv) {
 
         sim::SimOptions opts;
         opts.seed = b.seed;
-        opts.force_generic_dispatch = force_generic;
         opts.des_threads = des_threads;
         // The historical single-rank ctor stays on the ranks=1 path so the
         // default cells (and the checked-in baseline labels) keep measuring
@@ -345,16 +324,14 @@ int main(int argc, char** argv) {
           rank_eps.push_back(static_cast<double>(eng.events_processed(r)) /
                              wall_s);
 
-        // Non-default modes carry label suffixes; the default (fused,
-        // single-rank, serial) labels are unchanged so existing baselines
-        // keep matching.
+        // Non-default modes carry label suffixes; the default (single-rank,
+        // serial) labels are unchanged so existing baselines keep matching.
         const std::string label =
             std::string("sim/") + policy_name(policy) + "/" +
             b.scenario_name() + "/cores=" + std::to_string(cores) +
             "/tasks=" + std::to_string(tasks) +
             "/p=" + std::to_string(spec.parallelism) +
             "/jobs=" + std::to_string(jobs) +
-            (force_generic ? "/dispatch=generic" : "") +
             (ranks_n > 1 ? "/ranks=" + std::to_string(ranks_n) : "") +
             (des_req != 1
                  ? std::string("/des=") +
@@ -382,7 +359,6 @@ int main(int argc, char** argv) {
         rec.set("policy", policy_name(policy));
         rec.set("backend", "sim");
         rec.set("scenario", b.scenario_name());
-        rec.set("dispatch", eng.dispatch_variant());
         rec.set("seed", b.seed);
         rec.set("cores", cores);
         rec.set("tasks_swept", tasks);
@@ -421,7 +397,6 @@ int main(int argc, char** argv) {
             .add(speedup > 0.0 ? fmt_double(speedup, 2) + "x"
                                : std::string("-"))
             .add(dag_build_s, 4);
-       }
        }
        }
        }

@@ -4,16 +4,15 @@
 // This is the single implementation of the kernel catalog's cost
 // arithmetic: the factories in src/kernels/cost_models.cpp wrap these same
 // evaluations in a CostExprFn and hand THAT to the type-erased CostFn, so
-// the generic std::function path and a fused engine loop calling
-// cost_expr_eval directly execute the identical operation sequence —
-// bit-for-bit equal doubles, which is what lets the sim-determinism goldens
-// pin both dispatch paths with one table. (No re-association happens at the
-// default build flags; the expressions below must stay textually in the
-// documented evaluation order.)
+// a call through the std::function and an engine calling cost_expr_eval
+// directly execute the identical operation sequence — bit-for-bit equal
+// doubles. (No re-association happens at the default build flags; the
+// expressions below must stay textually in the documented evaluation
+// order.)
 //
-// The engines consult CostExpr::Kind at dispatch-selection time: a registry
-// whose task types all carry a closed form gets the fused loop; a single
-// kCallable type (user-supplied lambda) falls back to generic dispatch.
+// Both engines evaluate costs through cost_eval below: the closed form
+// inline when the type has one, the std::function only for a kCallable
+// type (a user-supplied lambda).
 
 #include <algorithm>
 #include <cmath>
@@ -22,8 +21,6 @@
 #include "util/assert.hpp"
 
 namespace das {
-
-enum class Policy : std::uint8_t;  // core/policy.hpp
 
 namespace detail {
 
@@ -150,8 +147,8 @@ inline double cost_expr_eval(const CostExpr& e, const TaskParams& p,
 }
 
 /// Evaluates through the expression when one exists, the callable otherwise
-/// — the engines' generic (non-fused) cost path still skips the
-/// std::function indirection for catalog-built types.
+/// — the engines' cost path, which skips the std::function indirection for
+/// catalog-built types.
 inline double cost_eval(const TaskTypeInfo& info, const TaskParams& p,
                         const CostQuery& q) {
   return info.expr.kind == CostExpr::Kind::kCallable ? info.cost(p, q)
@@ -161,60 +158,12 @@ inline double cost_eval(const TaskTypeInfo& info, const TaskParams& p,
 /// The functor the kernel factories wrap into CostFn. register_type
 /// recognises it via std::function::target<CostExprFn>() and copies the
 /// expression into TaskTypeInfo::expr — registration sites need no change
-/// to opt into fused dispatch.
+/// to get the inline evaluation.
 struct CostExprFn {
   CostExpr expr;
   double operator()(const TaskParams& p, const CostQuery& q) const {
     return cost_expr_eval(expr, p, q);
   }
 };
-
-/// Registry-wide cost-model classification, consulted at dispatch-selection
-/// time (sim::SimEngine::refresh_dispatch, exec::plan_dispatch): the fused
-/// loops are instantiated per (policy, CostClass), with kFixed getting its
-/// own instantiation because the constant-cost form reduces the whole cost
-/// evaluation to one load — the regime the scheduler-overhead benches run in.
-enum class CostClass : std::uint8_t {
-  kFixed,       ///< every executable type is a kFixed constant
-  kClosedForm,  ///< every executable type carries a closed form
-  kCallable,    ///< some type needs the std::function escape hatch
-};
-
-/// Classifies every EXECUTABLE type of the registry (a type with neither a
-/// callable nor a closed form cannot run on the DES at all — submit rejects
-/// DAGs naming it — so it does not demote dispatch).
-inline CostClass classify_cost_models(const TaskTypeRegistry& reg) {
-  CostClass cls = CostClass::kFixed;
-  for (TaskTypeId id = 0; id < reg.size(); ++id) {
-    const TaskTypeInfo& t = reg.info(id);
-    if (t.expr.kind == CostExpr::Kind::kCallable) {
-      if (!t.cost) continue;
-      return CostClass::kCallable;
-    }
-    if (t.expr.kind != CostExpr::Kind::kFixed) cls = CostClass::kClosedForm;
-  }
-  return cls;
-}
-
-/// Canonical label of a fused (policy x cost-class) engine instantiation —
-/// what SimEngine::dispatch_variant() reports and the determinism test
-/// asserts engaged. Precondition: cls is not kCallable (that is "generic").
-const char* fused_variant_name(Policy policy, CostClass cls);
-
-/// Human-readable tag, for dispatch introspection and bench labels.
-inline const char* cost_expr_kind_name(CostExpr::Kind k) {
-  switch (k) {
-    case CostExpr::Kind::kCallable: return "callable";
-    case CostExpr::Kind::kMatMul: return "matmul";
-    case CostExpr::Kind::kCopy: return "copy";
-    case CostExpr::Kind::kStencil: return "stencil";
-    case CostExpr::Kind::kHeatBand: return "heat-band";
-    case CostExpr::Kind::kFixed: return "fixed";
-    case CostExpr::Kind::kComm: return "comm";
-    case CostExpr::Kind::kKmeansMap: return "kmeans-map";
-    case CostExpr::Kind::kKmeansReduce: return "kmeans-reduce";
-  }
-  return "?";
-}
 
 }  // namespace das

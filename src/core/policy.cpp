@@ -107,42 +107,6 @@ int PolicyEngine::round_robin_fast_core() {
   return fast_cores_[n % fast_cores_.size()];
 }
 
-// The dynamic hooks are ONE switch over the static instantiations
-// (policy.hpp): any behaviour change lands in both dispatch paths at once,
-// which is what lets the determinism goldens pin fused == generic.
-
-WakeDecision PolicyEngine::on_ready(TaskTypeId type, Priority priority,
-                                    int waking_core) {
-  switch (policy_) {
-    case Policy::kRws:
-      return on_ready_static<Policy::kRws>(type, priority, waking_core);
-    case Policy::kRwsmC:
-      return on_ready_static<Policy::kRwsmC>(type, priority, waking_core);
-    case Policy::kFa:
-      return on_ready_static<Policy::kFa>(type, priority, waking_core);
-    case Policy::kFamC:
-      return on_ready_static<Policy::kFamC>(type, priority, waking_core);
-    case Policy::kDa:
-      return on_ready_static<Policy::kDa>(type, priority, waking_core);
-    case Policy::kDamC:
-      return on_ready_static<Policy::kDamC>(type, priority, waking_core);
-    case Policy::kDamP:
-      return on_ready_static<Policy::kDamP>(type, priority, waking_core);
-    case Policy::kDheft:
-      return on_ready_static<Policy::kDheft>(type, priority, waking_core);
-  }
-  return on_ready_static<Policy::kRws>(type, priority, waking_core);
-}
-
-ExecutionPlace PolicyEngine::on_execute(TaskTypeId type, Priority priority,
-                                        int core) {
-  // Only the moldability trait matters here; two instantiations cover all
-  // eight policies.
-  if (policy_moldable(policy_))
-    return on_execute_static<Policy::kDamC>(type, priority, core);
-  return on_execute_static<Policy::kRws>(type, priority, core);
-}
-
 ExecutionPlace PolicyEngine::local_search(TaskTypeId type, int core) {
   // Algorithm 1, line 4: keep the resource partition and core fixed, mold
   // only the width; minimise predicted time x width (parallel cost).
@@ -220,17 +184,6 @@ void PolicyEngine::dheft_drain(const ExecutionPlace& place, double seconds) {
   do {
     next = std::max(cur - seconds, 0.0);
   } while (!r.compare_exchange_weak(cur, next, std::memory_order_relaxed));
-}
-
-void PolicyEngine::record_sample(TaskTypeId type, const ExecutionPlace& place,
-                                 double seconds) {
-  // Only the uses_ptt trait and the dHEFT drain matter; three
-  // instantiations cover all eight policies.
-  if (policy_ == Policy::kDheft)
-    return record_sample_static<Policy::kDheft>(type, place, seconds);
-  if (traits_.uses_ptt)
-    return record_sample_static<Policy::kDamC>(type, place, seconds);
-  return record_sample_static<Policy::kRws>(type, place, seconds);
 }
 
 }  // namespace das

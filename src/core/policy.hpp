@@ -69,8 +69,6 @@ struct PolicyTraits {
   bool uses_ptt;                   // needs the performance model
   bool priority_aware;             // treats high-priority tasks specially
 };
-/// constexpr so the static-dispatch hooks below can branch on traits at
-/// compile time (if constexpr (policy_traits(P).uses_ptt) ...).
 constexpr PolicyTraits policy_traits(Policy p) {
   switch (p) {
     case Policy::kRws:
@@ -94,30 +92,11 @@ constexpr PolicyTraits policy_traits(Policy p) {
 }
 
 /// Whether the policy molds widths at dequeue time (the on_execute local
-/// search); derived, but named — both static and dynamic dispatch key on it.
+/// search).
 constexpr bool policy_moldable(Policy p) {
   return p == Policy::kRwsmC || p == Policy::kFamC || p == Policy::kDamC ||
          p == Policy::kDamP;
 }
-
-/// Compile-time policy tags: one empty type per Table-1 row (plus the dHEFT
-/// baseline). The engines instantiate their hot loops over these tags so
-/// the three scheduling hooks inline and the per-event policy switch
-/// disappears; the untagged PolicyEngine methods remain the type-erased
-/// generic fallback and dispatch to the SAME static implementations, so the
-/// two paths cannot diverge.
-template <Policy P>
-struct PolicyTag {
-  static constexpr Policy kPolicy = P;
-};
-using RwsTag = PolicyTag<Policy::kRws>;
-using RwsmCTag = PolicyTag<Policy::kRwsmC>;
-using FaTag = PolicyTag<Policy::kFa>;
-using FamCTag = PolicyTag<Policy::kFamC>;
-using DaTag = PolicyTag<Policy::kDa>;
-using DamCTag = PolicyTag<Policy::kDamC>;
-using DamPTag = PolicyTag<Policy::kDamP>;
-using DheftTag = PolicyTag<Policy::kDheft>;
 
 struct WakeDecision {
   int queue_core = 0;       ///< worker whose queue receives the task
@@ -157,25 +136,6 @@ class PolicyEngine {
   /// Folds an observed task span into the model (no-op for RWS / FA).
   void record_sample(TaskTypeId type, const ExecutionPlace& place, double seconds);
 
-  // --- static-dispatch twins -------------------------------------------------
-  // Same three hooks with the policy resolved at compile time: the per-call
-  // policy switch folds away and the trivial bodies (RWS/FA wake-up, the
-  // non-moldable width-1 on_execute, the PTT-less record_sample) inline
-  // into the fused engine loops. All shared state (tie/RR counters, RNG
-  // stream, PTT, dHEFT reservations) is the same object the dynamic hooks
-  // use, and the dynamic hooks are one switch over these instantiations —
-  // a single implementation, so static and dynamic dispatch are equal by
-  // construction (the sim goldens pin it bitwise).
-
-  template <Policy P>
-  WakeDecision on_ready_static(TaskTypeId type, Priority priority,
-                               int waking_core);
-  template <Policy P>
-  ExecutionPlace on_execute_static(TaskTypeId type, Priority priority, int core);
-  template <Policy P>
-  void record_sample_static(TaskTypeId type, const ExecutionPlace& place,
-                            double seconds);
-
   // Exposed for tests and analysis ------------------------------------------
   enum class Objective { kCost, kTime };
   /// The min-search of Algorithm 1 over an explicit candidate set, with the
@@ -209,134 +169,82 @@ class PolicyEngine {
   std::unique_ptr<std::atomic<double>[]> reserved_;
 };
 
-// --- static-hook definitions -------------------------------------------------
-// Kept in the header so the fused engine instantiations inline them. The
-// searches / round-robin / dHEFT helpers stay out-of-line in policy.cpp:
-// they are the genuinely expensive branches, and keeping them there keeps
-// the relaxed-atomic counters inside the lint whitelist.
+// --- hook definitions --------------------------------------------------------
+// Inline so the engines' dispatch loops fold the per-call policy switch and
+// the trivial bodies (RWS/FA wake-up, the non-moldable width-1 on_execute,
+// the PTT-less record_sample) into the caller. The searches, round-robin and
+// dHEFT helpers stay out of line in policy.cpp: they are the genuinely
+// expensive branches, and keeping them there keeps the relaxed-atomic
+// counters inside the lint whitelist.
 
-template <Policy P>
-inline WakeDecision PolicyEngine::on_ready_static(TaskTypeId type,
-                                                  Priority priority,
-                                                  int waking_core) {
+inline WakeDecision PolicyEngine::on_ready(TaskTypeId type, Priority priority,
+                                           int waking_core) {
   DAS_CHECK(waking_core >= 0 && waking_core < topo_->num_cores());
 
-  if constexpr (P == Policy::kDheft) {
+  if (policy_ == Policy::kDheft) {
     // dHEFT centrally places EVERY task (priority plays no role) and does
     // not allow stealing to second-guess the placement.
     const ExecutionPlace p = dheft_place(type);
     return WakeDecision{p.leader, /*stealable=*/false, true, p};
-  } else if constexpr (!policy_traits(P).priority_aware) {
-    // ALL tasks under the priority-oblivious schedulers stay on the waking
-    // core's queue to preserve data reuse across dependent tasks (paper
-    // §3.2); idle workers may steal them.
-    (void)type;
-    (void)priority;
+  }
+  // ALL tasks under the priority-oblivious schedulers, and low-priority
+  // tasks under every other one, stay on the waking core's queue to
+  // preserve data reuse across dependent tasks (paper §3.2); idle workers
+  // may steal them.
+  if (!traits_.priority_aware || priority == Priority::kLow)
     return WakeDecision{waking_core, /*stealable=*/true, false, {}};
-  } else {
-    // Low-priority tasks stay local under every scheduler (see above).
-    if (priority == Priority::kLow)
-      return WakeDecision{waking_core, /*stealable=*/true, false, {}};
-    const bool exempt = options_.steal_exempt_high_priority;
-    if constexpr (P == Policy::kFa) {
+  const bool exempt = options_.steal_exempt_high_priority;
+  ExecutionPlace p{};
+  switch (policy_) {
+    case Policy::kFa:
       // Statically-fast cores, round-robin, width 1 (CATS-style).
-      const int core = round_robin_fast_core();
-      return WakeDecision{core, !exempt, true, ExecutionPlace{core, 1}};
-    } else if constexpr (P == Policy::kFamC) {
+      p = ExecutionPlace{round_robin_fast_core(), 1};
+      break;
+    case Policy::kFamC:
       // FA's strict mapping to the statically-fast cores (round-robin),
       // plus moldability: the width is chosen by the local cost search at
       // the assigned core. Note the core choice itself stays PTT-blind —
       // that is what keeps half the criticals on a perturbed fast core in
       // the paper's Fig. 5(d) (35% (C0,1) / 48% (C1,1) / 17% (C0,2)).
-      const int core = round_robin_fast_core();
-      const ExecutionPlace p =
-          search(type, topo_->local_places(core), Objective::kCost);
-      return WakeDecision{p.leader, !exempt, true, p};
-    } else if constexpr (P == Policy::kDa) {
+      p = search(type, topo_->local_places(round_robin_fast_core()),
+                 Objective::kCost);
+      break;
+    case Policy::kDa:
       // Global search over single cores for the best predicted time.
-      const ExecutionPlace p =
-          search(type, topo_->width1_places(), Objective::kTime);
-      return WakeDecision{p.leader, !exempt, true, p};
-    } else if constexpr (P == Policy::kDamC) {
+      p = search(type, topo_->width1_places(), Objective::kTime);
+      break;
+    case Policy::kDamC:
       // Global search minimising PTT(c,w) * w (Algorithm 1, line 8).
-      const ExecutionPlace p = search(type, topo_->places(), Objective::kCost);
-      return WakeDecision{p.leader, !exempt, true, p};
-    } else {
-      static_assert(P == Policy::kDamP, "unhandled priority-aware policy");
+      p = search(type, topo_->places(), Objective::kCost);
+      break;
+    case Policy::kDamP:
       // Global search minimising PTT(c,w) (Algorithm 1, line 11).
-      const ExecutionPlace p = search(type, topo_->places(), Objective::kTime);
-      return WakeDecision{p.leader, !exempt, true, p};
-    }
+      p = search(type, topo_->places(), Objective::kTime);
+      break;
+    case Policy::kRws:
+    case Policy::kRwsmC:
+    case Policy::kDheft:
+      DAS_ASSERT(!"handled above");
+      break;
   }
+  return WakeDecision{p.leader, !exempt, true, p};
 }
 
-template <Policy P>
-inline ExecutionPlace PolicyEngine::on_execute_static(TaskTypeId type,
-                                                      Priority priority,
-                                                      int core) {
+inline ExecutionPlace PolicyEngine::on_execute(TaskTypeId type,
+                                               Priority priority, int core) {
   DAS_CHECK(core >= 0 && core < topo_->num_cores());
   (void)priority;  // high-priority tasks with fixed places never reach here
-  if constexpr (policy_moldable(P)) {
-    return local_search(type, core);
-  } else {
-    // Non-moldable schedulers always run where they dequeue, width 1.
-    (void)type;
-    return ExecutionPlace{core, 1};
-  }
+  if (policy_moldable(policy_)) return local_search(type, core);
+  // Non-moldable schedulers always run where they dequeue, width 1.
+  return ExecutionPlace{core, 1};
 }
 
-template <Policy P>
-inline void PolicyEngine::record_sample_static(TaskTypeId type,
-                                               const ExecutionPlace& place,
-                                               double seconds) {
-  if constexpr (!policy_traits(P).uses_ptt) {
-    (void)type;
-    (void)place;
-    (void)seconds;
-  } else {
-    ptt_->table(type).update(place, seconds);
-    if constexpr (P == Policy::kDheft) dheft_drain(place, seconds);
-  }
+inline void PolicyEngine::record_sample(TaskTypeId type,
+                                        const ExecutionPlace& place,
+                                        double seconds) {
+  if (!traits_.uses_ptt) return;
+  ptt_->table(type).update(place, seconds);
+  if (policy_ == Policy::kDheft) dheft_drain(place, seconds);
 }
-
-// --- engine-facing hook adapters ---------------------------------------------
-// The execution engines template their hot loops over one of these: the
-// static adapter binds a PolicyTag so the hooks above inline; the dynamic
-// adapter calls the runtime-dispatched methods and serves as the generic
-// fallback (unknown future policies, forced-generic runs, A/B checks).
-
-struct DynamicPolicyHooks {
-  static constexpr bool kStatic = false;
-  static WakeDecision on_ready(PolicyEngine& pe, TaskTypeId type,
-                               Priority priority, int waking_core) {
-    return pe.on_ready(type, priority, waking_core);
-  }
-  static ExecutionPlace on_execute(PolicyEngine& pe, TaskTypeId type,
-                                   Priority priority, int core) {
-    return pe.on_execute(type, priority, core);
-  }
-  static void record_sample(PolicyEngine& pe, TaskTypeId type,
-                            const ExecutionPlace& place, double seconds) {
-    pe.record_sample(type, place, seconds);
-  }
-};
-
-template <class Tag>
-struct StaticPolicyHooks {
-  static constexpr bool kStatic = true;
-  static constexpr Policy kPolicy = Tag::kPolicy;
-  static WakeDecision on_ready(PolicyEngine& pe, TaskTypeId type,
-                               Priority priority, int waking_core) {
-    return pe.on_ready_static<kPolicy>(type, priority, waking_core);
-  }
-  static ExecutionPlace on_execute(PolicyEngine& pe, TaskTypeId type,
-                                   Priority priority, int core) {
-    return pe.on_execute_static<kPolicy>(type, priority, core);
-  }
-  static void record_sample(PolicyEngine& pe, TaskTypeId type,
-                            const ExecutionPlace& place, double seconds) {
-    pe.record_sample_static<kPolicy>(type, place, seconds);
-  }
-};
 
 }  // namespace das

@@ -14,7 +14,7 @@ TaskTypeId TaskTypeRegistry::register_type(TaskTypeInfo info) {
   // Recover the closed form from factory-built models: the kernel factories
   // wrap a CostExprFn, which the type-erased CostFn can surface again. A
   // hand-written lambda has no CostExprFn target and stays kCallable — the
-  // engines then keep generic dispatch for any DAG using this type.
+  // engines then call it through the std::function.
   if (info.expr.kind == CostExpr::Kind::kCallable && info.cost) {
     if (const CostExprFn* f = info.cost.target<CostExprFn>()) info.expr = f->expr;
   }

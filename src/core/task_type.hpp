@@ -51,15 +51,14 @@ struct CostQuery {
 /// Seconds of busy time for the queried participant.
 using CostFn = std::function<double(const TaskParams&, const CostQuery&)>;
 
-/// Tagged, inlinable cost-model expression — the static-dispatch fast path
-/// past the type-erased CostFn. Every analytic model the kernel catalog
-/// registers (src/kernels/cost_models.cpp) is one of these closed forms;
-/// the payload holds the factory's calibration constants and
-/// core/cost_expr.hpp evaluates the form with arithmetic identical to the
-/// original lambda, so a fused engine loop computes bit-for-bit the same
-/// doubles as the generic std::function path. kCallable marks a
-/// user-supplied model with no expression — the escape hatch the engines
-/// fall back to generic dispatch for.
+/// Tagged, inlinable cost-model expression — the fast path past the
+/// type-erased CostFn. Every analytic model the kernel catalog registers
+/// (src/kernels/cost_models.cpp) is one of these closed forms; the payload
+/// holds the factory's calibration constants and core/cost_expr.hpp
+/// evaluates the form with arithmetic identical to the original lambda, so
+/// the engines compute bit-for-bit the same doubles as a call through the
+/// std::function. kCallable marks a user-supplied model with no expression
+/// — the escape hatch the engines call through the CostFn.
 struct CostExpr {
   enum class Kind : std::uint8_t {
     kCallable = 0,  ///< no closed form: evaluate TaskTypeInfo::cost

@@ -113,7 +113,6 @@ sim::SimOptions to_sim_options(const ExecutorConfig& cfg) {
   o.completion_overhead_s = cfg.sim.completion_overhead_s;
   o.idle_wake_delay_s = cfg.sim.idle_wake_delay_s;
   o.noise = cfg.sim.noise;
-  o.force_generic_dispatch = cfg.sim.force_generic_dispatch;
   o.des_threads = cfg.sim.des_threads;
   return o;
 }
@@ -144,9 +143,6 @@ class SimExecutor final : public Executor {
   }
 
   Backend backend() const override { return Backend::kSim; }
-  const char* dispatch_variant() const override {
-    return engine_.dispatch_variant();
-  }
   int num_ranks() const override { return engine_.num_ranks(); }
   const Topology& topology(int rank = 0) const override {
     return engine_.stats(rank).topology();
@@ -237,9 +233,6 @@ class RtExecutor final : public Executor {
   }
 
   Backend backend() const override { return Backend::kRt; }
-  const char* dispatch_variant() const override {
-    return runtime_.dispatch_variant();
-  }
   int num_ranks() const override { return 1; }
   const Topology& topology(int rank = 0) const override {
     DAS_CHECK(rank == 0);

@@ -148,11 +148,6 @@ struct ExecutorConfig {
     double idle_wake_delay_s = ::das::sim::SimOptions{}.idle_wake_delay_s;
     /// Lognormal measurement noise.
     bool noise = ::das::sim::SimOptions{}.noise;
-    /// Pin the DES to the type-erased generic loop even when the registry
-    /// qualifies for a fused instantiation (exec/fused.hpp) — the A/B lever
-    /// of the determinism test and the dispatch-cost benches. Identical
-    /// results either way, by construction.
-    bool force_generic_dispatch = ::das::sim::SimOptions{}.force_generic_dispatch;
     /// Worker threads for multi-rank DES runs (conservative parallel
     /// windows, sim/engine.hpp). <= 1 keeps the protocol on the calling
     /// thread; results are bitwise identical either way. Ignored by the rt
@@ -197,10 +192,6 @@ class ExecutorConfig::Builder {
     return *this;
   }
   Builder& sim_noise(bool v) { cfg_.sim.noise = v; return *this; }
-  Builder& sim_force_generic_dispatch(bool v) {
-    cfg_.sim.force_generic_dispatch = v;
-    return *this;
-  }
   Builder& sim_des_threads(int v) { cfg_.sim.des_threads = v; return *this; }
   Builder& sim_overheads(double dispatch_s, double steal_s, double completion_s,
                          double idle_wake_s) {
@@ -264,9 +255,6 @@ struct RunResult {
   /// reached the engine: makespan_s/tasks_per_s are 0 and stats are empty.
   Outcome outcome = Outcome::kOk;
   bool ok() const { return outcome == Outcome::kOk; }
-  [[deprecated("read RunResult::outcome — rejected() only covers one of the "
-               "three non-kOk outcomes")]]
-  bool rejected() const { return outcome == Outcome::kRejected; }
   /// Engine-cumulative count of tasks re-executed after fail-stop faults
   /// reclaimed their first attempt, snapshotted when this job was waited
   /// (0 on a healthy run; monotone across jobs on the same executor).
@@ -328,15 +316,6 @@ class Executor {
   /// with a wall-clock timer thread in the service layer.
   JobId submit(const Dag& dag, const SubmitOptions& opts);
 
-  [[deprecated(
-      "use submit(dag, SubmitOptions{...}) — or open_session() for "
-      "multi-tenant streams")]]
-  JobId submit(const Dag& dag, double arrival_offset_s) {
-    SubmitOptions opts;
-    opts.arrival_offset_s = arrival_offset_s;
-    return submit(dag, opts);
-  }
-
   /// Blocks until job `id` completes (or its rejection is recorded);
   /// returns its structured result (makespan_s = release -> completion
   /// latency). Claims the job: each job can be waited exactly once, and
@@ -387,12 +366,6 @@ class Executor {
 
   virtual Backend backend() const = 0;
   Policy policy_kind() const { return policy_kind_; }
-  /// Which hot loop the engine runs: a fused (policy x cost-model)
-  /// instantiation label ("fused:DAM-C/expr" on sim, "fused:DAM-C" on rt)
-  /// or "generic" (user std::function cost model, or
-  /// sim.force_generic_dispatch). exec/fused.hpp::plan_dispatch predicts
-  /// this value without building an executor.
-  virtual const char* dispatch_variant() const = 0;
   virtual int num_ranks() const = 0;
   virtual const Topology& topology(int rank = 0) const = 0;
   /// Seconds on the engine's scenario clock: virtual time for the DES, wall

@@ -4,13 +4,12 @@
 #include "util/assert.hpp"
 
 // Each factory builds the tagged closed form (core/task_type.hpp) and wraps
-// it in a CostExprFn, so the returned CostFn and a fused engine loop
-// evaluating the expression directly share ONE implementation of the
-// arithmetic (core/cost_expr.hpp) — bitwise-identical results on both
-// dispatch paths, and register_type can recover the expression from the
-// CostFn without any change at the registration sites. The per-kernel model
-// documentation lives with the evaluation in cost_expr.hpp and the header
-// comments here.
+// it in a CostExprFn, so the returned CostFn and an engine evaluating the
+// expression directly share ONE implementation of the arithmetic
+// (core/cost_expr.hpp) — bitwise-identical results either way, and
+// register_type can recover the expression from the CostFn without any
+// change at the registration sites. The per-kernel model documentation
+// lives with the evaluation in cost_expr.hpp and the header comments here.
 
 namespace das::kernels {
 

@@ -22,15 +22,14 @@
 //
 // TaskParams conventions per kernel are documented at each factory.
 //
-// Static dispatch: every factory below returns its CostFn wrapped around a
+// Closed forms: every factory below returns its CostFn wrapped around a
 // tagged CostExpr (core/task_type.hpp) — a closed-form payload of the
 // calibration constants that core/cost_expr.hpp evaluates inline with the
 // identical arithmetic. TaskTypeRegistry::register_type recovers the
 // expression from the CostFn automatically, which is what lets the engines
-// select a fused (policy x cost-kind) loop for catalog-built registries
-// while a hand-written lambda cost model keeps the generic std::function
-// path. Both paths produce bitwise-identical costs by construction (one
-// shared implementation), pinned by the sim-determinism goldens.
+// skip the std::function for catalog-built types while a hand-written
+// lambda cost model still goes through it. Both produce bitwise-identical
+// costs by construction (one shared implementation).
 
 #include "core/task_type.hpp"
 

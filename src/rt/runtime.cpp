@@ -23,7 +23,6 @@ Runtime::Runtime(const Topology& topo, Policy policy,
   }
   for (const ExecutionPlace& p : topo.places())
     max_place_width_ = std::max(max_place_width_, p.width);
-  bind_progress();  // before the workers spawn: they read progress_fn_ raw
 
   const int n = topo.num_cores();
   // The rule the threaded DES uses for its protocol threads: poll before

@@ -165,12 +165,6 @@ class Runtime {
   /// completed? The timed waits of Executor::wait_for poll this between
   /// parks instead of committing to the blocking wait().
   bool job_done(JobId id) const;
-  /// Which dequeue/execute loop the workers run: a per-policy fused
-  /// instantiation ("fused:DAM-C") whose scheduling hooks inline into the
-  /// progress round, or "generic" (an unrecognised future policy). Cost
-  /// models always evaluate through the expression fast path when one
-  /// exists (core/cost_expr.hpp); behaviour is identical either way.
-  const char* dispatch_variant() const { return dispatch_variant_; }
   /// Workers currently parked on their eventcount (advisory snapshot; the
   /// starved-pool tests use it to observe that idle workers sleep instead
   /// of spinning).
@@ -297,34 +291,22 @@ class Runtime {
 
   // worker.cpp
   void worker_loop(int core);
-  /// Steady-state progress round, templated over a policy-hook adapter
-  /// (core/policy.hpp) so the scheduling hooks inline into the dequeue loop.
-  /// worker_loop dispatches through progress_fn_, bound to the policy's
-  /// fused instantiation at construction (bind_progress); the
-  /// DynamicPolicyHooks instantiation IS the generic fallback — one
-  /// implementation, two dispatch depths.
-  template <class Hooks> bool try_make_progress_t(int core);
-  template <class Hooks> void participate_t(int core, TaskRec* task);
+  /// Steady-state progress round: one pass over this worker's channels and
+  /// a steal attempt. The policy hooks (core/policy.hpp) are inline, so they
+  /// fold into the round.
+  bool try_make_progress(int core);
+  void participate(int core, TaskRec* task);
   /// Executes the node's work (or emulates its cost model), applies the
   /// scenario throttle, records busy time; returns this participant's busy
   /// nanoseconds.
   std::int64_t run_work(int core, TaskRec* task, int rank);
   /// Last-finisher tail: wake dependents, retire the task from its job.
-  template <class Hooks> void finish_last_t(int core, TaskRec* task);
-  template <class Hooks>
-  void distribute_t(int core, TaskRec* task, const ExecutionPlace& place);
+  void finish_last(int core, TaskRec* task);
+  void distribute(int core, TaskRec* task, const ExecutionPlace& place);
   TaskRec* try_steal(int core);
   /// `caller_is_worker` means the calling thread IS worker `waking_core`
   /// (enables the owner-only WSQ fast path; the submitter passes false).
-  template <class Hooks>
-  void wake_task_t(TaskRec* task, int waking_core, bool caller_is_worker);
-  /// Generic-dispatch wake-up for the cold submission path (submit_roots):
-  /// the fused loops wake successors through wake_task_t<Hooks> directly.
   void wake_task(TaskRec* task, int waking_core, bool caller_is_worker);
-  /// Selects progress_fn_/dispatch_variant_ for policy_: one switch over the
-  /// per-policy instantiations, mirroring sim::SimEngine::refresh_dispatch.
-  void bind_progress();
-  template <class Hooks> void bind_progress_for(const char* name);
   void push_stealable(int target_core, TaskRec* task, bool from_owner);
   /// Wakes one parked worker (if any) to come steal; `from_core` seeds the
   /// rotation so wakes spread instead of always hitting worker 0.
@@ -377,13 +359,6 @@ class Runtime {
   std::vector<std::unique_ptr<Worker>> workers_;
   bool pinned_ = true;
 
-  // Static-dispatch plumbing (bind_progress, worker.cpp): one captureless
-  // lambda per policy converts to this pointer, so the only indirect call
-  // left on the steady-state path is one per progress round — the
-  // policy hooks inside the round are inlined per instantiation.
-  bool (*progress_fn_)(Runtime&, int) = nullptr;
-  const char* dispatch_variant_ = "generic";
-
   // Parking registry: parked_count_ lets producers skip the wake scan when
   // nobody sleeps; Worker::parked marks scan candidates. Workers set both
   // BEFORE their pre-park has_work() re-check (the Dekker pairing with
@@ -409,8 +384,11 @@ class Runtime {
   // Job coordination. jobs_ and the per-job `done` flags are guarded by
   // mu_; cv_ is the per-job completion latch (workers park on their
   // eventcounts, not on cv_). active_jobs_ is atomic so complete_job can
-  // close the stats window without re-reading the map.
-  mutable Mutex mu_;
+  // close the stats window without re-reading the map. The block starts a
+  // cache line of its own: every job submit and completion writes it, and
+  // sharing a line with faults_armed_, which every progress round reads,
+  // slows fine-grained DAGs by several percent.
+  alignas(kCacheLine) mutable Mutex mu_;
   CondVar cv_;
   std::atomic<int> active_jobs_{0};
   std::unordered_map<JobId, std::unique_ptr<Job>> jobs_ DAS_GUARDED_BY(mu_);

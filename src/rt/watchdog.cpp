@@ -16,7 +16,9 @@
 //      provably holds no pop, and the watchdog can become the sole consumer
 //      of its MPSC channels without a second-consumer race. A false
 //      positive (an OS-descheduled worker) is merely conservative — the
-//      worker retires at its next loop top and its work ran elsewhere;
+//      worker retires at its next loop top and its work ran elsewhere.
+//      The scan never retires the last worker the fault plan spares: with
+//      no survivor the pool could not run another task;
 //   3. drains retired workers' channels — every tick, not once, because a
 //      producer that read dead_[c] == false just before the flip may still
 //      land a task there. Undistributed tasks (inbox/feeder/WSQ) re-home
@@ -27,7 +29,7 @@
 //      single requeuer by construction — resets the record and re-wakes it.
 //
 // Completion stays exactly-once: the doomed attempt can never fire
-// finish_last_t (departures is short of width by exactly `lost`), and only
+// finish_last (departures is short of width by exactly `lost`), and only
 // the watchdog requeues, so the task's job-outstanding decrement happens
 // once, on the attempt that runs to full width.
 
@@ -172,6 +174,17 @@ void Runtime::watchdog_loop() {
   // Per-worker retirement progress: 0 healthy, 1 retirement issued (waiting
   // for the ack), 2 queues taken over (dead_ flipped; drained every tick).
   std::vector<int> retire(static_cast<std::size_t>(n), 0);
+  // Workers the plan will fail-stop do not count as survivors. `spared`
+  // counts the others that are not retired yet.
+  std::vector<bool> doomed(static_cast<std::size_t>(n), false);
+  int spared = n;
+  for (const CoreFault& f : plan) {
+    const std::size_t fc = static_cast<std::size_t>(f.core);
+    if (f.kind == CoreFault::Kind::kFail && !doomed[fc]) {
+      doomed[fc] = true;
+      --spared;
+    }
+  }
 
   while (!shutdown_.load(std::memory_order_seq_cst)) {
     const double now_s = ns_to_s(now_ns() - epoch_ns_);
@@ -204,7 +217,14 @@ void Runtime::watchdog_loop() {
         stale_ticks[ci] = 0;
         continue;
       }
-      if (++stale_ticks[ci] < kWedgeGraceTicks) continue;
+      stale_ticks[ci] = std::min(stale_ticks[ci] + 1, kWedgeGraceTicks);
+      if (stale_ticks[ci] < kWedgeGraceTicks) continue;
+      // The last spared worker is never presumed wedged: it stays due and
+      // is looked at again next tick.
+      if (!doomed[ci]) {
+        if (spared == 1) continue;
+        --spared;
+      }
       // Presumed wedged: it will never ack, take the queues directly.
       w.fault_state.store(kQuarantined, std::memory_order_seq_cst);
       dead_[ci].store(true, std::memory_order_seq_cst);

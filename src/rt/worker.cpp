@@ -58,7 +58,7 @@ void Runtime::worker_loop(int core) {
       }
       self.in_round.store(true, std::memory_order_seq_cst);
     }
-    if (progress_fn_(*this, core)) {
+    if (try_make_progress(core)) {
       idle_rounds = 0;
       continue;
     }
@@ -149,30 +149,26 @@ void Runtime::notify_stealers(int from_core) {
 // allocation, lock acquisition and type-erased dispatch between the
 // hot-path markers — the no-alloc/no-lock/no-std::function property the
 // runtime's overhead gate depends on is enforced textually on every push,
-// not just measured. Everything here is templated over the policy-hook
-// adapter `Hooks` (core/policy.hpp): worker_loop binds one instantiation
-// per policy at construction, so the scheduling hooks inline into the
-// round instead of going through the PolicyEngine virtual-free-but-
-// branchy dynamic entry points.
-template <class Hooks>
-bool Runtime::try_make_progress_t(int core) {
+// not just measured. The policy hooks (core/policy.hpp) are inline, so
+// they fold into the round.
+bool Runtime::try_make_progress(int core) {
   Worker& w = *workers_[static_cast<std::size_t>(core)];
 
   // 1. Assembly queue: committed participations come first. The pop's
-  //    acquire pairs with distribute_t()'s release push, so `place` is
+  //    acquire pairs with distribute()'s release push, so `place` is
   //    visible.
   if (auto* t = static_cast<TaskRec*>(w.aq.pop())) {
-    participate_t<Hooks>(core, t);
+    participate(core, t);
     return true;
   }
   // 2. Steal-exempt inbox (fixed-place high-priority tasks).
   if (auto* t = static_cast<TaskRec*>(w.inbox.pop())) {
     DAS_ASSERT(t->has_fixed_place);
-    // Copy, like the WSQ/steal sites below: distribute_t() writes
+    // Copy, like the WSQ/steal sites below: distribute() writes
     // task->place and re-reads the place after publishing the task, so it
     // must not receive a reference aliasing that field.
     const ExecutionPlace place = t->place;
-    distribute_t<Hooks>(core, t, place);
+    distribute(core, t, place);
     return true;
   }
   // 3. Feeder: stealable tasks handed to us by other threads; drain into our
@@ -189,9 +185,8 @@ bool Runtime::try_make_progress_t(int core) {
     const ExecutionPlace place =
         t->has_fixed_place
             ? t->place
-            : Hooks::on_execute(*policy_, t->node->type, t->node->priority,
-                                core);
-    distribute_t<Hooks>(core, t, place);
+            : policy_->on_execute(t->node->type, t->node->priority, core);
+    distribute(core, t, place);
     return true;
   }
   // 5. Steal from a random victim; the thief re-runs the local search
@@ -200,9 +195,8 @@ bool Runtime::try_make_progress_t(int core) {
     const ExecutionPlace place =
         t->has_fixed_place
             ? t->place
-            : Hooks::on_execute(*policy_, t->node->type, t->node->priority,
-                                core);
-    distribute_t<Hooks>(core, t, place);
+            : policy_->on_execute(t->node->type, t->node->priority, core);
+    distribute(core, t, place);
     return true;
   }
   return false;
@@ -229,9 +223,8 @@ Runtime::TaskRec* Runtime::try_steal(int core) {
   return nullptr;
 }
 
-template <class Hooks>
-void Runtime::distribute_t(int core, TaskRec* task,
-                           const ExecutionPlace& place) {
+void Runtime::distribute(int core, TaskRec* task,
+                         const ExecutionPlace& place) {
   ExecutionPlace p = place;
   if (faults_armed_) [[unlikely]] {
     // A place that touches a retired worker would strand its AQ slots:
@@ -255,7 +248,7 @@ void Runtime::distribute_t(int core, TaskRec* task,
     // push/pop pair plus a progress-loop lap per task) and execute in
     // place. Queue order is unchanged: the AQ path would have made this
     // task the worker's next action anyway.
-    participate_t<Hooks>(core, task);
+    participate(core, task);
     return;
   }
   // Publish into every participant's AQ: W lock-free pushes, then at most
@@ -351,14 +344,13 @@ std::int64_t Runtime::run_work(int core, TaskRec* task, int rank) {
   return busy;
 }
 
-template <class Hooks>
-void Runtime::finish_last_t(int core, TaskRec* task) {
+void Runtime::finish_last(int core, TaskRec* task) {
   Job* job = task->job;
   // CSR fan-out: the sealed adjacency arena makes this a flat-span walk.
   for (const DagEdge& e : job->dag->successors(task->id)) {
     TaskRec* succ = &job->records[static_cast<std::size_t>(e.to)];
     if (succ->preds.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      wake_task_t<Hooks>(succ, core, /*caller_is_worker=*/true);
+      wake_task(succ, core, /*caller_is_worker=*/true);
     }
   }
   if (job->outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -366,8 +358,7 @@ void Runtime::finish_last_t(int core, TaskRec* task) {
   }
 }
 
-template <class Hooks>
-void Runtime::participate_t(int core, TaskRec* task) {
+void Runtime::participate(int core, TaskRec* task) {
   const DagNode& node = *task->node;
   const int width = task->place.width;
 
@@ -376,10 +367,10 @@ void Runtime::participate_t(int core, TaskRec* task) {
     // departure counters, no max-busy folding — the participant's busy time
     // is the PTT sample.
     const std::int64_t busy = run_work(core, task, /*rank=*/0);
-    Hooks::record_sample(*policy_, node.type, task->place, ns_to_s(busy));
+    policy_->record_sample(node.type, task->place, ns_to_s(busy));
     stats_->record_task_at_st(node.priority, topo_->place_id(task->place),
                               node.phase, /*writer=*/core);
-    finish_last_t<Hooks>(core, task);
+    finish_last(core, task);
     return;
   }
 
@@ -402,22 +393,20 @@ void Runtime::participate_t(int core, TaskRec* task) {
   // step 8). The PTT learns the slowest participant's busy time — the
   // task's intrinsic duration at this place, what the paper's leader core
   // observes — not the assembly span, which arrival skew would poison.
-  Hooks::record_sample(
-      *policy_, node.type, task->place,
+  policy_->record_sample(
+      node.type, task->place,
       ns_to_s(task->max_busy_ns.load(std::memory_order_acquire)));
   stats_->record_task_at_st(node.priority, topo_->place_id(task->place),
                             node.phase, /*writer=*/core);
-  finish_last_t<Hooks>(core, task);
+  finish_last(core, task);
 }
 
 // daslint: begin-hot-path(rt-wakeup)
 // Per-task wake-up/handoff: runs once per DAG edge that becomes ready.
-template <class Hooks>
-void Runtime::wake_task_t(TaskRec* task, int waking_core,
-                          bool caller_is_worker) {
+void Runtime::wake_task(TaskRec* task, int waking_core,
+                        bool caller_is_worker) {
   const DagNode& node = *task->node;
-  WakeDecision wd =
-      Hooks::on_ready(*policy_, node.type, node.priority, waking_core);
+  WakeDecision wd = policy_->on_ready(node.type, node.priority, waking_core);
   if (faults_armed_) [[unlikely]] {
     // Never route to a retired worker: its queues belong to the watchdog
     // (which would re-home the task, but only a tick later). A fixed place
@@ -432,8 +421,7 @@ void Runtime::wake_task_t(TaskRec* task, int waking_core,
   } else if (!options_.policy_options.remold_on_dequeue &&
              policy_->traits().uses_ptt) {
     // Ablation: width decided at wake-up, honoured by owner and thieves.
-    task->place =
-        Hooks::on_execute(*policy_, node.type, node.priority, wd.queue_core);
+    task->place = policy_->on_execute(node.type, node.priority, wd.queue_core);
     task->has_fixed_place = true;
   }
 
@@ -477,39 +465,6 @@ void Runtime::push_stealable(int target_core, TaskRec* task, bool from_owner) {
   target.ec.notify();
 }
 // daslint: end-hot-path
-
-void Runtime::wake_task(TaskRec* task, int waking_core, bool caller_is_worker) {
-  // Cold path (submit_roots): generic hooks are fine — the dynamic entry
-  // points are one switch over the static instantiations, so the decision
-  // is identical to what the fused loop would have made.
-  wake_task_t<DynamicPolicyHooks>(task, waking_core, caller_is_worker);
-}
-
-template <class Hooks>
-void Runtime::bind_progress_for(const char* name) {
-  progress_fn_ = [](Runtime& r, int core) {
-    return r.try_make_progress_t<Hooks>(core);
-  };
-  dispatch_variant_ = name;
-}
-
-void Runtime::bind_progress() {
-  // One switch, mirroring sim::SimEngine::refresh_dispatch. The rt labels
-  // carry no cost-class axis: run_work always evaluates through cost_eval,
-  // which takes the closed form whenever one exists, so there is nothing to
-  // specialize on the cost side here.
-  switch (policy_->policy()) {
-    case Policy::kRws: return bind_progress_for<StaticPolicyHooks<RwsTag>>("fused:RWS");
-    case Policy::kRwsmC: return bind_progress_for<StaticPolicyHooks<RwsmCTag>>("fused:RWSM-C");
-    case Policy::kFa: return bind_progress_for<StaticPolicyHooks<FaTag>>("fused:FA");
-    case Policy::kFamC: return bind_progress_for<StaticPolicyHooks<FamCTag>>("fused:FAM-C");
-    case Policy::kDa: return bind_progress_for<StaticPolicyHooks<DaTag>>("fused:DA");
-    case Policy::kDamC: return bind_progress_for<StaticPolicyHooks<DamCTag>>("fused:DAM-C");
-    case Policy::kDamP: return bind_progress_for<StaticPolicyHooks<DamPTag>>("fused:DAM-P");
-    case Policy::kDheft: return bind_progress_for<StaticPolicyHooks<DheftTag>>("fused:dHEFT");
-  }
-  bind_progress_for<DynamicPolicyHooks>("generic");
-}
 
 void Runtime::complete_job(Job* job) {
   const std::int64_t done_ns = now_ns();

@@ -15,51 +15,6 @@ namespace das::sim {
 
 namespace {
 
-// Cost-evaluation strategies the event loop binds at compile time (the
-// second axis of the fused (policy x cost) instantiation grid; the first is
-// the PolicyHooks adapter from core/policy.hpp). All three produce
-// bit-identical doubles for catalog-built registries because they share one
-// arithmetic implementation (core/cost_expr.hpp) — the callable path merely
-// reaches it through the std::function the factories wrapped around it.
-
-/// Generic escape hatch: honours a user-supplied std::function (and still
-/// skips the indirection when a closed form exists).
-struct CallableCostEval {
-  static double eval(const TaskTypeInfo& info, const TaskParams& p,
-                     const CostQuery& q) {
-    return cost_eval(info, p, q);
-  }
-};
-
-/// Every executable type carries a closed form: inline switch, no erasure.
-struct ExprCostEval {
-  static double eval(const TaskTypeInfo& info, const TaskParams& p,
-                     const CostQuery& q) {
-    return cost_expr_eval(info.expr, p, q);
-  }
-};
-
-/// Every executable type is a kFixed constant: one load replaces the whole
-/// evaluation — the regime the scheduler-overhead benches run in.
-struct FixedCostEval {
-  static double eval(const TaskTypeInfo& info, const TaskParams&,
-                     const CostQuery&) {
-    DAS_ASSERT(info.expr.kind == CostExpr::Kind::kFixed);
-    return info.expr.u.fixed.seconds;
-  }
-};
-
-template <class Hooks, class Cost>
-struct SimMode {
-  using PolicyHooks = Hooks;
-  using CostEval = Cost;
-};
-
-/// The type-erased fallback loop: dynamic policy dispatch + the callable
-/// escape hatch. Everything exotic (user cost models, future policies,
-/// force_generic_dispatch A/B runs) lands here.
-using GenericMode = SimMode<DynamicPolicyHooks, CallableCostEval>;
-
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Polls a protocol thread makes at a barrier or at its command wait before
@@ -74,7 +29,7 @@ constexpr int kSpinPolls = 1 << 12;
 
 SimEngine::SimEngine(std::vector<RankSpec> ranks, Policy policy,
                      const TaskTypeRegistry& registry, SimOptions options)
-    : policy_kind_(policy), registry_(&registry), options_(options),
+    : registry_(&registry), options_(options),
       sync_(static_cast<int>(ranks.size())) {
   DAS_CHECK(!ranks.empty());
   const std::size_t num_ranks = ranks.size();
@@ -158,7 +113,6 @@ SimEngine::SimEngine(std::vector<RankSpec> ranks, Policy policy,
   // waits for.
   if (protocol_threads_ > 1 && protocol_threads_ <= allowed_cpu_count())
     sync_.set_spin_polls(kSpinPolls);
-  refresh_dispatch();
 }
 
 SimEngine::SimEngine(const Topology& topo, Policy policy,
@@ -300,9 +254,6 @@ JobId SimEngine::submit(const Dag& dag, double arrival_offset_s) {
                   "task type '" + ti.name +
                       "' has no cost model; the DES cannot execute it");
   }
-  // Registration may have happened since the last submit (a new kCallable
-  // type demotes to generic; a catalog-only registry promotes to fused).
-  refresh_dispatch();
   DAS_CHECK_MSG(dag.min_node_rank() >= 0 && dag.max_node_rank() < num_ranks(),
                 "dag node rank out of range");
   // The conservative window lookahead tightens monotonically to the
@@ -424,15 +375,14 @@ double SimEngine::wait(JobId id) {
 }
 
 // daslint: begin-hot-path(sim-step)
-// The event-loop inner step: one pop + one handler per simulated event,
-// instantiated once per dispatch mode so the policy hooks and the cost
-// evaluation inline into the handlers. tools/daslint forbids allocation,
-// lock acquisition, parking and type-erased calls here (the handlers reuse
-// per-core flat queues; see sim's throughput gate). Everything touched is
-// shard-local: in parallel runs the shard's owning thread is the only
-// caller, so this loop needs no atomics at all.
-template <class Mode>
-void SimEngine::step_t(Shard& sh) {
+// The event-loop inner step: one pop + one handler per simulated event; the
+// policy hooks (core/policy.hpp) and the closed-form cost evaluation
+// (core/cost_expr.hpp) inline into the handlers. tools/daslint forbids
+// allocation, lock acquisition, parking and type-erased calls here (the
+// handlers reuse per-core flat queues; see sim's throughput gate).
+// Everything touched is shard-local: in parallel runs the shard's owning
+// thread is the only caller, so this loop needs no atomics at all.
+void SimEngine::step(Shard& sh) {
   // Direct pop: with the lane/heap queue a pop is one source scan plus an
   // O(1) ring pop for the dominant event classes — cheaper than staging
   // identical-time batches through a side buffer was.
@@ -473,22 +423,22 @@ void SimEngine::step_t(Shard& sh) {
   switch (e.kind) {
     case Ev::kWake:
       set_inactive(sh, e.core);
-      handle_wake_t<Mode>(sh, e.core, sh.now);
+      handle_wake(sh, e.core, sh.now);
       break;
     case Ev::kDone:
-      handle_done_t<Mode>(sh, e, sh.now);
+      handle_done(sh, e, sh.now);
       break;
     case Ev::kRelease:
-      handle_release_t<Mode>(sh, e, sh.now);
+      handle_release(sh, e, sh.now);
       break;
     case Ev::kRoot:
-      make_ready_t<Mode>(sh, e.job, e.task, e.from_core, sh.now);
+      make_ready(sh, e.job, e.task, e.from_core, sh.now);
       break;
     case Ev::kTimer:
       note_timer_fired(sh, e, sh.now);
       break;
     case Ev::kFault:
-      handle_fault_t<Mode>(sh, e, sh.now);
+      handle_fault(sh, e, sh.now);
       break;
   }
 }
@@ -519,20 +469,18 @@ int SimEngine::live_fallback_core(const Shard& sh, int from) const {
   return 0;
 }
 
-template <class Mode>
-void SimEngine::requeue_lost_t(Shard& sh, JobId job_id, NodeId id, double t) {
+void SimEngine::requeue_lost(Shard& sh, JobId job_id, NodeId id, double t) {
   // Fresh attempt on the survivors. make_ready resets the TaskState (lost
   // counter included) and re-runs the wake path; the dead-core reroutes in
   // make_ready/distribute keep the new attempt off dead queues. Completion
   // stays exactly-once: the lost attempt recorded nothing — its remaining
-  // kDone events belong to dead cores and are dropped in step_t.
+  // kDone events belong to dead cores and are dropped in step.
   ++sh.tasks_reexecuted;
-  make_ready_t<Mode>(sh, job_id, id, /*waking_core=*/-1, t);
+  make_ready(sh, job_id, id, /*waking_core=*/-1, t);
 }
 
-template <class Mode>
-void SimEngine::reclaim_participation_t(Shard& sh, JobId job_id, NodeId id,
-                                        double t) {
+void SimEngine::reclaim_participation(Shard& sh, JobId job_id, NodeId id,
+                                      double t) {
   Job& job = job_at(job_id);
   TaskState& ts = job.tasks[static_cast<std::size_t>(id)];
   ++ts.lost;
@@ -541,11 +489,10 @@ void SimEngine::reclaim_participation_t(Shard& sh, JobId job_id, NodeId id,
   // them triggers the re-release from handle_done. Only when none remain is
   // the fault event itself the last accountant.
   if (ts.departures + ts.lost == ts.place.width)
-    requeue_lost_t<Mode>(sh, job_id, id, t);
+    requeue_lost(sh, job_id, id, t);
 }
 
-template <class Mode>
-void SimEngine::handle_fault_t(Shard& sh, const Event& e, double t) {
+void SimEngine::handle_fault(Shard& sh, const Event& e, double t) {
   const CoreFault& f = sh.faults[static_cast<std::size_t>(e.job)];
   CoreState& cs = sh.cores[static_cast<std::size_t>(f.core)];
   if (f.kind == CoreFault::Kind::kFreeze) {
@@ -588,11 +535,11 @@ void SimEngine::handle_fault_t(Shard& sh, const Event& e, double t) {
   while (!cs.aq.empty()) {
     const Participation p = cs.aq.front();
     cs.aq.pop_front();
-    reclaim_participation_t<Mode>(sh, p.job, p.task, t);
+    reclaim_participation(sh, p.job, p.task, t);
   }
   if (cs.busy) {
     cs.busy = false;
-    reclaim_participation_t<Mode>(sh, cs.running.job, cs.running.task, t);
+    reclaim_participation(sh, cs.running.job, cs.running.task, t);
   }
 }
 
@@ -618,7 +565,7 @@ void SimEngine::schedule_timer(double offset_s, std::uint64_t token) {
 
 bool SimEngine::pump(double horizon_s) {
   if (!events_pending()) return false;
-  advance_fn_(*this, horizon_s);
+  advance(horizon_s);
   deliver_deferred();
   return true;
 }
@@ -685,9 +632,8 @@ void SimEngine::wake_idle_cores(Shard& sh, double t) {
   }
 }
 
-template <class Mode>
-void SimEngine::make_ready_t(Shard& sh, JobId job_id, NodeId id,
-                             int waking_core, double t) {
+void SimEngine::make_ready(Shard& sh, JobId job_id, NodeId id,
+                           int waking_core, double t) {
   Job& job = job_at(job_id);
   const DagNode& n = node_of(job, id);
   // Live check, not just the sealed-metadata snapshot submit saw: a caller
@@ -709,8 +655,8 @@ void SimEngine::make_ready_t(Shard& sh, JobId job_id, NodeId id,
       waking_core >= 0 ? waking_core
                        : (n.affinity_core >= 0 ? n.affinity_core : 0);
 
-  const WakeDecision wd = Mode::PolicyHooks::on_ready(*rank.policy, n.type,
-                                                      n.priority, local_waker);
+  const WakeDecision wd =
+      rank.policy->on_ready(n.type, n.priority, local_waker);
   int queue_core = wd.queue_core;
   if (faults_enabled_) [[unlikely]] {
     // A dead core's queues are permanently unreachable; reroute to the next
@@ -726,8 +672,7 @@ void SimEngine::make_ready_t(Shard& sh, JobId job_id, NodeId id,
              rank.policy->traits().uses_ptt) {
     // Ablation: decide the width at wake-up and never re-mold.
     ts.has_fixed_place = true;
-    ts.place = Mode::PolicyHooks::on_execute(*rank.policy, n.type, n.priority,
-                                             wd.queue_core);
+    ts.place = rank.policy->on_execute(n.type, n.priority, wd.queue_core);
   }
 
   if (wd.stealable) {
@@ -772,10 +717,9 @@ void SimEngine::distribute(Shard& sh, Job& job, JobId job_id, NodeId id,
   }
 }
 
-template <class Mode>
-double SimEngine::participation_cost_t(Shard& sh, const Job& job, NodeId id,
-                                       int core, int rank_in_assembly,
-                                       double t) {
+double SimEngine::participation_cost(Shard& sh, const Job& job, NodeId id,
+                                     int core, int rank_in_assembly,
+                                     double t) {
   const DagNode& n = node_of(job, id);
   const TaskState& ts = job.tasks[static_cast<std::size_t>(id)];
   const Rank& r = ranks_[static_cast<std::size_t>(sh.rank)];
@@ -797,23 +741,22 @@ double SimEngine::participation_cost_t(Shard& sh, const Job& job, NodeId id,
   // Hoisted per-task invariant (make_ready cached the registry row): the
   // per-participant path is the query build + the cost arithmetic itself.
   const TaskTypeInfo& info = *ts.type_info;
-  double cost = Mode::CostEval::eval(info, n.params, q);
+  double cost = cost_eval(info, n.params, q);
   if (options_.noise) {
     cost *= lognormal_noise(sh, TaskTypeRegistry::noise_sigma_of(info, cost));
   }
   return std::max(cost, 1e-9);
 }
 
-template <class Mode>
-void SimEngine::start_participation_t(Shard& sh, int core,
-                                      const Participation& p, double t) {
+void SimEngine::start_participation(Shard& sh, int core,
+                                    const Participation& p, double t) {
   CoreState& cs = sh.cores[static_cast<std::size_t>(core)];
   DAS_CHECK_MSG(!cs.busy, "core double-booked: a participation started while "
                           "another is still running");
   Job& job = job_at(p.job);
   TaskState& ts = job.tasks[static_cast<std::size_t>(p.task)];
   const double cost =
-      participation_cost_t<Mode>(sh, job, p.task, core, p.rank_in_assembly, t);
+      participation_cost(sh, job, p.task, core, p.rank_in_assembly, t);
   ts.max_cost = std::max(ts.max_cost, cost);
   const Rank& r = ranks_[static_cast<std::size_t>(sh.rank)];
   r.stats->record_busy_st(core, static_cast<std::int64_t>(cost * 1e9));
@@ -833,8 +776,7 @@ void SimEngine::start_participation_t(Shard& sh, int core,
   sh.events.push(t + cost, Event{Ev::kDone, core, p.job, p.task, -1});
 }
 
-template <class Mode>
-bool SimEngine::try_steal_t(Shard& sh, int core, double t) {
+bool SimEngine::try_steal(Shard& sh, int core, double t) {
   const Rank& r = ranks_[static_cast<std::size_t>(sh.rank)];
   const int hi = sh.num_cores;
   const int self_word = core >> 6;
@@ -876,9 +818,8 @@ bool SimEngine::try_steal_t(Shard& sh, int core, double t) {
   const DagNode& n = node_of(job, qt.task);
   TaskState& ts = job.tasks[static_cast<std::size_t>(qt.task)];
   const ExecutionPlace place =
-      ts.has_fixed_place
-          ? ts.place
-          : Mode::PolicyHooks::on_execute(*r.policy, n.type, n.priority, core);
+      ts.has_fixed_place ? ts.place
+                         : r.policy->on_execute(n.type, n.priority, core);
   // Mark the thief active first (one pending wake), then distribute after
   // the steal round-trip.
   set_active(sh, core);
@@ -889,15 +830,14 @@ bool SimEngine::try_steal_t(Shard& sh, int core, double t) {
   return true;
 }
 
-template <class Mode>
-void SimEngine::handle_wake_t(Shard& sh, int core, double t) {
+void SimEngine::handle_wake(Shard& sh, int core, double t) {
   CoreState& cs = sh.cores[static_cast<std::size_t>(core)];
 
   // 1. Assembly queue first: committed work.
   if (!cs.aq.empty()) {
     const Participation p = cs.aq.front();
     cs.aq.pop_front();
-    start_participation_t<Mode>(sh, core, p, t);
+    start_participation(sh, core, p, t);
     return;
   }
   const Rank& r = ranks_[static_cast<std::size_t>(sh.rank)];
@@ -926,10 +866,8 @@ void SimEngine::handle_wake_t(Shard& sh, int core, double t) {
     const DagNode& n = node_of(job, qt.task);
     const TaskState& ts = job.tasks[static_cast<std::size_t>(qt.task)];
     const ExecutionPlace place =
-        ts.has_fixed_place
-            ? ts.place
-            : Mode::PolicyHooks::on_execute(*r.policy, n.type, n.priority,
-                                            core);
+        ts.has_fixed_place ? ts.place
+                           : r.policy->on_execute(n.type, n.priority, core);
     set_active(sh, core);  // see the inbox branch: one pending wake only
     sh.events.push_lane(kLaneDispatch, t + options_.dispatch_overhead_s,
                         Event{Ev::kWake, core, kInvalidJob, kInvalidNode, -1});
@@ -937,12 +875,11 @@ void SimEngine::handle_wake_t(Shard& sh, int core, double t) {
     return;
   }
   // 4. Steal from a random victim within the rank.
-  if (try_steal_t<Mode>(sh, core, t)) return;
+  if (try_steal(sh, core, t)) return;
   // 5. Nothing anywhere: go idle. A future push will re-activate us.
 }
 
-template <class Mode>
-void SimEngine::handle_done_t(Shard& sh, const Event& e, double t) {
+void SimEngine::handle_done(Shard& sh, const Event& e, double t) {
   Job& job = job_at(e.job);
   const NodeId id = e.task;
   const DagNode& n = node_of(job, id);
@@ -958,7 +895,7 @@ void SimEngine::handle_done_t(Shard& sh, const Event& e, double t) {
     // below belongs to the fresh attempt, which starts from a reset
     // TaskState.
     if (ts.departures + ts.lost == ts.place.width)
-      requeue_lost_t<Mode>(sh, e.job, e.task, t);
+      requeue_lost(sh, e.job, e.task, t);
     CoreState& finisher = sh.cores[static_cast<std::size_t>(e.core)];
     DAS_ASSERT(finisher.busy);
     finisher.busy = false;
@@ -974,7 +911,7 @@ void SimEngine::handle_done_t(Shard& sh, const Event& e, double t) {
     // core observes — NOT the assembly span: the span includes arrival skew
     // (participants queueing behind other work), which would make wide
     // places look slow for reasons that have nothing to do with the place.
-    Mode::PolicyHooks::record_sample(*r.policy, n.type, ts.place, ts.max_cost);
+    r.policy->record_sample(n.type, ts.place, ts.max_cost);
     const int place_id = r.topo->place_id(ts.place);
     r.stats->record_task_at_st(n.priority, place_id, n.phase);
     ts.completion = t;
@@ -1044,23 +981,21 @@ void SimEngine::handle_done_t(Shard& sh, const Event& e, double t) {
                       Event{Ev::kWake, e.core, kInvalidJob, kInvalidNode, -1});
 }
 
-template <class Mode>
-void SimEngine::handle_release_t(Shard& sh, const Event& e, double t) {
+void SimEngine::handle_release(Shard& sh, const Event& e, double t) {
   Job& job = job_at(e.job);
   std::int32_t& preds = job.preds[static_cast<std::size_t>(e.task)];
   DAS_ASSERT(preds > 0);
-  if (--preds == 0) make_ready_t<Mode>(sh, e.job, e.task, e.from_core, t);
+  if (--preds == 0) make_ready(sh, e.job, e.task, e.from_core, t);
 }
 
 // --- pump loops --------------------------------------------------------------
 
-template <class Mode>
-void SimEngine::advance_t(double horizon) {
+void SimEngine::advance(double horizon) {
   if (shards_.size() == 1) {
     Shard& sh = shards_[0];
     sh.yield = false;
     while (!sh.events.empty()) {
-      step_t<Mode>(sh);
+      step(sh);
       if (sh.yield || sh.now > horizon) return;
     }
     return;
@@ -1084,7 +1019,7 @@ void SimEngine::advance_t(double horizon) {
     cmd_.store(++pumps_, std::memory_order_release);
     cmd_ec_.notify();
   }
-  windows_ = window_loop_t<Mode>(0);
+  windows_ = window_loop(0);
   // Every thread left the loop right after the last window's barrier,
   // without touching a shard again: this thread owns them all and drains
   // that window's staged releases itself, in the same per-receiver sender
@@ -1093,8 +1028,7 @@ void SimEngine::advance_t(double horizon) {
   for (Shard& sh : shards_) drain_inbound(sh, parity);
 }
 
-template <class Mode>
-std::uint64_t SimEngine::window_loop_t(int thread_index) {
+std::uint64_t SimEngine::window_loop(int thread_index) {
   const auto [lo, hi] = rank_block(thread_index);
   const double horizon = pump_horizon_;
   double window_hi = first_window_hi_;
@@ -1102,7 +1036,7 @@ std::uint64_t SimEngine::window_loop_t(int thread_index) {
     const int parity = static_cast<int>(k & 1);
     for (int r = lo; r < hi; ++r) {
       Shard& sh = shards_[static_cast<std::size_t>(r)];
-      window_phase1_t<Mode>(sh, window_hi, parity);
+      window_phase1(sh, window_hi, parity);
       // The rank's lower bound on the next window start: everything it
       // will hold after the drain is either already queued locally or was
       // staged by it or another rank this window — the min over all
@@ -1123,13 +1057,12 @@ std::uint64_t SimEngine::window_loop_t(int thread_index) {
 // The per-rank window loop: pure shard-local event processing between two
 // barriers. No allocation, no locks, no parking — a rank that blocks here
 // stalls every other rank at the next barrier.
-template <class Mode>
-void SimEngine::window_phase1_t(Shard& sh, double hi, int parity) {
+void SimEngine::window_phase1(Shard& sh, double hi, int parity) {
   sh.parity = parity;
   sh.staged_min = kInf;
   // INCLUSIVE horizon: with zero lookahead the window degenerates to
   // [W, W] and the protocol still advances one timestamp per round.
-  while (!sh.events.empty() && sh.events.top().time <= hi) step_t<Mode>(sh);
+  while (!sh.events.empty() && sh.events.top().time <= hi) step(sh);
   if (!sh.tally_slots.empty()) fold_completions(sh);
 }
 // daslint: end-hot-path
@@ -1171,7 +1104,7 @@ void SimEngine::drain_inbound(Shard& sh, int parity) {
   // same-time tie-break — is a pure function of the event streams,
   // independent of which thread ran which rank when. All staged messages
   // carry time >= W + L >= this shard's clock, so nothing lands in the
-  // shard's past (step_t asserts this).
+  // shard's past (step asserts this).
   const int nr = num_ranks();
   for (int s = 0; s < nr; ++s) {
     if (s == sh.rank) continue;
@@ -1200,54 +1133,8 @@ void SimEngine::worker_loop(int thread_index) {
         [&] { return cmd_.load(std::memory_order_acquire) >= pump; },
         sync_.spin_polls());
     if (cmd_exit_.load(std::memory_order_acquire)) return;
-    window_loop_fn_(*this, thread_index);
+    window_loop(thread_index);
   }
-}
-
-// --- dispatch selection ------------------------------------------------------
-
-template <class Mode>
-void SimEngine::set_mode() {
-  advance_fn_ = [](SimEngine& e, double horizon) {
-    e.advance_t<Mode>(horizon);
-  };
-  window_loop_fn_ = [](SimEngine& e, int thread_index) {
-    e.window_loop_t<Mode>(thread_index);
-  };
-}
-
-template <class Tag>
-void SimEngine::set_fused(CostClass cls) {
-  if (cls == CostClass::kFixed) {
-    set_mode<SimMode<StaticPolicyHooks<Tag>, FixedCostEval>>();
-  } else {
-    set_mode<SimMode<StaticPolicyHooks<Tag>, ExprCostEval>>();
-  }
-  dispatch_variant_ = fused_variant_name(Tag::kPolicy, cls);
-}
-
-void SimEngine::refresh_dispatch() {
-  const CostClass cls = options_.force_generic_dispatch
-                            ? CostClass::kCallable
-                            : classify_cost_models(*registry_);
-  if (cls == CostClass::kCallable) {
-    set_mode<GenericMode>();
-    dispatch_variant_ = "generic";
-    return;
-  }
-  switch (policy_kind_) {
-    case Policy::kRws: set_fused<RwsTag>(cls); return;
-    case Policy::kRwsmC: set_fused<RwsmCTag>(cls); return;
-    case Policy::kFa: set_fused<FaTag>(cls); return;
-    case Policy::kFamC: set_fused<FamCTag>(cls); return;
-    case Policy::kDa: set_fused<DaTag>(cls); return;
-    case Policy::kDamC: set_fused<DamCTag>(cls); return;
-    case Policy::kDamP: set_fused<DamPTag>(cls); return;
-    case Policy::kDheft: set_fused<DheftTag>(cls); return;
-  }
-  // Unknown future policy value: the type-erased loop handles it.
-  set_mode<GenericMode>();
-  dispatch_variant_ = "generic";
 }
 
 }  // namespace das::sim

@@ -98,7 +98,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/cost_expr.hpp"
 #include "core/dag.hpp"
 #include "core/policy.hpp"
 #include "core/ptt.hpp"
@@ -112,7 +111,6 @@
 #include "trace/stats.hpp"
 #include "trace/timeline.hpp"
 #include "util/eventcount.hpp"
-#include "util/inline.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
 
@@ -134,10 +132,6 @@ struct SimOptions {
   double idle_wake_delay_s = 200e-6;
   bool noise = true;                  ///< lognormal measurement noise
   int stats_phases = 1;               ///< phase dimension of ExecutionStats
-  /// Pin the type-erased generic event loop even when every cost model has
-  /// a closed form — the A/B lever the determinism test uses to assert the
-  /// fused instantiations are bitwise-identical to generic dispatch.
-  bool force_generic_dispatch = false;
   /// Worker threads for multi-rank runs: <= 1 simulates every rank's
   /// window phases on the calling thread (default); N > 1 spreads the
   /// ranks over min(N, num_ranks) threads running the identical
@@ -214,13 +208,6 @@ class SimEngine {
   /// The window lookahead currently in force: min cross-rank delay over
   /// every job submitted so far (+inf before the first cross-rank edge).
   double lookahead_s() const { return lookahead_; }
-  /// Which event loop the engine currently dispatches: "generic" (type-
-  /// erased policy + std::function escape hatch) or a fused instantiation
-  /// label ("fused:DAM-C/expr", see core/cost_expr.hpp). Re-evaluated at
-  /// every submit() — registering a kCallable cost model demotes the next
-  /// job to generic dispatch; the simulated results are identical either
-  /// way (pinned bitwise by tests/sim_determinism_test.cpp).
-  const char* dispatch_variant() const { return dispatch_variant_; }
   int num_ranks() const { return static_cast<int>(ranks_.size()); }
   /// Jobs submitted but not yet wait()ed to completion.
   int jobs_in_flight() const { return live_jobs_; }
@@ -515,20 +502,14 @@ class SimEngine {
   /// lint region; the deferred-list push must not).
   void note_timer_fired(Shard& sh, const Event& e, double t);
 
-  // --- event handlers, templated over the dispatch mode --------------------
-  // `Mode` binds a PolicyHooks adapter (core/policy.hpp: static tag or
-  // dynamic fallback) and a CostEval strategy (engine.cpp: closed-form,
-  // fixed-constant, or the std::function escape hatch). There is exactly ONE
-  // implementation of every handler — the generic loop is the
-  // (DynamicPolicyHooks, callable) instantiation — so fused and generic
-  // dispatch cannot diverge; the sim-determinism goldens pin them bitwise.
+  // --- event handlers -------------------------------------------------------
   // Every handler operates on ONE shard; in parallel runs that shard's
-  // owning thread is the only caller. Definitions and all instantiations
-  // live in engine.cpp.
-  template <class Mode> void step_t(Shard& sh);
-  template <class Mode>
-  DAS_HOT_INLINE void handle_wake_t(Shard& sh, int core, double t);
-  template <class Mode> void handle_done_t(Shard& sh, const Event& e, double t);
+  // owning thread is the only caller. The policy hooks (core/policy.hpp)
+  // and the closed-form cost evaluation (core/cost_expr.hpp) are inline, so
+  // they fold into the handlers.
+  void step(Shard& sh);
+  void handle_wake(Shard& sh, int core, double t);
+  void handle_done(Shard& sh, const Event& e, double t);
   // --- fail-stop / freeze machinery (engine.cpp, outside the lint regions) --
   // Everything below is reached only when faults_enabled_; an empty fault
   // plan leaves the event and RNG streams byte-identical to the bare engine
@@ -536,59 +517,45 @@ class SimEngine {
   /// kFault dispatch: freeze extends the core's thaw instant; fail-stop
   /// marks the core dead, reclaims its inbox/WSQ entries (re-homed to a
   /// survivor) and counts its queued + in-flight participations lost.
-  template <class Mode> void handle_fault_t(Shard& sh, const Event& e, double t);
+  void handle_fault(Shard& sh, const Event& e, double t);
   /// One participation lost to a core death; re-releases the task when no
   /// live participant remains outstanding.
-  template <class Mode>
-  void reclaim_participation_t(Shard& sh, JobId job_id, NodeId id, double t);
+  void reclaim_participation(Shard& sh, JobId job_id, NodeId id, double t);
   /// Re-releases a task whose attempt lost participants (exactly-once: the
   /// lost attempt recorded no completion).
-  template <class Mode>
-  void requeue_lost_t(Shard& sh, JobId job_id, NodeId id, double t);
+  void requeue_lost(Shard& sh, JobId job_id, NodeId id, double t);
   /// Outlined freeze deferral (the call site sits inside the step hot-path
   /// lint region; the heap push must not).
   void defer_frozen(Shard& sh, const Event& e, double until);
   /// First live core at or cyclically after `from`; checks the rank still
   /// has survivors.
   int live_fallback_core(const Shard& sh, int from) const;
-  template <class Mode>
-  void handle_release_t(Shard& sh, const Event& e, double t);
-  template <class Mode>
-  void make_ready_t(Shard& sh, JobId job, NodeId id, int waking_core,
-                    double t);
-  // The participation chain is DAS_HOT_INLINE (util/inline.hpp): with 16
-  // fused instantiations in the TU, GCC's unit-growth budget otherwise
-  // stops inlining it into the handlers — the layout the monolithic
-  // pre-fusion loop had — and the extra calls cost more than the
-  // devirtualization saves.
-  template <class Mode>
-  DAS_HOT_INLINE void start_participation_t(Shard& sh, int core,
-                                            const Participation& p, double t);
-  template <class Mode> bool try_steal_t(Shard& sh, int core, double t);
-  template <class Mode>
-  DAS_HOT_INLINE double participation_cost_t(Shard& sh, const Job& job,
-                                             NodeId id, int core,
-                                             int rank_in_assembly, double t);
-  DAS_HOT_INLINE void distribute(Shard& sh, Job& job, JobId job_id, NodeId id,
-                                 const ExecutionPlace& place, double t);
+  void handle_release(Shard& sh, const Event& e, double t);
+  void make_ready(Shard& sh, JobId job, NodeId id, int waking_core, double t);
+  void start_participation(Shard& sh, int core, const Participation& p,
+                           double t);
+  bool try_steal(Shard& sh, int core, double t);
+  double participation_cost(Shard& sh, const Job& job, NodeId id, int core,
+                            int rank_in_assembly, double t);
+  void distribute(Shard& sh, Job& job, JobId job_id, NodeId id,
+                  const ExecutionPlace& place, double t);
   static double lognormal_noise(Shard& sh, double sigma);
 
   // --- pump loops -----------------------------------------------------------
-  /// pump()'s loop, inside one dispatch instantiation: single-rank, events
-  /// until the shard yields or the clock passes `horizon`; multi-rank, the
-  /// calling thread's share of the window loop plus the final window's
-  /// drain.
-  template <class Mode> void advance_t(double horizon);
+  /// pump()'s loop: single-rank, events until the shard yields or the clock
+  /// passes `horizon`; multi-rank, the calling thread's share of the window
+  /// loop plus the final window's drain.
+  void advance(double horizon);
   /// One protocol thread's window loop over its rank block (see
   /// sim/rank_sync.hpp): phase 1, arrive, barrier, drain, next window —
   /// until some rank asks to stop (yield, horizon) or every queue drains.
   /// The window that stops the loop is left undrained for the calling
   /// thread.
   /// Returns the number of the last window run.
-  template <class Mode> std::uint64_t window_loop_t(int thread_index);
+  std::uint64_t window_loop(int thread_index);
   /// Phase 1 of a window for one shard: process local events up to and
   /// including `hi`, staging cross-rank releases into out[parity].
-  template <class Mode> void window_phase1_t(Shard& sh, double hi, int parity);
+  void window_phase1(Shard& sh, double hi, int parity);
   /// Drains the shard's in-bound boundary queues of window parity `parity`
   /// in sender-rank order (the deterministic seq assignment).
   void drain_inbound(Shard& sh, int parity);
@@ -612,19 +579,8 @@ class SimEngine {
   /// thread executes a given shard's deterministic phase.
   std::pair<int, int> rank_block(int thread_index) const;
 
-  // --- dispatch selection ---------------------------------------------------
-  /// Rebinds advance_fn_/window_loop_fn_ to the loops matching (policy,
-  /// registry): a fused (policy-tag x cost-class) instantiation when every
-  /// executable cost model carries a closed form, the generic loop
-  /// otherwise (or under SimOptions::force_generic_dispatch). Called at
-  /// construction and at every submit().
-  void refresh_dispatch();
-  template <class Mode> void set_mode();
-  template <class Tag> void set_fused(CostClass cls);
-
   std::vector<Rank> ranks_;
   std::vector<Shard> shards_;
-  Policy policy_kind_;
   const TaskTypeRegistry* registry_;
   SimOptions options_;
   /// Any rank has a non-empty fault plan. Gates every fault check in the
@@ -673,18 +629,6 @@ class SimEngine {
   EventCount cmd_ec_;             // workers wait here between pumps
   std::vector<std::thread> workers_;
   int protocol_threads_ = 1;      // min(des_threads, num_ranks)
-
-  // Selected loops (see refresh_dispatch). Each runs entirely inside one
-  // instantiation, so the hot path pays one indirect call per pump, none
-  // per event or window: advance_fn_ is pump()'s loop, window_loop_fn_ a
-  // worker thread's window loop. A pump runs until the next service
-  // notification, so the facade's wait pays that call once per job
-  // completion or timer, not once per event.
-  using AdvanceFn = void (*)(SimEngine&, double);
-  using WindowLoopFn = void (*)(SimEngine&, int);
-  AdvanceFn advance_fn_ = nullptr;
-  WindowLoopFn window_loop_fn_ = nullptr;
-  const char* dispatch_variant_ = "generic";
 };
 
 }  // namespace das::sim

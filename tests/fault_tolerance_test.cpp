@@ -245,6 +245,25 @@ TEST_F(FaultToleranceTest, RtWatchdogDetectsWedgedWorkerAndJobsComplete) {
   EXPECT_EQ(runtime.workers_failed(), 1);
 }
 
+TEST_F(FaultToleranceTest, RtWatchdogNeverRetiresTheLastLiveWorker) {
+  // Both workers of a 2-worker pool go silent. The wedge scan retires one
+  // and must spare the other: a pool without a survivor cannot run another
+  // task, and re-homing work would find no target.
+  const Topology pair = Topology::symmetric(1, 2);
+  rt::RtOptions o;
+  o.enable_watchdog = true;
+  o.watchdog_period_s = 2e-4;
+  rt::Runtime runtime(pair, Policy::kRws, registry_, o);
+  runtime.inject_worker_wedge(0);
+  runtime.inject_worker_wedge(1);
+  for (int i = 0; i < 5000 && runtime.workers_failed() == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // The grace period is 20 ticks; give the scan some 500 more.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(runtime.workers_failed(), 1);
+  // ~Runtime must still join both wedged workers and the watchdog.
+}
+
 TEST_F(FaultToleranceTest, RtPlannedFailStopQuarantinesAndJobsComplete) {
   // Planned (fault-plan) deaths take the cooperative path: the watchdog
   // arms the worker's fault flag, the worker retires at its next loop top,

@@ -2,13 +2,14 @@
 // (sim/engine.cpp). The parallel mode (SimOptions::des_threads > 1) must
 // reproduce the serial engine BITWISE: identical makespans, identical
 // per-rank event counts, identical per-rank FNV-1a trace hashes (every
-// processed event folded in order), for every policy, both dispatch paths
-// (fused and forced-generic), multiple seeds, asymmetric per-rank
-// topologies, and cross-rank delay edges. A tiny-lookahead case forces
-// many small windows — the stress cell the sanitizer CI job leans on.
+// processed event folded in order), for every policy, multiple seeds,
+// asymmetric per-rank topologies, and cross-rank delay edges. A
+// tiny-lookahead case forces many small windows — the stress cell the
+// sanitizer CI job leans on.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "kernels/registry.hpp"
@@ -60,12 +61,11 @@ class ParallelDesTest : public ::testing::Test {
   }
 
   CellResult run_cell(const std::vector<RankSpec>& ranks, const Dag& dag,
-                      Policy policy, int des_threads, bool force_generic,
-                      std::uint64_t seed, int jobs = 1) {
+                      Policy policy, int des_threads, std::uint64_t seed,
+                      int jobs = 1) {
     SimOptions o;
     o.seed = seed;
     o.des_threads = des_threads;
-    o.force_generic_dispatch = force_generic;
     o.hash_traces = true;
     SimEngine eng(ranks, policy, registry_, o);
     CellResult res;
@@ -83,10 +83,9 @@ class ParallelDesTest : public ::testing::Test {
   kernels::PaperKernelIds ids_;
 };
 
-/// The full equality grid: every catalog scenario x policy x dispatch
-/// path x seed over three asymmetric ranks joined by cross-rank delay
-/// edges — the golden-grid shape of sim_determinism_test, with parallel
-/// windows standing in for the A/B lever.
+/// The full equality grid: every catalog scenario x policy x seed over
+/// three asymmetric ranks joined by cross-rank delay edges — the
+/// golden-grid shape of sim_determinism_test.
 TEST_F(ParallelDesTest, ThreeRankGridBitwiseEqual) {
   const Dag dag = heat_dag(3);
   const Topology* topos[] = {&tx2_, &haswell_, &small_};
@@ -102,18 +101,15 @@ TEST_F(ParallelDesTest, ThreeRankGridBitwiseEqual) {
     for (std::size_t r = 0; r < 3; ++r)
       ranks.push_back(RankSpec{topos[r], &scenarios[r]});
     for (Policy p : policies) {
-      for (bool generic : {false, true}) {
-        for (std::uint64_t seed : seeds) {
-          const CellResult serial = run_cell(ranks, dag, p, 1, generic, seed);
-          const CellResult par = run_cell(ranks, dag, p, 3, generic, seed);
-          EXPECT_TRUE(serial == par)
-              << "scenario=" << sc_name << " policy=" << static_cast<int>(p)
-              << " generic=" << generic << " seed=" << seed
-              << " serial=" << serial.makespan
-              << " parallel=" << par.makespan;
-          EXPECT_GT(serial.makespan, 0.0);
-          for (std::uint64_t ev : serial.events) EXPECT_GT(ev, 0u);
-        }
+      for (std::uint64_t seed : seeds) {
+        const CellResult serial = run_cell(ranks, dag, p, 1, seed);
+        const CellResult par = run_cell(ranks, dag, p, 3, seed);
+        EXPECT_TRUE(serial == par)
+            << "scenario=" << sc_name << " policy=" << static_cast<int>(p)
+            << " seed=" << seed << " serial=" << serial.makespan
+            << " parallel=" << par.makespan;
+        EXPECT_GT(serial.makespan, 0.0);
+        for (std::uint64_t ev : serial.events) EXPECT_GT(ev, 0u);
       }
     }
   }
@@ -124,9 +120,8 @@ TEST_F(ParallelDesTest, OversubscribedThreadsClampToRanks) {
   const Dag dag = heat_dag(3);
   const auto ranks = asymmetric_ranks();
   const CellResult serial =
-      run_cell(ranks, dag, Policy::kDamC, 1, false, kDefaultSeed);
-  const CellResult par =
-      run_cell(ranks, dag, Policy::kDamC, 16, false, kDefaultSeed);
+      run_cell(ranks, dag, Policy::kDamC, 1, kDefaultSeed);
+  const CellResult par = run_cell(ranks, dag, Policy::kDamC, 16, kDefaultSeed);
   EXPECT_TRUE(serial == par);
 }
 
@@ -141,7 +136,7 @@ TEST_F(ParallelDesTest, FailStopFaultsBitwiseEqualAcrossDesThreads) {
   // Clean serial probe sizes the onset so the kills land mid-run on every
   // rank's schedule.
   const CellResult clean =
-      run_cell(asymmetric_ranks(), dag, Policy::kDamC, 1, false, kDefaultSeed);
+      run_cell(asymmetric_ranks(), dag, Policy::kDamC, 1, kDefaultSeed);
 
   scenario::ScenarioSpec spec;
   spec.name = "parallel-fail";
@@ -199,10 +194,8 @@ TEST_F(ParallelDesTest, FailStopFaultsBitwiseEqualAcrossDesThreads) {
 TEST_F(ParallelDesTest, SingleRankIgnoresDesThreads) {
   const Dag dag = heat_dag(1);
   const std::vector<RankSpec> one = {RankSpec{&haswell_, nullptr}};
-  const CellResult serial =
-      run_cell(one, dag, Policy::kDamC, 1, false, kDefaultSeed);
-  const CellResult par =
-      run_cell(one, dag, Policy::kDamC, 4, false, kDefaultSeed);
+  const CellResult serial = run_cell(one, dag, Policy::kDamC, 1, kDefaultSeed);
+  const CellResult par = run_cell(one, dag, Policy::kDamC, 4, kDefaultSeed);
   EXPECT_TRUE(serial == par);
 }
 
@@ -214,9 +207,8 @@ TEST_F(ParallelDesTest, TinyLookaheadManyWindows) {
   const Dag dag = heat_dag(3, /*net_latency_s=*/1e-9);
   const auto ranks = asymmetric_ranks();
   const CellResult serial =
-      run_cell(ranks, dag, Policy::kDamC, 1, false, kDefaultSeed);
-  const CellResult par =
-      run_cell(ranks, dag, Policy::kDamC, 3, false, kDefaultSeed);
+      run_cell(ranks, dag, Policy::kDamC, 1, kDefaultSeed);
+  const CellResult par = run_cell(ranks, dag, Policy::kDamC, 3, kDefaultSeed);
   EXPECT_TRUE(serial == par);
   EXPECT_GT(serial.lookahead, 0.0);
   EXPECT_LT(serial.lookahead, 1e-6);  // the tiny latency really took effect
@@ -229,9 +221,9 @@ TEST_F(ParallelDesTest, MultiJobPersistentEngineEqual) {
   const Dag dag = heat_dag(3);
   const auto ranks = asymmetric_ranks();
   const CellResult serial =
-      run_cell(ranks, dag, Policy::kRwsmC, 1, false, kDefaultSeed, /*jobs=*/2);
+      run_cell(ranks, dag, Policy::kRwsmC, 1, kDefaultSeed, /*jobs=*/2);
   const CellResult par =
-      run_cell(ranks, dag, Policy::kRwsmC, 3, false, kDefaultSeed, /*jobs=*/2);
+      run_cell(ranks, dag, Policy::kRwsmC, 3, kDefaultSeed, /*jobs=*/2);
   EXPECT_TRUE(serial == par);
 }
 

@@ -19,8 +19,8 @@ Rules (each violation prints `file:line: [rule] message`; exit 1 on any):
 
   hot-path-stdfunction  Same regions: no type-erased dispatch — naming
                    std::function or invoking a TaskTypeInfo cost callable
-                   (`.cost(`). The fused engine loops exist precisely to
-                   keep erased calls off the steady-state path; catalog
+                   (`.cost(`). The steady-state path calls the inline
+                   policy hooks (core/policy.hpp) directly, and catalog
                    cost models evaluate through cost_expr_eval /
                    cost_eval (core/cost_expr.hpp) instead.
 
@@ -231,7 +231,7 @@ def lint_file(root, rel, violations):
             if HOT_STDFUNCTION.search(code_line):
                 report("hot-path-stdfunction",
                        f"type-erased dispatch in hot-path region"
-                       f" '{region}' (use the fused hooks / cost_expr"
+                       f" '{region}' (call the policy hooks / cost_expr"
                        f" evaluators, core/cost_expr.hpp)")
             if HOT_PARK.search(code_line):
                 report("hot-path-park",
