@@ -130,10 +130,8 @@ int main(int argc, char** argv) {
                             const std::optional<scenario::ScenarioSpec>& fault,
                             double clean, const std::string& label,
                             std::int64_t victims, double t_fail) {
-    auto builder = ExecutorConfig::builder().seed(b.seed);
-    if (fault) builder.scenario_spec(*fault);
-    auto exec =
-        make_executor(Backend::kSim, topo, policy, b.registry, builder.build());
+    auto exec = make_executor(Backend::kSim, topo, policy, b.registry,
+                              {.seed = b.seed, .scenario_spec = fault});
     const RunResult r = exec->run(dag);
     DAS_CHECK_MSG(r.ok() && r.tasks == tasks,
                   "fault_recovery: job must complete despite faults");
@@ -175,7 +173,7 @@ int main(int argc, char** argv) {
     double clean = 0.0;
     {
       auto exec = make_executor(Backend::kSim, topo, policy, b.registry,
-                                ExecutorConfig::builder().seed(b.seed).build());
+                                {.seed = b.seed});
       const RunResult r = exec->run(dag);
       DAS_CHECK_MSG(r.ok(), "fault_recovery: clean probe failed");
       clean = r.makespan_s;
@@ -264,9 +262,16 @@ int main(int argc, char** argv) {
                     << "' (skipped)\n";
           continue;
         }
-        const double want_ms = ref->find("makespan_s")->as_number();
-        const std::int64_t want_re =
-            static_cast<std::int64_t>(ref->find("tasks_reexecuted")->as_number());
+        const auto number = [&](const char* key) {
+          const json::Value* v = ref->find(key);
+          if (v == nullptr)
+            throw json::Error(baseline_path + ": cell '" + c.label +
+                              "' has no '" + key + "' number");
+          return v->as_number();
+        };
+        const double want_ms = number("makespan_s");
+        const auto want_re =
+            static_cast<std::int64_t>(number("tasks_reexecuted"));
         const double drift =
             want_ms > 0.0 ? std::abs(c.makespan_s - want_ms) / want_ms : 0.0;
         if (drift > tolerance || c.reexecuted != want_re) {

@@ -15,7 +15,6 @@
 #include "core/policy.hpp"
 #include "core/ptt.hpp"
 #include "core/task_type.hpp"
-#include "core/two_level_search.hpp"
 #include "kernels/cost_models.hpp"
 #include "kernels/registry.hpp"
 #include "platform/speed_model.hpp"
@@ -70,27 +69,6 @@ void BM_PolicyGlobalSearch(benchmark::State& state) {
   state.counters["places"] = topo.num_places();
 }
 BENCHMARK(BM_PolicyGlobalSearch)->Arg(10)->Arg(36)->Arg(144);
-
-// Future-work prototype (paper §4.1.1 scalability concern): the two-level
-// cluster-cached search vs the flat scan above, on the 144-place topology,
-// with updates localised to one cluster between decisions — the cache skips
-// the 7 clean clusters.
-void BM_TwoLevelSearchLocalisedUpdates(benchmark::State& state) {
-  const Topology topo = Topology::haswell_cluster(4);
-  Ptt ptt(topo);
-  Xoshiro256 rng(2);
-  for (int pid = 0; pid < topo.num_places(); ++pid)
-    ptt.update(pid, 1e-3 * (1.0 + rng.uniform()));
-  TwoLevelSearch search(topo);
-  const ExecutionPlace touched{0, 1};
-  for (auto _ : state) {
-    ptt.update(touched, 1e-3);
-    search.invalidate(touched);
-    benchmark::DoNotOptimize(search.find_min(ptt, PolicyEngine::Objective::kCost));
-  }
-  state.counters["places"] = topo.num_places();
-}
-BENCHMARK(BM_TwoLevelSearchLocalisedUpdates);
 
 void BM_PolicyLocalSearch(benchmark::State& state) {
   const Topology topo = Topology::tx2();

@@ -93,10 +93,7 @@ rt::RtOptions to_rt_options(const ExecutorConfig& cfg, FaultPlan faults) {
   o.policy_options = cfg.policy_options;
   o.ptt_ratio = cfg.ptt_ratio;
   o.stats_phases = cfg.stats_phases;
-  o.pin_threads = cfg.rt.pin_threads;
-  o.steal_attempts_per_round = cfg.rt.steal_attempts_per_round;
   o.faults = std::move(faults);
-  o.enable_watchdog = cfg.rt.enable_watchdog;
   o.watchdog_period_s = cfg.rt.watchdog_period_s;
   return o;
 }
@@ -108,11 +105,6 @@ sim::SimOptions to_sim_options(const ExecutorConfig& cfg) {
   o.ptt_ratio = cfg.ptt_ratio;
   o.stats_phases = cfg.stats_phases;
   o.timeline = cfg.timeline;
-  o.dispatch_overhead_s = cfg.sim.dispatch_overhead_s;
-  o.steal_latency_s = cfg.sim.steal_latency_s;
-  o.completion_overhead_s = cfg.sim.completion_overhead_s;
-  o.idle_wake_delay_s = cfg.sim.idle_wake_delay_s;
-  o.noise = cfg.sim.noise;
   o.des_threads = cfg.sim.des_threads;
   return o;
 }
@@ -130,7 +122,7 @@ class SimExecutor final : public Executor {
   SimExecutor(std::vector<sim::RankSpec> ranks, Policy policy,
               const TaskTypeRegistry& registry, const ExecutorConfig& cfg,
               OwnedScenarios owned, OwnedFaultPlans owned_faults)
-      : Executor(policy, cfg.timeline, cfg.service),
+      : Executor(policy, cfg.service),
         owned_scenarios_(std::move(owned)),
         owned_fault_plans_(std::move(owned_faults)),
         engine_(std::move(ranks), policy, registry, to_sim_options(cfg)) {
@@ -209,8 +201,7 @@ class RtExecutor final : public Executor {
   RtExecutor(const Topology& topo, Policy policy,
              const TaskTypeRegistry& registry, const ExecutorConfig& cfg,
              OwnedScenarios owned, FaultPlan faults)
-      : Executor(policy, /*timeline=*/nullptr,  // rt records no timeline yet
-                 cfg.service),
+      : Executor(policy, cfg.service),
         owned_scenarios_(std::move(owned)),
         runtime_(topo, policy, registry,
                  to_rt_options(cfg, std::move(faults))) {

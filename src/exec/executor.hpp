@@ -19,8 +19,8 @@
 // (exec/session.hpp documents the model). `run()` is the submit+wait sugar
 // shown above and stays single-tenant. ExecutorConfig holds the options
 // shared by both engines (seed, scenario, policy tunables, PTT ratio, stats
-// phases) plus per-backend sub-structs and the ServiceConfig; build one
-// field-by-field or through ExecutorConfig::builder(). run() returns a
+// phases, timeline) plus per-backend sub-structs and the ServiceConfig; set
+// its fields directly or with designated initializers. run() returns a
 // structured RunResult (makespan, throughput, per-rank stats snapshot)
 // instead of a bare double.
 //
@@ -115,7 +115,7 @@ struct ExecutorConfig {
   /// scenario. Setting both scenario and scenario_spec is a precondition
   /// error; a spec that references what the topology lacks throws
   /// scenario::ScenarioError from make_executor.
-  std::optional<scenario::ScenarioSpec> scenario_spec;
+  std::optional<scenario::ScenarioSpec> scenario_spec{};
   PolicyOptions policy_options{};
   UpdateRatio ptt_ratio{};
   int stats_phases = 1;
@@ -125,100 +125,25 @@ struct ExecutorConfig {
 
   /// Service-layer knobs (admission + fair release across sessions); the
   /// engines never see these. exec/session.hpp documents the model.
-  ServiceConfig service;
+  ServiceConfig service{};
 
   // The per-backend defaults are read off the engines' own option structs
   // so they can never drift from what a direct engine user would get (the
   // divergent-defaults bug class the unified seed fixes).
   struct Rt {
-    /// Best-effort pthread affinity.
-    bool pin_threads = ::das::rt::RtOptions{}.pin_threads;
-    /// Victims probed before backing off.
-    int steal_attempts_per_round = ::das::rt::RtOptions{}.steal_attempts_per_round;
-    /// Run the fault watchdog even without a fault plan (rt/watchdog.cpp);
-    /// a scenario_spec with fail/freeze faults arms it regardless.
-    bool enable_watchdog = ::das::rt::RtOptions{}.enable_watchdog;
+    /// Fault-watchdog tick, the detection grain (rt/watchdog.cpp). The
+    /// watchdog runs when scenario_spec carries fail/freeze faults.
     double watchdog_period_s = ::das::rt::RtOptions{}.watchdog_period_s;
-  } rt;
+  } rt{};
 
   struct Sim {
-    double dispatch_overhead_s = ::das::sim::SimOptions{}.dispatch_overhead_s;
-    double steal_latency_s = ::das::sim::SimOptions{}.steal_latency_s;
-    double completion_overhead_s = ::das::sim::SimOptions{}.completion_overhead_s;
-    double idle_wake_delay_s = ::das::sim::SimOptions{}.idle_wake_delay_s;
-    /// Lognormal measurement noise.
-    bool noise = ::das::sim::SimOptions{}.noise;
     /// Worker threads for multi-rank DES runs (conservative parallel
     /// windows, sim/engine.hpp). <= 1 keeps the protocol on the calling
     /// thread; results are bitwise identical either way. Ignored by the rt
     /// backend and by single-rank sims.
     int des_threads = ::das::sim::SimOptions{}.des_threads;
-  } sim;
-
-  class Builder;
-  /// Fluent construction: `ExecutorConfig::builder().seed(7).build()`.
-  static Builder builder();
+  } sim{};
 };
-
-/// Chained-setter construction for ExecutorConfig, split the way the config
-/// is consumed: ENGINE options feed the sim/rt engines, SERVICE options
-/// feed the multi-tenant layer wrapped around them. Every setter has the
-/// same default as the plain struct — builder() with no calls reproduces
-/// `ExecutorConfig{}` exactly.
-class ExecutorConfig::Builder {
- public:
-  // ---- engine options -----------------------------------------------------
-  Builder& seed(std::uint64_t v) { cfg_.seed = v; return *this; }
-  Builder& scenario(const SpeedScenario* s) { cfg_.scenario = s; return *this; }
-  Builder& scenario_spec(scenario::ScenarioSpec s) {
-    cfg_.scenario_spec = std::move(s);
-    return *this;
-  }
-  Builder& policy_options(const PolicyOptions& o) {
-    cfg_.policy_options = o;
-    return *this;
-  }
-  Builder& ptt_ratio(UpdateRatio r) { cfg_.ptt_ratio = r; return *this; }
-  Builder& stats_phases(int n) { cfg_.stats_phases = n; return *this; }
-  Builder& timeline(Timeline* t) { cfg_.timeline = t; return *this; }
-  Builder& pin_threads(bool v) { cfg_.rt.pin_threads = v; return *this; }
-  Builder& steal_attempts_per_round(int v) {
-    cfg_.rt.steal_attempts_per_round = v;
-    return *this;
-  }
-  Builder& enable_watchdog(bool v) { cfg_.rt.enable_watchdog = v; return *this; }
-  Builder& watchdog_period_s(double v) {
-    cfg_.rt.watchdog_period_s = v;
-    return *this;
-  }
-  Builder& sim_noise(bool v) { cfg_.sim.noise = v; return *this; }
-  Builder& sim_des_threads(int v) { cfg_.sim.des_threads = v; return *this; }
-  Builder& sim_overheads(double dispatch_s, double steal_s, double completion_s,
-                         double idle_wake_s) {
-    cfg_.sim.dispatch_overhead_s = dispatch_s;
-    cfg_.sim.steal_latency_s = steal_s;
-    cfg_.sim.completion_overhead_s = completion_s;
-    cfg_.sim.idle_wake_delay_s = idle_wake_s;
-    return *this;
-  }
-
-  // ---- service options ----------------------------------------------------
-  Builder& max_service_inflight(int v) {
-    cfg_.service.max_service_inflight = v;
-    return *this;
-  }
-  Builder& drr_quantum_tasks(std::int64_t v) {
-    cfg_.service.drr_quantum_tasks = v;
-    return *this;
-  }
-
-  ExecutorConfig build() const { return cfg_; }
-
- private:
-  ExecutorConfig cfg_;
-};
-
-inline ExecutorConfig::Builder ExecutorConfig::builder() { return {}; }
 
 /// Structured result of one job (one submitted DAG): what run() returns and
 /// what wait()/drain() return per job.
@@ -263,8 +188,6 @@ struct RunResult {
   /// waited. Counters accumulate across jobs on the same executor (see
   /// Executor::reset_stats()).
   std::vector<StatsSnapshot> stats;
-  /// The config's timeline, when the backend recorded into one; else null.
-  const Timeline* timeline = nullptr;
 };
 
 class Session;
@@ -378,8 +301,8 @@ class Executor {
   virtual PttStore& ptt(int rank = 0) = 0;
 
  protected:
-  Executor(Policy policy, const Timeline* timeline, ServiceConfig service)
-      : policy_kind_(policy), timeline_(timeline), svc_(service) {}
+  Executor(Policy policy, ServiceConfig service)
+      : policy_kind_(policy), svc_(service) {}
 
   /// A submitted job's identity plus its release instant on the engine
   /// clock (RunResult::arrival_s for bare submits).
@@ -511,6 +434,10 @@ class Executor {
   void pump_locked() DAS_REQUIRES(svc_mu_);
   /// Hands one queued job to the engine and updates the accounting.
   void release_locked(JobId id) DAS_REQUIRES(svc_mu_);
+  /// Removes the drained tenant at ring position `pos` from the DRR ring
+  /// and drops its residual credit. The cursor stays on its tenant, or
+  /// moves to the next one when it pointed at the leaver.
+  void leave_ring_locked(std::size_t pos) DAS_REQUIRES(svc_mu_);
   /// Deadline expiry for a still-queued session job: removes it from its
   /// tenant's bucket and marks it Outcome::kTimedOut.
   void timeout_locked(JobId id) DAS_REQUIRES(svc_mu_);
@@ -523,7 +450,6 @@ class Executor {
   TenantCounters counters_of(int tenant);
 
   Policy policy_kind_;
-  const Timeline* timeline_;
   /// Immutable after construction; read without svc_mu_.
   const ServiceConfig svc_;
 

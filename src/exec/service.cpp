@@ -191,18 +191,24 @@ void Executor::pump_locked() {
     if (global_blocked) return;  // resume THIS tenant when capacity frees
     cursor_credited_ = false;
     if (t.buckets.empty()) {
-      // Drained: drop the residual credit (classic DRR — an idle tenant
-      // must not bank credit against its next burst) and leave the ring.
-      t.deficit = 0.0;
-      t.in_ring = false;
-      ring_.erase(ring_.begin() + static_cast<std::ptrdiff_t>(pos));
-      if (ring_cursor_ > pos) --ring_cursor_;
-      if (!ring_.empty()) ring_cursor_ %= ring_.size();
-      else ring_cursor_ = 0;
+      leave_ring_locked(pos);
     } else {
       ring_cursor_ = (pos + 1) % ring_.size();
     }
   }
+}
+
+void Executor::leave_ring_locked(std::size_t pos) {
+  // Drained: drop the residual credit (classic DRR — an idle tenant must
+  // not bank credit against its next burst) and leave the ring.
+  TenantState& t = tenants_[ring_[pos]];
+  t.deficit = 0.0;
+  t.in_ring = false;
+  ring_.erase(ring_.begin() + static_cast<std::ptrdiff_t>(pos));
+  if (ring_cursor_ > pos) --ring_cursor_;
+  if (!ring_.empty()) ring_cursor_ %= ring_.size();
+  else ring_cursor_ = 0;
+  cursor_credited_ = false;
 }
 
 void Executor::release_locked(JobId id) {
@@ -295,21 +301,11 @@ void Executor::timeout_locked(JobId id) {
   ++t.counters.timed_out;
   job.timed_out = true;
   if (t.buckets.empty() && t.in_ring) {
-    // Mirror pump_locked's drained branch: an empty tenant leaves the DRR
-    // ring and forfeits its residual credit.
-    t.deficit = 0.0;
-    t.in_ring = false;
     const auto rit =
         std::find(ring_.begin(), ring_.end(),
                   static_cast<std::size_t>(job.tenant));
     DAS_CHECK(rit != ring_.end());
-    const auto pos_in_ring =
-        static_cast<std::size_t>(rit - ring_.begin());
-    ring_.erase(rit);
-    if (ring_cursor_ > pos_in_ring) --ring_cursor_;
-    if (!ring_.empty()) ring_cursor_ %= ring_.size();
-    else ring_cursor_ = 0;
-    cursor_credited_ = false;
+    leave_ring_locked(static_cast<std::size_t>(rit - ring_.begin()));
   }
 }
 
@@ -375,7 +371,6 @@ RunResult Executor::finish_claimed(JobId id) {
     r.stats.reserve(static_cast<std::size_t>(num_ranks()));
     for (int rank = 0; rank < num_ranks(); ++rank)
       r.stats.push_back(stats(rank).snapshot());
-    r.timeline = timeline_;
   }
   MutexLock g(svc_mu_);
   // On rt the engine's completion hook trails wait_job's return (it runs on
@@ -433,25 +428,13 @@ JobId Executor::claim_next_locked(int tenant) {
   return kInvalidJob;
 }
 
-std::vector<RunResult> Executor::drain() {
-  // Claim one unclaimed job at a time (lowest id first = submission
-  // order): the claim is one critical section, so jobs another thread
-  // already claimed are simply not ours to drain and drain() composes
-  // with concurrent wait()ers on the rt backend.
-  std::vector<RunResult> results;
-  for (;;) {
-    JobId id = kInvalidJob;
-    {
-      MutexLock g(svc_mu_);
-      id = claim_next_locked(-1);
-    }
-    if (id == kInvalidJob) break;
-    results.push_back(finish_claimed(id));
-  }
-  return results;
-}
+std::vector<RunResult> Executor::drain() { return drain_tenant(-1); }
 
 std::vector<RunResult> Executor::drain_tenant(int tenant) {
+  // Claim one unclaimed job at a time (lowest id first = submission
+  // order): the claim is one critical section, so jobs another thread
+  // already claimed are simply not ours to drain and a drain composes
+  // with concurrent wait()ers on the rt backend.
   std::vector<RunResult> results;
   for (;;) {
     JobId id = kInvalidJob;

@@ -12,76 +12,50 @@ void Mailbox::deliver(Message msg) {
   cv_.notify_all();
 }
 
-std::deque<Message>::iterator Mailbox::find_locked(int src, int tag) {
+std::deque<Message>::iterator Mailbox::find_locked(std::optional<int> src,
+                                                   int tag) {
   return std::find_if(messages_.begin(), messages_.end(), [&](const Message& m) {
-    return m.src == src && m.tag == tag;
+    return (!src || m.src == *src) && m.tag == tag;
   });
 }
 
-Message Mailbox::take(int src, int tag) {
+std::optional<Message> Mailbox::take_matching(
+    std::optional<int> src, int tag, std::optional<Clock::time_point> deadline) {
   MutexLock g(mu_);
   for (;;) {
-    auto it = find_locked(src, tag);
+    const auto it = find_locked(src, tag);
     if (it != messages_.end()) {
       Message m = std::move(*it);
       messages_.erase(it);
       return m;
     }
-    cv_.wait(g);
+    if (!deadline) {
+      cv_.wait(g);
+      continue;
+    }
+    const auto remaining = *deadline - Clock::now();
+    if (remaining <= std::chrono::nanoseconds::zero()) return std::nullopt;
+    cv_.wait_for(g, std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        remaining));
   }
 }
 
+Message Mailbox::take(int src, int tag) {
+  return *take_matching(src, tag, std::nullopt);
+}
+
 Message Mailbox::take_any(int tag) {
-  MutexLock g(mu_);
-  for (;;) {
-    const auto it =
-        std::find_if(messages_.begin(), messages_.end(),
-                     [&](const Message& m) { return m.tag == tag; });
-    if (it != messages_.end()) {
-      Message m = std::move(*it);
-      messages_.erase(it);
-      return m;
-    }
-    cv_.wait(g);
-  }
+  return *take_matching(std::nullopt, tag, std::nullopt);
 }
 
 std::optional<Message> Mailbox::take_for(int src, int tag,
                                          std::chrono::nanoseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  MutexLock g(mu_);
-  for (;;) {
-    auto it = find_locked(src, tag);
-    if (it != messages_.end()) {
-      Message m = std::move(*it);
-      messages_.erase(it);
-      return m;
-    }
-    const auto remaining = deadline - std::chrono::steady_clock::now();
-    if (remaining <= std::chrono::nanoseconds::zero()) return std::nullopt;
-    cv_.wait_for(g, std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        remaining));
-  }
+  return take_matching(src, tag, Clock::now() + timeout);
 }
 
 std::optional<Message> Mailbox::take_any_for(int tag,
                                              std::chrono::nanoseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  MutexLock g(mu_);
-  for (;;) {
-    const auto it =
-        std::find_if(messages_.begin(), messages_.end(),
-                     [&](const Message& m) { return m.tag == tag; });
-    if (it != messages_.end()) {
-      Message m = std::move(*it);
-      messages_.erase(it);
-      return m;
-    }
-    const auto remaining = deadline - std::chrono::steady_clock::now();
-    if (remaining <= std::chrono::nanoseconds::zero()) return std::nullopt;
-    cv_.wait_for(g, std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        remaining));
-  }
+  return take_matching(std::nullopt, tag, Clock::now() + timeout);
 }
 
 bool Mailbox::try_take(int src, int tag, Message& out) {

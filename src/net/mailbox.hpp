@@ -45,9 +45,18 @@ class Mailbox {
   std::size_t pending() const;
 
  private:
-  // Returns an iterator to the oldest match, or end().
-  std::deque<Message>::iterator find_locked(int src, int tag)
+  using Clock = std::chrono::steady_clock;
+
+  // Returns an iterator to the oldest message with `tag` from `src` (any
+  // source when empty), or end().
+  std::deque<Message>::iterator find_locked(std::optional<int> src, int tag)
       DAS_REQUIRES(mu_);
+  // The one find-erase-wait loop behind take/take_any/take_for/
+  // take_any_for: removes the oldest match, waiting for one until
+  // `deadline` (forever when empty); nullopt once the deadline passes.
+  std::optional<Message> take_matching(
+      std::optional<int> src, int tag,
+      std::optional<Clock::time_point> deadline) DAS_EXCLUDES(mu_);
 
   mutable Mutex mu_;
   CondVar cv_;

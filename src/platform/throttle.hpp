@@ -14,6 +14,12 @@
 // The scheduler under test observes nothing but inflated task execution
 // times, which is the same signal real dynamic asymmetry produces (see
 // DESIGN.md §1 for the substitution argument).
+//
+// The rt worker applies it in Runtime::run_work (rt/worker.cpp): it samples
+// relative_speed() at the start of the participation and busy-waits
+// deficit_ns() after the work. Sampling once per participation is enough:
+// the scenarios of interest (DVFS period 10 s, interference windows of
+// seconds) change slowly relative to millisecond tasks.
 
 #include <cstdint>
 
@@ -44,14 +50,6 @@ class SpeedEmulator {
     if (rel_speed >= 1.0 || work_ns <= 0) return 0;
     return static_cast<std::int64_t>(static_cast<double>(work_ns) *
                                      (1.0 / rel_speed - 1.0));
-  }
-
-  /// Busy-waits the emulation deficit for work that started at `start_ns`
-  /// and took `work_ns`. Speed is sampled at the start of the work; the
-  /// scenarios of interest (DVFS period 10 s, interference windows of
-  /// seconds) change slowly relative to millisecond tasks.
-  void throttle(int core, std::int64_t start_ns, std::int64_t work_ns) const {
-    busy_wait_ns(deficit_ns(work_ns, relative_speed(core, start_ns)));
   }
 
  private:

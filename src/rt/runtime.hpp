@@ -102,14 +102,15 @@
 
 namespace das::rt {
 
+/// Runtime options. Worker threads float (they are never pinned), and the
+/// number of victims a thief probes per round is a constant of
+/// rt/worker.cpp.
 struct RtOptions {
   std::uint64_t seed = kDefaultSeed;  ///< shared default (util/rng.hpp)
-  bool pin_threads = false;            ///< best-effort pthread affinity
   const SpeedScenario* scenario = nullptr;  ///< asymmetry emulation; null = off
   PolicyOptions policy_options{};
   UpdateRatio ptt_ratio{};
   int stats_phases = 1;
-  int steal_attempts_per_round = 4;    ///< victims probed before backing off
   /// Fail-stop / freeze schedule (scenario::resolve_faults output). A
   /// non-empty plan spawns the watchdog thread, which arms each fault at
   /// epoch + t_s and re-homes the retired workers' queued tasks.
@@ -152,8 +153,6 @@ class Runtime {
   ExecutionStats& stats() { return *stats_; }
   PolicyEngine& policy() { return *policy_; }
   PttStore& ptt() { return *ptt_; }
-  /// True if every worker thread was successfully pinned.
-  bool pinned() const { return pinned_; }
   /// Seconds elapsed since the runtime's construction — the time base of
   /// the RtOptions::scenario (drivers use it to open/close interference
   /// windows at application-level boundaries, cf. the paper's Fig. 9).
@@ -357,14 +356,7 @@ class Runtime {
   int max_place_width_ = 1;  ///< widest valid place; sizes the AQ arenas
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  bool pinned_ = true;
 
-  // Parking registry: parked_count_ lets producers skip the wake scan when
-  // nobody sleeps; Worker::parked marks scan candidates. Workers set both
-  // BEFORE their pre-park has_work() re-check (the Dekker pairing with
-  // notify_stealers' fence — see util/eventcount.hpp).
-  std::atomic<int> parked_count_{0};
-  std::atomic<bool> shutdown_{false};
   /// Idle workers poll with yields before they park (worker.cpp's idle
   /// protocol). Set once at construction: true iff the pool fits the CPUs
   /// of the process's affinity mask.
@@ -379,7 +371,17 @@ class Runtime {
   std::unique_ptr<std::atomic<bool>[]> dead_;
   std::atomic<std::uint64_t> tasks_reexecuted_{0};
   std::atomic<int> workers_failed_{0};
-  std::thread watchdog_;
+
+  // Parking registry: parked_count_ lets producers skip the wake scan when
+  // nobody sleeps; Worker::parked marks scan candidates. Workers set both
+  // BEFORE their pre-park has_work() re-check (the Dekker pairing with
+  // notify_stealers' fence — see util/eventcount.hpp). parked_count_ is
+  // the one member above mu_ that a healthy pool writes at run time (every
+  // park and wake), so it starts a cache line of its own, away from the
+  // workers_ and faults_armed_ that every progress round reads.
+  alignas(kCacheLine) std::atomic<int> parked_count_{0};
+  std::atomic<bool> shutdown_{false};
+  std::thread watchdog_;  // declared after the state it reads
 
   // Job coordination. jobs_ and the per-job `done` flags are guarded by
   // mu_; cv_ is the per-job completion latch (workers park on their

@@ -1,7 +1,6 @@
 #include <thread>
 
 #include "core/cost_expr.hpp"
-#include "platform/affinity.hpp"
 #include "rt/runtime.hpp"
 #include "util/assert.hpp"
 #include "util/spinlock.hpp"  // cpu_relax
@@ -21,12 +20,12 @@ namespace {
 constexpr int kSpinRoundsBeforePark = 2;
 constexpr std::int64_t kYieldPollNs = 1'000'000;
 
+/// Victims a thief probes per progress round before backing off.
+constexpr int kStealAttemptsPerRound = 4;
+
 }  // namespace
 
 void Runtime::worker_loop(int core) {
-  if (options_.pin_threads) {
-    if (!pin_current_thread(core)) pinned_ = false;
-  }
   Worker& self = *workers_[static_cast<std::size_t>(core)];
 
   int idle_rounds = 0;
@@ -207,7 +206,7 @@ Runtime::TaskRec* Runtime::try_steal(int core) {
   if (n <= 1) return nullptr;
   const auto* workers = workers_.data();  // hoisted off the per-probe path
   Worker& self = *workers[static_cast<std::size_t>(core)];
-  for (int attempt = 0; attempt < options_.steal_attempts_per_round; ++attempt) {
+  for (int attempt = 0; attempt < kStealAttemptsPerRound; ++attempt) {
     // Draw from n-1 and remap around self: every attempt probes a real
     // victim instead of burning draws on victim == core.
     int victim = static_cast<int>(self.rng.below(static_cast<std::uint64_t>(n - 1)));

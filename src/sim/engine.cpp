@@ -25,6 +25,20 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// for longer (the calling thread between pumps) still parks soon.
 constexpr int kSpinPolls = 1 << 12;
 
+// Runtime overheads of the modelled XiTAO-style worker, in virtual seconds.
+constexpr double kDispatchOverheadS = 1e-6;  ///< dequeue -> assembly insertion
+constexpr double kStealLatencyS = 2e-6;      ///< successful steal round-trip
+/// Bookkeeping a finishing participant performs (PTT update, waking the
+/// dependents) before it looks for new work. This matters: it gives a
+/// just-released high-priority assembly time to reach the finisher's AQ, so
+/// the finisher joins it instead of grabbing a low-priority child from its
+/// own WSQ first (priority inversion).
+constexpr double kCompletionOverheadS = 2e-6;
+/// Idle workers back off (XiTAO-style sleep between failed steal sweeps), so
+/// a task pushed while a core sleeps is noticed only after this delay. Busy
+/// cores re-examine their queues immediately on completion.
+constexpr double kIdleWakeDelayS = 200e-6;
+
 }  // namespace
 
 SimEngine::SimEngine(std::vector<RankSpec> ranks, Policy policy,
@@ -612,7 +626,7 @@ void SimEngine::activate(Shard& sh, int core, double at, bool direct) {
   // delay, ties resolve FIFO and the lowest-numbered idle core would always
   // win the race (cores 3..5 would never work at low DAG parallelism).
   const double jitter = 0.5 + sh.rng.uniform();
-  sh.events.push(at + options_.idle_wake_delay_s * jitter,
+  sh.events.push(at + kIdleWakeDelayS * jitter,
                  Event{Ev::kWake, core, kInvalidJob, kInvalidNode, -1});
 }
 
@@ -713,7 +727,7 @@ void SimEngine::distribute(Shard& sh, Job& job, JobId job_id, NodeId id,
     const int core = p.leader + i;
     sh.cores[static_cast<std::size_t>(core)].aq.push_back(
         Participation{job_id, id, i});
-    activate(sh, core, t + options_.dispatch_overhead_s);
+    activate(sh, core, t + kDispatchOverheadS);
   }
 }
 
@@ -824,9 +838,9 @@ bool SimEngine::try_steal(Shard& sh, int core, double t) {
   // the steal round-trip.
   set_active(sh, core);
   sh.events.push_lane(
-      kLaneSteal, t + options_.steal_latency_s + options_.dispatch_overhead_s,
+      kLaneSteal, t + kStealLatencyS + kDispatchOverheadS,
       Event{Ev::kWake, core, kInvalidJob, kInvalidNode, -1});
-  distribute(sh, job, qt.job, qt.task, place, t + options_.steal_latency_s);
+  distribute(sh, job, qt.job, qt.task, place, t + kStealLatencyS);
   return true;
 }
 
@@ -852,7 +866,7 @@ void SimEngine::handle_wake(Shard& sh, int core, double t) {
     // to activate the participants — otherwise the distributor would get a
     // second wake event and could double-book itself.
     set_active(sh, core);
-    sh.events.push_lane(kLaneDispatch, t + options_.dispatch_overhead_s,
+    sh.events.push_lane(kLaneDispatch, t + kDispatchOverheadS,
                         Event{Ev::kWake, core, kInvalidJob, kInvalidNode, -1});
     distribute(sh, job, qt.job, qt.task, ts.place, t);
     return;
@@ -869,7 +883,7 @@ void SimEngine::handle_wake(Shard& sh, int core, double t) {
         ts.has_fixed_place ? ts.place
                            : r.policy->on_execute(n.type, n.priority, core);
     set_active(sh, core);  // see the inbox branch: one pending wake only
-    sh.events.push_lane(kLaneDispatch, t + options_.dispatch_overhead_s,
+    sh.events.push_lane(kLaneDispatch, t + kDispatchOverheadS,
                         Event{Ev::kWake, core, kInvalidJob, kInvalidNode, -1});
     distribute(sh, job, qt.job, qt.task, place, t);
     return;
@@ -900,7 +914,7 @@ void SimEngine::handle_done(Shard& sh, const Event& e, double t) {
     DAS_ASSERT(finisher.busy);
     finisher.busy = false;
     set_active(sh, e.core);
-    sh.events.push_lane(kLaneCompletion, t + options_.completion_overhead_s,
+    sh.events.push_lane(kLaneCompletion, t + kCompletionOverheadS,
                         Event{Ev::kWake, e.core, kInvalidJob, kInvalidNode, -1});
     return;
   }
@@ -972,12 +986,12 @@ void SimEngine::handle_done(Shard& sh, const Event& e, double t) {
   }
 
   // The participant core looks for new work after the completion
-  // bookkeeping (see SimOptions::completion_overhead_s).
+  // bookkeeping (see kCompletionOverheadS).
   CoreState& cs = sh.cores[static_cast<std::size_t>(e.core)];
   DAS_ASSERT(cs.busy);
   cs.busy = false;
   set_active(sh, e.core);
-  sh.events.push_lane(kLaneCompletion, t + options_.completion_overhead_s,
+  sh.events.push_lane(kLaneCompletion, t + kCompletionOverheadS,
                       Event{Ev::kWake, e.core, kInvalidJob, kInvalidNode, -1});
 }
 

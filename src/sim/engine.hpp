@@ -116,20 +116,11 @@
 
 namespace das::sim {
 
+/// Engine options. The modelled worker's runtime overheads (dispatch,
+/// steal round-trip, completion bookkeeping, idle wake delay) are not
+/// options: they are constants of sim/engine.cpp.
 struct SimOptions {
   std::uint64_t seed = kDefaultSeed;  ///< shared default (util/rng.hpp)
-  double dispatch_overhead_s = 1e-6;  ///< dequeue -> assembly insertion cost
-  double steal_latency_s = 2e-6;      ///< successful steal round-trip
-  /// Bookkeeping a finishing participant performs (PTT update, waking the
-  /// dependents) before it looks for new work. This matters: it gives a
-  /// just-released high-priority assembly time to reach the finisher's AQ,
-  /// so the finisher joins it instead of grabbing a low-priority child from
-  /// its own WSQ first (priority inversion).
-  double completion_overhead_s = 2e-6;
-  /// Idle workers back off (XiTAO-style sleep between failed steal sweeps),
-  /// so a task pushed while a core sleeps is noticed only after this delay.
-  /// Busy cores re-examine their queues immediately on completion.
-  double idle_wake_delay_s = 200e-6;
   bool noise = true;                  ///< lognormal measurement noise
   int stats_phases = 1;               ///< phase dimension of ExecutionStats
   /// Worker threads for multi-rank runs: <= 1 simulates every rank's
@@ -282,8 +273,8 @@ class SimEngine {
   // one class of event whose delay from now() is a fixed constant, so its
   // timestamps are nondecreasing by construction and it needs no heap.
   static constexpr int kLaneImmediate = 0;   // direct wakes, 0-delay releases
-  static constexpr int kLaneDispatch = 1;    // now + dispatch_overhead_s
-  static constexpr int kLaneCompletion = 2;  // now + completion_overhead_s
+  static constexpr int kLaneDispatch = 1;    // now + dispatch overhead
+  static constexpr int kLaneCompletion = 2;  // now + completion overhead
   static constexpr int kLaneSteal = 3;       // now + steal + dispatch
   static constexpr int kNumLanes = 4;
 

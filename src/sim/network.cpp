@@ -10,9 +10,4 @@ double NetworkModel::delay(double bytes) const {
   return latency_s + bytes / (bw_gbs * 1e9);
 }
 
-double NetworkModel::msg_rate(double bytes) const {
-  const double d = delay(bytes);
-  return d > 0.0 ? 1.0 / d : 0.0;
-}
-
 }  // namespace das::sim

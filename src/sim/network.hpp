@@ -16,10 +16,6 @@ struct NetworkModel {
 
   /// Wire time of a `bytes`-sized message.
   double delay(double bytes) const;
-
-  /// Messages per second a single link sustains at this size (used by the
-  /// bench harness to sanity-check throughput ceilings).
-  double msg_rate(double bytes) const;
 };
 
 }  // namespace das::sim

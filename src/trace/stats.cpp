@@ -23,11 +23,6 @@ ExecutionStats::ExecutionStats(const Topology& topo, int num_phases,
   reset();
 }
 
-void ExecutionStats::set_phase(int phase) {
-  DAS_CHECK(phase >= 0 && phase < num_phases_);
-  phase_.store(phase, std::memory_order_relaxed);
-}
-
 std::size_t ExecutionStats::index(Priority p, int place_id, int phase) const {
   DAS_ASSERT(place_id >= 0 && place_id < topo_->num_places());
   DAS_ASSERT(phase >= 0 && phase < num_phases_);
@@ -36,17 +31,6 @@ std::size_t ExecutionStats::index(Priority p, int place_id, int phase) const {
           static_cast<std::size_t>(phase)) *
              static_cast<std::size_t>(topo_->num_places()) +
          static_cast<std::size_t>(place_id);
-}
-
-void ExecutionStats::record_task(Priority priority, int place_id) {
-  record_task_at(priority, place_id, phase_.load(std::memory_order_relaxed));
-}
-
-void ExecutionStats::record_task_at(Priority priority, int place_id,
-                                    int phase) {
-  const int ph = std::clamp(phase, 0, num_phases_ - 1);
-  std::atomic<std::int64_t>& c = counter(0, index(priority, place_id, ph));
-  c.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ExecutionStats::record_task_at_st(Priority priority, int place_id,
@@ -62,12 +46,6 @@ void ExecutionStats::record_busy_st(int core, std::int64_t busy_ns) {
   std::atomic<std::int64_t>& b = busy_ns_[static_cast<std::size_t>(core)].value;
   b.store(b.load(std::memory_order_relaxed) + busy_ns,
           std::memory_order_relaxed);
-}
-
-void ExecutionStats::record_busy(int core, std::int64_t busy_ns) {
-  DAS_ASSERT(core >= 0 && core < topo_->num_cores());
-  busy_ns_[static_cast<std::size_t>(core)].value.fetch_add(busy_ns,
-                                                           std::memory_order_relaxed);
 }
 
 std::int64_t ExecutionStats::tasks_total() const {
@@ -182,7 +160,6 @@ void ExecutionStats::reset() {
     for (std::atomic<std::int64_t>& c : lines_[l].n)
       c.store(0, std::memory_order_relaxed);
   elapsed_s_.store(0.0, std::memory_order_relaxed);
-  phase_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace das

@@ -17,13 +17,10 @@
 //     task. It is likewise the only writer of its core's busy counter
 //     (record_busy_st).
 //   - sim: each rank has its own ExecutionStats with one block, written
-//     only by the rank's shard (one thread at a time) through the `_st`
-//     path.
-//   - record_task/record_task_at/record_busy take no writer: they are
-//     thread-safe RMWs (counts into block 0), for any number of concurrent
-//     callers. They must not race with a `_st` call on the same counters
-//     (block 0, or the same core's busy time), which is a plain load+store;
-//     no engine mixes the two.
+//     only by the rank's shard (one thread at a time).
+// Recording is single-writer only: a record is a plain load+store, never a
+// lock-prefixed RMW, so two threads must never record into the same block
+// or the same core's busy counter.
 // Queries sum every block. tasks_total, tasks_with_priority, distribution
 // and snapshot make one sequential pass over the blocks, O(writers x
 // phases x places); snapshot runs once per waited job (Executor::wait),
@@ -58,7 +55,7 @@ struct StatsSnapshot {
 
 class ExecutionStats {
  public:
-  /// `num_phases` >= 1; phase 0 is used unless set_phase() is called.
+  /// `num_phases` >= 1 (tasks carry their phase, DagNode::phase).
   /// `num_writers` >= 1 count blocks, one per single-writer recorder.
   explicit ExecutionStats(const Topology& topo, int num_phases = 1,
                           int num_writers = 1);
@@ -67,28 +64,14 @@ class ExecutionStats {
   int num_phases() const { return num_phases_; }
   int num_writers() const { return num_writers_; }
 
-  /// Sets the phase tag for subsequently recorded tasks (driver calls this
-  /// at iteration boundaries; engines never touch it).
-  void set_phase(int phase);
-  int phase() const { return phase_.load(std::memory_order_relaxed); }
-
-  /// Records a completed task: its priority and where it ran. Tagged with
-  /// the current phase (see set_phase).
-  void record_task(Priority priority, int place_id);
-  /// Same, with an explicit phase tag (clamped to the phase dimension), so
-  /// concurrent recorders of tasks of different iterations (DagNode::phase)
-  /// never race on set_phase.
-  void record_task_at(Priority priority, int place_id, int phase);
-  /// Adds kernel busy time to a core (emulated time for throttled cores).
-  void record_busy(int core, std::int64_t busy_ns);
-
-  /// Single-writer variants: same counters, but plain load+store instead of
-  /// an atomic RMW. Only for the ONE thread that writes block `writer`
-  /// (record_task_at_st) or core `core`'s busy counter (record_busy_st) —
-  /// a lock-prefixed fetch_add per task is pure waste there. Concurrent
-  /// readers still see consistent relaxed values.
+  /// Records a completed task into block `writer`: its priority, where it
+  /// ran and its phase (clamped to the phase dimension). Only the ONE
+  /// thread that writes block `writer` may call it. Concurrent readers
+  /// still see consistent relaxed values.
   void record_task_at_st(Priority priority, int place_id, int phase,
                          int writer = 0);
+  /// Adds kernel busy time to a core (emulated time for throttled cores).
+  /// Only the ONE thread that writes core `core`'s counter may call it.
   void record_busy_st(int core, std::int64_t busy_ns);
 
   /// Engines set the experiment's elapsed (virtual or wall) seconds.
@@ -149,7 +132,6 @@ class ExecutionStats {
   const Topology* topo_;
   int num_phases_;
   int num_writers_;
-  std::atomic<int> phase_{0};
   std::atomic<double> elapsed_s_{0.0};
   std::unique_ptr<CachePadded<std::atomic<std::int64_t>>[]> busy_ns_;
   // num_writers_ blocks of a dense [priority][phase][place] counter grid.

@@ -186,17 +186,16 @@ TEST_F(FaultToleranceTest, QuarterKillMidRunCompletesEveryJobOnBothBackends) {
     double probe = 0.0;
     {
       auto exec = make_executor(backend, topo_, Policy::kDamC, registry_,
-                                ExecutorConfig::builder().seed(2020).build());
+                                {.seed = 2020});
       probe = exec->run(dags[0]).makespan_s;
     }
 
     // Kill a quarter of the cores halfway through the first job.
-    auto exec = make_executor(backend, topo_, Policy::kDamC, registry_,
-                              ExecutorConfig::builder()
-                                  .seed(2020)
-                                  .scenario_spec(quarter_kill_spec(probe * 0.5))
-                                  .watchdog_period_s(2e-4)
-                                  .build());
+    auto exec = make_executor(
+        backend, topo_, Policy::kDamC, registry_,
+        {.seed = 2020,
+         .scenario_spec = quarter_kill_spec(probe * 0.5),
+         .rt = {.watchdog_period_s = 2e-4}});
     std::vector<JobId> ids;
     for (const Dag& d : dags) ids.push_back(exec->submit(d));
     std::int64_t total_tasks = 0;
@@ -218,7 +217,6 @@ TEST_F(FaultToleranceTest, RtWatchdogDetectsWedgedWorkerAndJobsComplete) {
   // the stale heartbeat, force-quarantine the worker, re-home its queued
   // tasks, and every job latch must still fire.
   rt::RtOptions o;
-  o.pin_threads = false;
   o.enable_watchdog = true;
   o.watchdog_period_s = 2e-4;
   rt::Runtime runtime(topo_, Policy::kRws, registry_, o);
@@ -269,7 +267,6 @@ TEST_F(FaultToleranceTest, RtPlannedFailStopQuarantinesAndJobsComplete) {
   // arms the worker's fault flag, the worker retires at its next loop top,
   // and the watchdog re-homes whatever was queued on it.
   rt::RtOptions o;
-  o.pin_threads = false;
   o.watchdog_period_s = 2e-4;
   o.faults.events.push_back(CoreFault{CoreFault::Kind::kFail, 4, 0.005, kInf});
   o.faults.events.push_back(CoreFault{CoreFault::Kind::kFail, 5, 0.005, kInf});
@@ -288,7 +285,7 @@ TEST_F(FaultToleranceTest, RtPlannedFailStopQuarantinesAndJobsComplete) {
 
 TEST_F(FaultToleranceTest, QueueingDeadlineTimesOutStuckJob) {
   auto exec = make_executor(Backend::kSim, topo_, Policy::kDamC, registry_,
-                            ExecutorConfig::builder().seed(7).build());
+                            {.seed = 7});
   TenantConfig cfg;
   cfg.name = "deadline";
   cfg.max_in_flight = 1;
@@ -311,7 +308,7 @@ TEST_F(FaultToleranceTest, QueueingDeadlineTimesOutStuckJob) {
 
 TEST_F(FaultToleranceTest, RetryBudgetExhaustionIsReportedAsSuch) {
   auto exec = make_executor(Backend::kSim, topo_, Policy::kDamC, registry_,
-                            ExecutorConfig::builder().seed(7).build());
+                            {.seed = 7});
   TenantConfig cfg;
   cfg.name = "retry";
   cfg.max_in_flight = 1;
@@ -343,7 +340,7 @@ TEST_F(FaultToleranceTest, RetryBackoffEventuallyAdmits) {
   // With a real backoff budget the retry loop outlives the backlog: the
   // bounced job is admitted on a later attempt and completes normally.
   auto exec = make_executor(Backend::kSim, topo_, Policy::kDamC, registry_,
-                            ExecutorConfig::builder().seed(7).build());
+                            {.seed = 7});
   TenantConfig cfg;
   cfg.name = "retry-ok";
   cfg.max_in_flight = 1;
@@ -375,7 +372,7 @@ TEST_F(FaultToleranceTest, WaitForTimesOutThenCompletes) {
                             ? WorkFn([](const ExecContext&) { busy_wait_ns(500'000); })
                             : WorkFn{};
     auto exec = make_executor(backend, topo_, Policy::kDamC, registry_,
-                              ExecutorConfig::builder().seed(11).build());
+                              {.seed = 11});
     const Dag dag = make_dag(4, 60, work);
     const JobId id = exec->submit(dag);
     // A bound far shorter than the job: times out, job stays waitable.
@@ -396,15 +393,12 @@ TEST_F(FaultToleranceTest, FacadeReportsEngineRecoveryInRunResult) {
   double probe = 0.0;
   {
     auto exec = make_executor(Backend::kSim, topo_, Policy::kDamC, registry_,
-                              ExecutorConfig::builder().seed(2020).build());
+                              {.seed = 2020});
     probe = exec->run(dag).makespan_s;
   }
   auto exec = make_executor(
       Backend::kSim, topo_, Policy::kDamC, registry_,
-      ExecutorConfig::builder()
-          .seed(2020)
-          .scenario_spec(quarter_kill_spec(probe * 0.5))
-          .build());
+      {.seed = 2020, .scenario_spec = quarter_kill_spec(probe * 0.5)});
   const RunResult r = exec->run(dag);
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(r.tasks, 120);

@@ -37,7 +37,7 @@ class NetServiceTest : public ::testing::Test {
 
   std::unique_ptr<Executor> fresh_sim() {
     return make_executor(Backend::kSim, topo_, Policy::kDamC, registry_,
-                         ExecutorConfig::builder().seed(2020).build());
+                         {.seed = 2020});
   }
 
   Topology topo_;
@@ -184,7 +184,7 @@ TEST_F(NetServiceTest, MultiClientSessionsOverTheWire) {
   world.run([&](net::Comm& comm) {
     if (comm.rank() == 0) {
       auto exec = make_executor(Backend::kSim, topo_, Policy::kRws, registry_,
-                                ExecutorConfig::builder().seed(9).build());
+                                {.seed = 9});
       net::serve_executor(comm, *exec);
       return;
     }

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "net/world.hpp"
@@ -36,6 +38,36 @@ TEST(Mailbox, FifoPerSourceTagPair) {
     mb.deliver(Message{0, 1, {std::byte(i)}});
   for (int i = 0; i < 5; ++i)
     EXPECT_EQ(mb.take(0, 1).payload[0], std::byte(i));
+}
+
+TEST(Mailbox, BoundedTakesReturnNulloptWhenNothingMatches) {
+  Mailbox mb;
+  constexpr std::chrono::milliseconds kShort{1};
+  EXPECT_FALSE(mb.take_for(0, 1, kShort).has_value());
+  EXPECT_FALSE(mb.take_any_for(1, kShort).has_value());
+  // A queued message with another source or tag does not match either.
+  mb.deliver(Message{1, 2, {std::byte{9}}});
+  EXPECT_FALSE(mb.take_for(0, 2, kShort).has_value());
+  EXPECT_FALSE(mb.take_any_for(1, kShort).has_value());
+  EXPECT_EQ(mb.pending(), 1u);
+}
+
+TEST(Mailbox, TakeAnyForReturnsTheOldestMessageAcrossSources) {
+  Mailbox mb;
+  mb.deliver(Message{2, 5, {std::byte{1}}});
+  mb.deliver(Message{1, 6, {std::byte{2}}});
+  mb.deliver(Message{0, 5, {std::byte{3}}});
+  constexpr std::chrono::seconds kLong{10};
+  const std::optional<Message> first = mb.take_any_for(5, kLong);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->src, 2);
+  EXPECT_EQ(first->payload[0], std::byte{1});
+  const std::optional<Message> second = mb.take_any_for(5, kLong);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->src, 0);
+  EXPECT_EQ(second->payload[0], std::byte{3});
+  EXPECT_FALSE(mb.take_any_for(5, std::chrono::milliseconds{1}).has_value());
+  EXPECT_EQ(mb.pending(), 1u);
 }
 
 TEST(World, PingPong) {

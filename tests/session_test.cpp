@@ -41,38 +41,6 @@ class SessionTest : public ::testing::Test {
   kernels::PaperKernelIds ids_;
 };
 
-TEST(ExecutorConfigBuilder, DefaultsMatchThePlainStruct) {
-  const ExecutorConfig plain;
-  const ExecutorConfig built = ExecutorConfig::builder().build();
-  EXPECT_EQ(built.seed, plain.seed);
-  EXPECT_EQ(built.scenario, plain.scenario);
-  EXPECT_EQ(built.stats_phases, plain.stats_phases);
-  EXPECT_EQ(built.rt.pin_threads, plain.rt.pin_threads);
-  EXPECT_EQ(built.sim.noise, plain.sim.noise);
-  EXPECT_EQ(built.service.max_service_inflight,
-            plain.service.max_service_inflight);
-  EXPECT_EQ(built.service.drr_quantum_tasks, plain.service.drr_quantum_tasks);
-}
-
-TEST(ExecutorConfigBuilder, SettersCoverEngineAndServiceOptions) {
-  const ExecutorConfig cfg = ExecutorConfig::builder()
-                                 .seed(123)
-                                 .stats_phases(3)
-                                 .pin_threads(false)
-                                 .steal_attempts_per_round(9)
-                                 .sim_noise(false)
-                                 .max_service_inflight(12)
-                                 .drr_quantum_tasks(64)
-                                 .build();
-  EXPECT_EQ(cfg.seed, 123u);
-  EXPECT_EQ(cfg.stats_phases, 3);
-  EXPECT_FALSE(cfg.rt.pin_threads);
-  EXPECT_EQ(cfg.rt.steal_attempts_per_round, 9);
-  EXPECT_FALSE(cfg.sim.noise);
-  EXPECT_EQ(cfg.service.max_service_inflight, 12);
-  EXPECT_EQ(cfg.service.drr_quantum_tasks, 64);
-}
-
 TEST_F(SessionTest, SimFairnessTraceIsBitwiseDeterministic) {
   // The tentpole determinism claim: the same 3-tenant submission sequence
   // on a fresh sim executor replays BITWISE — identical arrival, queue and
@@ -84,7 +52,7 @@ TEST_F(SessionTest, SimFairnessTraceIsBitwiseDeterministic) {
   auto run_once = [&] {
     auto exec = make_executor(
         Backend::kSim, topo_, Policy::kDamC, registry_,
-        ExecutorConfig::builder().seed(7).max_service_inflight(4).build());
+        {.seed = 7, .service = {.max_service_inflight = 4}});
     TenantConfig a{.name = "a", .weight = 1.0, .max_in_flight = 2};
     TenantConfig b{.name = "b", .weight = 2.0, .max_in_flight = 2};
     TenantConfig c{.name = "c", .weight = 4.0, .max_in_flight = 2};
@@ -130,11 +98,9 @@ TEST_F(SessionTest, DrrSharesFollowWeightsWhileBacklogged) {
   // release instants order the trace) without biasing shares: the pump
   // resumes an interrupted tenant's turn instead of rotating past it.
   auto exec = make_executor(Backend::kSim, topo_, Policy::kRws, registry_,
-                            ExecutorConfig::builder()
-                                .seed(11)
-                                .drr_quantum_tasks(20)
-                                .max_service_inflight(4)
-                                .build());
+                            {.seed = 11,
+                             .service = {.max_service_inflight = 4,
+                                         .drr_quantum_tasks = 20}});
   const double weights[3] = {1.0, 2.0, 4.0};
   std::vector<std::unique_ptr<Session>> sessions;
   for (int t = 0; t < 3; ++t) {
@@ -342,7 +308,7 @@ TEST_F(SessionTest, RtMultiTenantConcurrentSubmitterStress) {
   constexpr int kTasksPerJob = 40;
   auto exec = make_executor(
       Backend::kRt, topo_, Policy::kDamC, registry_,
-      ExecutorConfig::builder().max_service_inflight(6).build());
+      {.service = {.max_service_inflight = 6}});
 
   std::atomic<std::int64_t> executed{0};
   const WorkFn work = [&executed](const ExecContext& ctx) {

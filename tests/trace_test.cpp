@@ -8,7 +8,6 @@
 
 #include "trace/reporter.hpp"
 #include "trace/stats.hpp"
-#include "util/assert.hpp"
 
 namespace das {
 namespace {
@@ -23,9 +22,9 @@ class StatsTest : public ::testing::Test {
 TEST_F(StatsTest, CountsByPriorityPlaceAndPhase) {
   const int p01 = topo_.place_id({0, 1});
   const int p24 = topo_.place_id({2, 4});
-  stats_.record_task_at(Priority::kHigh, p01, 0);
-  stats_.record_task_at(Priority::kHigh, p01, 1);
-  stats_.record_task_at(Priority::kLow, p24, 1);
+  stats_.record_task_at_st(Priority::kHigh, p01, 0);
+  stats_.record_task_at_st(Priority::kHigh, p01, 1);
+  stats_.record_task_at_st(Priority::kLow, p24, 1);
   EXPECT_EQ(stats_.tasks_total(), 3);
   EXPECT_EQ(stats_.tasks_with_priority(Priority::kHigh), 2);
   EXPECT_EQ(stats_.tasks_at(Priority::kHigh, p01), 2);
@@ -34,40 +33,37 @@ TEST_F(StatsTest, CountsByPriorityPlaceAndPhase) {
   EXPECT_EQ(stats_.tasks_at(Priority::kLow, p24), 1);
 }
 
-TEST_F(StatsTest, PhaseClampingAndSetPhase) {
-  stats_.set_phase(2);
-  EXPECT_EQ(stats_.phase(), 2);
-  stats_.record_task(Priority::kLow, 0);
+TEST_F(StatsTest, PhaseClamping) {
+  stats_.record_task_at_st(Priority::kLow, 0, 2);
   EXPECT_EQ(stats_.tasks_at_phase(Priority::kLow, 0, 2), 1);
   // Out-of-range explicit phases clamp instead of crashing.
-  stats_.record_task_at(Priority::kLow, 0, 99);
+  stats_.record_task_at_st(Priority::kLow, 0, 99);
   EXPECT_EQ(stats_.tasks_at_phase(Priority::kLow, 0, 2), 2);
-  EXPECT_THROW(stats_.set_phase(3), PreconditionError);
 }
 
 TEST_F(StatsTest, BusyTimeAndThroughput) {
-  stats_.record_busy(0, 1'500'000'000);
-  stats_.record_busy(0, 500'000'000);
-  stats_.record_busy(5, 1'000'000'000);
+  stats_.record_busy_st(0, 1'500'000'000);
+  stats_.record_busy_st(0, 500'000'000);
+  stats_.record_busy_st(5, 1'000'000'000);
   EXPECT_DOUBLE_EQ(stats_.busy_s(0), 2.0);
   EXPECT_DOUBLE_EQ(stats_.busy_s(5), 1.0);
   EXPECT_DOUBLE_EQ(stats_.total_busy_s(), 3.0);
-  stats_.record_task(Priority::kLow, 0);
-  stats_.record_task(Priority::kLow, 0);
+  stats_.record_task_at_st(Priority::kLow, 0, 0);
+  stats_.record_task_at_st(Priority::kLow, 0, 0);
   stats_.set_elapsed(4.0);
   EXPECT_DOUBLE_EQ(stats_.throughput(), 0.5);
 }
 
 TEST_F(StatsTest, ThroughputZeroWithoutElapsed) {
-  stats_.record_task(Priority::kLow, 0);
+  stats_.record_task_at_st(Priority::kLow, 0, 0);
   EXPECT_DOUBLE_EQ(stats_.throughput(), 0.0);
 }
 
 TEST_F(StatsTest, DistributionSortedAndNormalised) {
   const int p01 = topo_.place_id({0, 1});
   const int p11 = topo_.place_id({1, 1});
-  for (int i = 0; i < 3; ++i) stats_.record_task(Priority::kHigh, p01);
-  stats_.record_task(Priority::kHigh, p11);
+  for (int i = 0; i < 3; ++i) stats_.record_task_at_st(Priority::kHigh, p01, 0);
+  stats_.record_task_at_st(Priority::kHigh, p11, 0);
   const auto dist = stats_.distribution(Priority::kHigh);
   ASSERT_EQ(dist.size(), 2u);
   EXPECT_EQ(dist[0].first, (ExecutionPlace{0, 1}));
@@ -77,29 +73,13 @@ TEST_F(StatsTest, DistributionSortedAndNormalised) {
 }
 
 TEST_F(StatsTest, ResetClearsEverything) {
-  stats_.record_task(Priority::kHigh, 0);
-  stats_.record_busy(2, 100);
+  stats_.record_task_at_st(Priority::kHigh, 0, 0);
+  stats_.record_busy_st(2, 100);
   stats_.set_elapsed(1.0);
   stats_.reset();
   EXPECT_EQ(stats_.tasks_total(), 0);
   EXPECT_DOUBLE_EQ(stats_.total_busy_s(), 0.0);
   EXPECT_DOUBLE_EQ(stats_.elapsed_s(), 0.0);
-}
-
-TEST_F(StatsTest, ConcurrentRecordingIsLossless) {
-  constexpr int kThreads = 8, kIters = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kIters; ++i) {
-        stats_.record_task(Priority::kLow, 0);
-        stats_.record_busy(1, 10);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(stats_.tasks_total(), static_cast<std::int64_t>(kThreads) * kIters);
-  EXPECT_DOUBLE_EQ(stats_.busy_s(1), kThreads * kIters * 10 * 1e-9);
 }
 
 TEST_F(StatsTest, ConcurrentWriterBlocksAreLossless) {
@@ -149,14 +129,14 @@ TEST_F(StatsTest, ConcurrentWriterBlocksAreLossless) {
 }
 
 TEST_F(StatsTest, QueriesSumEveryWriterBlockAndResetClearsThem) {
-  // The last block, the shared RMW path (block 0) and a middle block each
-  // hold a count; a per-(priority, place, phase) query must see all three.
+  // The last, the first and a middle block each hold a count; a
+  // per-(priority, place, phase) query must see all three.
   ExecutionStats stats(topo_, /*num_phases=*/3, /*num_writers=*/4);
   const int p11 = topo_.place_id({1, 1});
   const int p24 = topo_.place_id({2, 4});
   stats.record_task_at_st(Priority::kHigh, p11, 2, /*writer=*/3);
   stats.record_task_at_st(Priority::kHigh, p11, 2, /*writer=*/1);
-  stats.record_task_at(Priority::kHigh, p11, 2);
+  stats.record_task_at_st(Priority::kHigh, p11, 2, /*writer=*/0);
   stats.record_task_at_st(Priority::kHigh, p24, 0, /*writer=*/2);
   stats.record_task_at_st(Priority::kLow, p11, 9, /*writer=*/2);  // clamps
   EXPECT_EQ(stats.tasks_at_phase(Priority::kHigh, p11, 2), 3);
@@ -187,8 +167,8 @@ TEST_F(StatsTest, QueriesSumEveryWriterBlockAndResetClearsThem) {
 }
 
 TEST_F(StatsTest, ReportersRenderPlacesAndCores) {
-  stats_.record_task(Priority::kHigh, topo_.place_id({2, 4}));
-  stats_.record_busy(3, 2'000'000'000);
+  stats_.record_task_at_st(Priority::kHigh, topo_.place_id({2, 4}), 0);
+  stats_.record_busy_st(3, 2'000'000'000);
   std::ostringstream os;
   print_priority_distribution(stats_, os, "dist");
   print_core_worktime(stats_, os, "work");
