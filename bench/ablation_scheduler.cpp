@@ -1,4 +1,4 @@
-// Ablation bench for the design choices DESIGN.md §6 calls out. Each
+// Ablation bench for the scheduler's design choices listed below. Each
 // ablation runs the Fig. 4 MatMul P=2 configuration (co-runner on core 0)
 // unless stated otherwise, and reports throughput deltas. Runs through the
 // das::Executor facade (--backend=sim|rt).

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     b.backend = Backend::kSim;
     // The constructor picked the rt default scale; restore the sim default
     // unless the user asked for a scale explicitly.
-    if (!b.scale_explicit) b.scale = 1.0;
+    if (!b.flags.has("scale")) b.scale = 1.0;
   }
   print_backend(b);
   workloads::HeatConfig cfg;

@@ -99,7 +99,7 @@ Result run_policy(Bench& b, const Topology& topo, Policy policy) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Bench b(argc, argv, "fig9_kmeans", /*job_stream_flags=*/true);
+  Bench b(argc, argv, "fig9_kmeans", {.job_stream = true});
   if (b.inflight > 0 || b.arrival)
     cli::die("fig9_kmeans drives iterations lock-step; only --jobs=N applies");
   print_backend(b);

@@ -27,14 +27,15 @@
 // window (up to the earliest tenant's last release — beyond it that tenant
 // has no backlog and shares are arrival-limited, not scheduler-limited).
 // Fairness = Jain index over weight-normalised shares + max relative share
-// error; both are gated against a checked-in baseline (--baseline=PATH,
-// exit 1 on a >--tolerance regression; --update-baseline rewrites it).
+// error, gated (bench/support.hpp Gate) against --baseline=PATH: "*/jain"
+// fails below 0.75 x its reference, "*/share_err" above 1.25 x its
+// reference + 0.02. Exit 0 pass, 1 a cell failed, 2 the baseline is
+// unreadable or matches no cell (a single-tenant stream has none).
 //
 // Per-job latency = release -> completion (RunResult::makespan_s): on the
 // open loop it includes queueing behind earlier jobs, which is the point.
 
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <thread>
 #include <vector>
@@ -53,14 +54,6 @@ struct StreamResult {
   /// Poisson rate from a calibration run, so the flag alone can't tell).
   cli::Arrival effective{};
   std::vector<TenantCounters> counters;  ///< per tenant (multi-tenant runs)
-};
-
-/// One gated fairness metric: "<label>/jain" wants HIGHER (floor gate),
-/// "<label>/share_err" wants LOWER (ceiling gate).
-struct FairnessCell {
-  std::string label;
-  double value = 0.0;
-  bool higher_is_better = false;
 };
 
 // One job = one small fork-join synthetic DAG; jobs differ only in their
@@ -334,9 +327,16 @@ json::Value fairness_json(const Fairness& f,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Bench b(argc, argv, "job_stream", /*job_stream_flags=*/true);
-  if (!b.scale_explicit && b.backend == Backend::kRt) b.scale = 0.01;
-  if (!b.jobs_explicit) b.jobs = b.tenants > 1 ? 32 * b.tenants : 16;
+  Bench b(argc, argv, "job_stream",
+          {.job_stream = true,
+           .gate_note =
+               "multi-tenant fairness per cell: */jain must stay within 25% "
+               "below its reference (floor), */share_err within 25% above "
+               "(ceiling, +0.02 absolute slack). Sim cells are deterministic "
+               "from the seed; refresh with --update-baseline after "
+               "intentional scheduler changes."});
+  if (!b.flags.has("scale") && b.backend == Backend::kRt) b.scale = 0.01;
+  if (!b.flags.has("jobs")) b.jobs = b.tenants > 1 ? 32 * b.tenants : 16;
   print_backend(b);
   std::cout << "jobs " << b.jobs
             << (b.inflight > 0
@@ -358,7 +358,6 @@ int main(int argc, char** argv) {
   TextTable t({"scheduler", "p50", "p95", "p99", "mean", "max", "stream [s]"});
   TextTable ft({"scheduler", "tenant", "w", "jobs", "rej", "p50", "p95", "p99",
                 "share", "want", "err"});
-  std::vector<FairnessCell> cells;
   bool any_tenant_rows = false;
   for (Policy p : b.policies()) {
     const StreamResult r = run_stream(b, p, &scenario);
@@ -405,9 +404,8 @@ int main(int argc, char** argv) {
                                 b.scenario_name() +
                                 "/t=" + std::to_string(b.tenants) +
                                 "/jobs=" + std::to_string(b.jobs);
-      cells.push_back(FairnessCell{label + "/jain", f.jain, true});
-      cells.push_back(FairnessCell{label + "/share_err", f.max_share_err,
-                                   false});
+      b.gate.check(Gate::kFloor, label + "/jain", f.jain);
+      b.gate.check(Gate::kCeiling, label + "/share_err", f.max_share_err);
       extra = fairness_json(f, r.counters);
     }
     b.report_job_stream("job stream", r.jobs, r.effective, std::move(extra));
@@ -418,78 +416,5 @@ int main(int argc, char** argv) {
     ft.print(std::cout);
   }
 
-  // --- fairness baseline gate ----------------------------------------------
-  if (b.update_baseline) {
-    json::Value cells_json = json::Value::object();
-    try {
-      const json::Value old = json::parse_file(b.baseline_path);
-      if (const json::Value* oc = old.find("cells"); oc && oc->is_object())
-        for (const auto& [label, v] : oc->members()) cells_json.set(label, v);
-    } catch (const json::Error&) {
-      // No (readable) previous baseline: start fresh.
-    }
-    for (const FairnessCell& c : cells) cells_json.set(c.label, c.value);
-    json::Value doc = json::Value::object();
-    doc.set("schema_version", kResultSchemaVersion);
-    doc.set("bench", "job_stream_baseline");
-    doc.set("note",
-            "multi-tenant fairness per cell: */jain must stay within "
-            "--tolerance below its reference (floor), */share_err within "
-            "--tolerance above (ceiling, +0.02 absolute slack). Sim cells "
-            "are deterministic from the seed; refresh with "
-            "--update-baseline after intentional scheduler changes.");
-    doc.set("cells", std::move(cells_json));
-    std::ofstream out(b.baseline_path, std::ios::binary | std::ios::trunc);
-    out << doc.dump(2) << '\n';
-    if (!out) {
-      std::cerr << "error: cannot write baseline to '" << b.baseline_path
-                << "'\n";
-      return 2;
-    }
-    std::cout << "updated baseline " << b.baseline_path << "\n";
-  } else if (!b.baseline_path.empty() && !cells.empty()) {
-    int regressions = 0;
-    try {
-      const json::Value doc = json::parse_file(b.baseline_path);
-      const json::Value* cells_json = doc.find("cells");
-      if (cells_json == nullptr || !cells_json->is_object())
-        throw json::Error(b.baseline_path + ": missing 'cells' object");
-      for (const FairnessCell& c : cells) {
-        const json::Value* ref = cells_json->find(c.label);
-        if (ref == nullptr) {
-          std::cout << "baseline: no reference for cell '" << c.label
-                    << "' (skipped)\n";
-          continue;
-        }
-        const bool bad =
-            c.higher_is_better
-                ? c.value < ref->as_number() * (1.0 - b.tolerance)
-                : c.value > ref->as_number() * (1.0 + b.tolerance) + 0.02;
-        if (bad) {
-          std::cerr << "REGRESSION " << c.label << ": "
-                    << fmt_double(c.value, 4)
-                    << (c.higher_is_better ? " < floor from baseline "
-                                           : " > ceiling from baseline ")
-                    << fmt_double(ref->as_number(), 4) << " (tolerance "
-                    << b.tolerance * 100 << "%)\n";
-          ++regressions;
-        } else {
-          std::cout << "ok " << c.label << ": " << fmt_double(c.value, 4)
-                    << " (baseline " << fmt_double(ref->as_number(), 4)
-                    << ")\n";
-        }
-      }
-    } catch (const json::Error& e) {
-      std::cerr << "error: cannot read baseline: " << e.what() << "\n";
-      return 2;
-    }
-    if (regressions > 0) {
-      std::cerr << regressions << " fairness cell(s) regressed beyond "
-                << b.tolerance * 100
-                << "% — investigate or refresh with --update-baseline\n";
-      const int rc = b.finish();
-      return rc != 0 ? rc : 1;
-    }
-  }
   return b.finish();
 }

@@ -18,10 +18,10 @@
 // Each cell also times building and sealing its DAG (dag_build_s in the
 // table and the JSON; reported, not gated).
 //
-// Regression gate (the CI cell): --baseline=PATH compares each cell's
-// events/s against a checked-in JSON baseline and exits 1 when any cell
-// regresses by more than --tolerance (default 0.25, the ">25%" CI
-// contract). --update-baseline rewrites PATH from this run instead.
+// Regression gate (the CI cell, bench/support.hpp Gate): a cell fails when
+// its events/s falls below 0.75 x its reference in --baseline=PATH. Exit 0
+// pass, 1 a cell failed, 2 the baseline is unreadable or matches no cell.
+// --update-baseline merge-rewrites PATH from this run instead.
 //
 // Flags beyond the common set (README "Performance" documents the
 // methodology):
@@ -47,13 +47,10 @@
 //                           per-rank events/s and the aggregate speedup
 //                           over the serial cell of the same shape.
 //   --baseline=PATH         gate against baseline       (exit 1 on regression)
-//   --update-baseline       rewrite PATH from this run
-//   --tolerance=F           allowed fractional loss     (default 0.25)
+//   --update-baseline       merge-rewrite PATH from this run
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -68,33 +65,6 @@ using namespace das;
 using namespace das::bench;
 
 namespace {
-
-struct Cell {
-  std::string label;
-  double events_per_s = 0.0;
-};
-
-std::vector<std::int64_t> parse_int_list(const cli::Flags& flags,
-                                         const std::string& key,
-                                         std::vector<std::int64_t> def) {
-  if (!flags.has(key)) return def;
-  std::vector<std::int64_t> out;
-  for (const std::string& part : cli::split(flags.get(key), ',')) {
-    try {
-      std::size_t pos = 0;
-      const std::int64_t v = std::stoll(part, &pos);
-      if (pos != part.size() || v <= 0 ||
-          v > std::numeric_limits<int>::max())
-        throw std::invalid_argument(part);
-      out.push_back(v);
-    } catch (const std::exception&) {
-      cli::die("--" + key + " expects a comma-separated list of positive "
-               "int-range integers, got '" + part + "'");
-    }
-  }
-  if (out.empty()) cli::die("--" + key + " must name at least one value");
-  return out;
-}
 
 /// Symmetric topology for a swept core count: clusters of 8 when the count
 /// tiles evenly (wider sweeps model multi-socket nodes), one cluster
@@ -153,96 +123,45 @@ Dag make_multi_rank_dag(TaskTypeId type, int ranks, int total_tasks,
 }  // namespace
 
 int main(int argc, char** argv) {
-  cli::Flags flags(argc, argv);
-  cli::maybe_help(
-      flags,
-      " --policy=NAME[,..] --scenario=N|FILE --json=PATH --seed=N"
-      " --cores=N[,N...] --tasks=N[,N...] --jobs=N"
-      " --parallelism=P[,P...]|auto|fanout"
-      " --ranks=N[,N...] --des-threads=N[,N...]|auto"
-      " --baseline=PATH --update-baseline --tolerance=F"
-      " (sim-only: no --backend/--scale)");
-  cli::require_no_positionals(flags);
-  flags.require_known({"policy", "scenario", "json", "seed", "help", "cores",
-                       "tasks", "jobs", "parallelism", "ranks", "des-threads",
-                       "baseline", "update-baseline", "tolerance"});
-
-  Bench b("sim_throughput");
-  b.backend = Backend::kSim;
-  b.seed = flags.get_u64("seed", kFigureSeed);
-  b.scenario_override = scenario_flag(flags);
-  if (flags.has("policy")) {
-    for (const std::string& pname : cli::split(flags.get("policy"), ',')) {
-      const auto p = parse_policy(pname);
-      if (!p) cli::die("unknown policy '" + pname + "'");
-      b.policy_filter.push_back(*p);
-    }
-  }
-  if (flags.has("json")) {
-    b.json_path = flags.get("json");
-    if (b.json_path.empty()) b.json_path = "BENCH_sim_throughput.json";
-    b.runs = json::Value::array();
-  }
-
-  const auto cores_sweep = parse_int_list(flags, "cores", {8, 64});
-  const auto tasks_sweep = parse_int_list(flags, "tasks", {100000});
-  const std::int64_t jobs = flags.get_int("jobs", 1);
-  if (jobs < 1) cli::die("--jobs must be >= 1");
+  Bench b(argc, argv, "sim_throughput",
+          {.without = {"backend", "scale"},
+           .gate_note =
+               "events/s per cell; values are deliberately conservative "
+               "(~1/3 of the dev-box measurement) so the >25% gate trips on "
+               "structural regressions, not machine-class variance. Refresh "
+               "with --update-baseline on the machine class that enforces "
+               "the gate.",
+           .usage = "--cores=N[,N...] --tasks=N[,N...] --jobs=N"
+                    " --parallelism=P[,P...]|auto|fanout"
+                    " --ranks=N[,N...] --des-threads=N[,N...]|auto"
+                    " (sim-only)"});
+  const cli::Flags& flags = b.flags;
+  const auto cores_sweep = int_list_flag(flags, "cores", "8,64");
+  const auto tasks_sweep = int_list_flag(flags, "tasks", "100000");
+  const std::int64_t jobs = int_flag(flags, "jobs", 1, 1);
   // Parallelism entries: positive width, 0 = auto (= cores), -1 = fanout
   // (= tasks; one layer, every task a root).
-  std::vector<std::int64_t> par_sweep;
-  for (const std::string& part :
-       cli::split(flags.get("parallelism", "auto,fanout"), ',')) {
-    if (part == "auto") {
-      par_sweep.push_back(0);
-    } else if (part == "fanout") {
-      par_sweep.push_back(-1);
-    } else {
-      try {
-        std::size_t pos = 0;
-        const std::int64_t v = std::stoll(part, &pos);
-        if (pos != part.size() || v < 1 || v > std::numeric_limits<int>::max())
-          throw std::invalid_argument(part);
-        par_sweep.push_back(v);
-      } catch (const std::exception&) {
-        cli::die("--parallelism expects a comma-separated list of positive "
-                 "integers, 'auto' or 'fanout', got '" + part + "'");
-      }
-    }
-  }
-  if (par_sweep.empty()) cli::die("--parallelism must name at least one value");
-  const auto ranks_sweep = parse_int_list(flags, "ranks", {1});
+  const auto par_sweep = list_flag(
+      flags, "parallelism", "auto,fanout",
+      "positive integers, 'auto' or 'fanout'",
+      [](const std::string& s) -> std::optional<std::int64_t> {
+        if (s == "auto") return 0;
+        if (s == "fanout") return -1;
+        return positive_int(s);
+      });
+  const auto ranks_sweep = int_list_flag(flags, "ranks", "1");
   // des-threads entries: positive thread counts, -1 = auto (hardware
   // concurrency; the engine clamps to the rank count either way).
-  std::vector<int> des_sweep;
-  for (const std::string& part :
-       cli::split(flags.get("des-threads", "1"), ',')) {
-    if (part == "auto") {
-      des_sweep.push_back(-1);
-    } else {
-      try {
-        std::size_t pos = 0;
-        const long v = std::stol(part, &pos);
-        if (pos != part.size() || v < 1 || v > 4096)
-          throw std::invalid_argument(part);
-        des_sweep.push_back(static_cast<int>(v));
-      } catch (const std::exception&) {
-        cli::die("--des-threads expects a comma-separated list of positive "
-                 "integers or 'auto', got '" + part + "'");
-      }
-    }
-  }
-  if (des_sweep.empty()) cli::die("--des-threads must name at least one value");
+  const auto des_sweep = list_flag(
+      flags, "des-threads", "1", "positive integers or 'auto'",
+      [](const std::string& s) -> std::optional<int> {
+        if (s == "auto") return -1;
+        const auto v = to_number<std::int64_t>(s);
+        if (v && *v >= 1 && *v <= 4096) return static_cast<int>(*v);
+        return std::nullopt;
+      });
   const int auto_threads =
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-
-  const std::string baseline_path = flags.get("baseline");
-  const bool update_baseline = flags.has("update-baseline");
-  if (update_baseline && baseline_path.empty())
-    cli::die("--update-baseline needs --baseline=PATH to know where to write");
-  const double tolerance = flags.get_double("tolerance", 0.25);
-  if (!(tolerance > 0.0 && tolerance < 1.0))
-    cli::die("--tolerance must be in (0, 1)");
 
   // Empty kernel: with ~zero virtual work per task the wall clock measures
   // the event machinery, not the cost model. Registered through the fixed-
@@ -256,7 +175,6 @@ int main(int argc, char** argv) {
   TextTable table({"cell", "policy", "events", "wall[s]", "events/s",
                    "sim tasks/s", "vmakespan[s]", "rank ev/s", "x-serial",
                    "dag build[s]"});
-  std::vector<Cell> cells;
   // Serial (no "/des=" suffix) events/s per shape, for the speedup column.
   std::map<std::string, double> serial_eps;
 
@@ -338,7 +256,7 @@ int main(int argc, char** argv) {
                        (des_req < 0 ? std::string("auto")
                                     : std::to_string(des_req))
                  : "");
-        cells.push_back(Cell{label, events_per_s});
+        b.gate.check(Gate::kFloor, label, events_per_s);
 
         // Aggregate speedup over the serial cell of the same shape (only
         // meaningful once that cell ran — put 1 before N in --des-threads).
@@ -404,75 +322,6 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-
-  // --- baseline gate --------------------------------------------------------
-  if (update_baseline) {
-    json::Value cells_json = json::Value::object();
-    try {
-      const json::Value old = json::parse_file(baseline_path);
-      if (const json::Value* oc = old.find("cells"); oc && oc->is_object())
-        for (const auto& [label, v] : oc->members()) cells_json.set(label, v);
-    } catch (const json::Error&) {
-      // No (readable) previous baseline: start fresh.
-    }
-    for (const Cell& c : cells) cells_json.set(c.label, c.events_per_s);
-
-    json::Value doc = json::Value::object();
-    doc.set("schema_version", kResultSchemaVersion);
-    doc.set("bench", "sim_throughput_baseline");
-    doc.set("note", "events/s per cell; values are deliberately conservative "
-                    "(~1/3 of the dev-box measurement) so the >25% gate "
-                    "trips on structural regressions, not machine-class "
-                    "variance. Refresh with --update-baseline on the machine "
-                    "class that enforces the gate.");
-    doc.set("cells", std::move(cells_json));
-    std::ofstream out(baseline_path, std::ios::binary | std::ios::trunc);
-    out << doc.dump(2) << '\n';
-    if (!out) {
-      std::cerr << "error: cannot write baseline to '" << baseline_path << "'\n";
-      return 2;
-    }
-    std::cout << "updated baseline " << baseline_path << "\n";
-  } else if (!baseline_path.empty()) {
-    int regressions = 0;
-    try {
-      const json::Value doc = json::parse_file(baseline_path);
-      const json::Value* cells_json = doc.find("cells");
-      if (cells_json == nullptr || !cells_json->is_object())
-        throw json::Error(baseline_path + ": missing 'cells' object");
-      for (const Cell& c : cells) {
-        const json::Value* ref = cells_json->find(c.label);
-        if (ref == nullptr) {
-          std::cout << "baseline: no reference for cell '" << c.label
-                    << "' (skipped)\n";
-          continue;
-        }
-        const double floor = ref->as_number() * (1.0 - tolerance);
-        if (c.events_per_s < floor) {
-          std::cerr << "REGRESSION " << c.label << ": "
-                    << fmt_double(c.events_per_s, 0) << " events/s < "
-                    << fmt_double(floor, 0) << " (baseline "
-                    << fmt_double(ref->as_number(), 0) << " - "
-                    << tolerance * 100 << "%)\n";
-          ++regressions;
-        } else {
-          std::cout << "ok " << c.label << ": " << fmt_double(c.events_per_s, 0)
-                    << " events/s (baseline " << fmt_double(ref->as_number(), 0)
-                    << ")\n";
-        }
-      }
-    } catch (const json::Error& e) {
-      std::cerr << "error: cannot read baseline: " << e.what() << "\n";
-      return 2;
-    }
-    if (regressions > 0) {
-      std::cerr << regressions << " cell(s) regressed beyond "
-                << tolerance * 100
-                << "% — investigate or refresh with --update-baseline\n";
-      const int rc = b.finish();
-      return rc != 0 ? rc : 1;
-    }
-  }
 
   return b.finish();
 }

@@ -1,12 +1,14 @@
 #pragma once
 // Shared plumbing for the figure-reproduction benches: a registered kernel
-// set, scenario resolution, the common command-line flags, a one-call
-// structured-throughput runner routed through the das::Executor facade, and
-// the structured result reporter behind --json= (the canonical,
-// machine-readable bench output; the stdout tables are for humans).
+// set, scenario resolution, the command-line flags, a one-call
+// structured-throughput runner routed through the das::Executor facade, the
+// structured result reporter behind --json= (the canonical,
+// machine-readable bench output; the stdout tables are for humans) and the
+// baseline gate of the CI sentinel benches.
 // Every bench is deterministic from kFigureSeed on the sim backend.
 //
-// Common flags (parsed by Bench(argc, argv, name)):
+// Common flags (parsed by Bench(argc, argv, name); a bench can leave some
+// out, see BenchFlags):
 //   --backend=sim|rt     engine selection (default: sim — the figures are
 //                        regenerated in deterministic virtual time)
 //   --policy=NAME[,..]   restrict to a subset of the Table-1 schedulers
@@ -21,13 +23,17 @@
 //                        sim and 0.02 on rt (real-thread runs execute real
 //                        busy-work — full paper scale takes minutes)
 //   --seed=N             RNG seed (default: kFigureSeed = 2020)
+// The sentinel benches also take the baseline gate's flags (Gate).
 
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -91,108 +97,336 @@ inline json::Value snapshot_to_json(const StatsSnapshot& s) {
   return rank;
 }
 
-struct Bench {
-  explicit Bench(std::string bench_name = "bench")
-      : name(std::move(bench_name)), topo(Topology::tx2()) {
-    ids = kernels::register_paper_kernels(registry);
+// --- flag values -------------------------------------------------------------
+
+/// The key of a "--key=value" or "--key" token.
+inline std::string flag_key(const std::string& token) {
+  return token.substr(2, std::min(token.find('='), token.size()) - 2);
+}
+
+/// `s` as one whole number (std::stoll / std::stod rules, nothing left
+/// over); nullopt otherwise.
+template <typename T>
+std::optional<T> to_number(const std::string& s) {
+  try {
+    std::size_t pos = 0;
+    const T v = std::is_integral_v<T> ? static_cast<T>(std::stoll(s, &pos))
+                                      : static_cast<T>(std::stod(s, &pos));
+    if (pos == s.size()) return v;
+  } catch (const std::exception&) {
+  }
+  return std::nullopt;
+}
+
+/// A positive integer token that fits an int (swept sizes become int DAG
+/// sizes and core counts).
+inline std::optional<std::int64_t> positive_int(const std::string& s) {
+  const auto v = to_number<std::int64_t>(s);
+  if (v && *v >= 1 && *v <= std::numeric_limits<int>::max()) return v;
+  return std::nullopt;
+}
+
+/// --key=N, at least `min`; `def` when absent. A smaller value exits 2;
+/// `note` (what 0 means, say) ends the message.
+inline std::int64_t int_flag(const cli::Flags& flags, const std::string& key,
+                             std::int64_t def, std::int64_t min,
+                             const std::string& note = "") {
+  const std::int64_t v = flags.get_int(key, def);
+  if (v < min)
+    cli::die("--" + key + " must be >= " + std::to_string(min) + note);
+  return v;
+}
+
+/// --key=A,B,...: `parse` maps each comma-separated token to its value, or
+/// to nullopt when the token is not one. `def` stands in for an absent
+/// flag; absent without a default is the empty list. A bad token exits 2
+/// naming the flag, the token and `what` the flag takes.
+template <typename Parse>
+auto list_flag(const cli::Flags& flags, const std::string& key,
+               const std::string& def, const std::string& what, Parse parse) {
+  std::vector<typename decltype(parse(std::string()))::value_type> out;
+  if (!flags.has(key) && def.empty()) return out;
+  for (const std::string& token : cli::split(flags.get(key, def), ',')) {
+    const auto v = parse(token);
+    if (!v)
+      cli::die("--" + key + " expects a comma-separated list of " + what +
+               ", got '" + token + "'");
+    out.push_back(*v);
+  }
+  return out;
+}
+
+/// --key=N[,N...] of positive int-range integers; `def` as in list_flag.
+inline std::vector<std::int64_t> int_list_flag(const cli::Flags& flags,
+                                               const std::string& key,
+                                               const std::string& def) {
+  return list_flag(flags, key, def, "positive int-range integers",
+                   positive_int);
+}
+
+/// Exits 2 on a --key that the --help text `usage` does not list (the
+/// accepted keys are assembled at run time, so cli::Flags::require_known
+/// cannot take them).
+inline void require_listed(int argc, char* const* argv,
+                           const std::string& usage) {
+  std::vector<std::string> known{"help"};
+  for (const std::string& token : cli::split(usage, ' '))
+    if (token.rfind("--", 0) == 0) known.push_back(flag_key(token));
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) == 0 &&
+        std::find(known.begin(), known.end(), flag_key(arg)) == known.end())
+      cli::die("unknown flag '--" + flag_key(arg) + "'");
+  }
+}
+
+// --- baseline gate -----------------------------------------------------------
+
+/// The baseline gate of the sentinel benches (sim_throughput,
+/// overhead_scaling, fault_recovery, job_stream). A bench records a check
+/// per gated number; Bench::finish() runs the gate before it writes the
+/// --json document. --baseline=PATH compares each check with its reference
+/// in PATH's "cells" object by its Rule and skips a cell without one. Exit
+/// 0: every check passed; 1: one failed; 2: PATH is unreadable, has no
+/// "cells" object or a cell of the wrong shape, or matches no check.
+/// --update-baseline merge-rewrites PATH instead: the run's cells replace
+/// theirs in place, the others keep their order.
+struct Gate {
+  static constexpr const char* kUsage = "--baseline=PATH --update-baseline";
+  /// Relative slack of the floor and ceiling rules: a 25% regression trips
+  /// them.
+  static constexpr double kSlack = 0.25;
+  /// Absolute slack the ceiling adds, for references near 0.
+  static constexpr double kCeilingSlack = 0.02;
+
+  enum Rule {
+    kFloor,    ///< fails when value < ref x (1 - kSlack)
+    kCeiling,  ///< fails when value > ref x (1 + kSlack) + kCeilingSlack
+    kExact,    ///< fails when value != ref
+  };
+  struct Check {
+    Rule rule = kFloor;
+    std::string cell;  ///< label in the baseline's "cells" object
+    double value = 0.0;
+    std::string key;  ///< member of an object cell; empty: the cell's number
+  };
+
+  std::string path{};   ///< --baseline=PATH; empty: no gate
+  bool update = false;  ///< --update-baseline: rewrite PATH from this run
+  std::string bench{};  ///< "bench" and "note" of a rewritten PATH
+  std::string note{};
+  std::vector<Check> checks{};
+
+  /// Records one check. The checks of one object cell are consecutive.
+  void check(Rule rule, std::string cell, double value, std::string key = "") {
+    checks.push_back(Check{rule, std::move(cell), value, std::move(key)});
   }
 
-  /// Parses the common bench flags (see the header comment). Benches that
-  /// drive a job stream pass job_stream_flags=true to additionally accept
-  /// --jobs=N, --arrival=poisson:<rate>|fixed:<gap> and --inflight=K
-  /// (cli::kJobStreamFlagsUsage).
-  Bench(int argc, char* const* argv, std::string bench_name,
-        bool job_stream_flags = false)
-      : Bench(std::move(bench_name)) {
-    cli::Flags flags(argc, argv);
-    cli::maybe_help(flags, job_stream_flags
-                               ? std::string(cli::kCommonFlagsUsage) + " " +
-                                     cli::kJobStreamFlagsUsage
-                               : std::string(cli::kCommonFlagsUsage));
-    cli::require_no_positionals(flags);
-    if (job_stream_flags) {
-      flags.require_known({"backend", "policy", "scenario", "json", "scale",
-                           "seed", "help", "jobs", "arrival", "inflight",
-                           "tenants", "weights", "tenant-inflight",
-                           "service-inflight", "queue-tasks", "baseline",
-                           "update-baseline", "tolerance"});
-      jobs_explicit = flags.has("jobs");
-      jobs = static_cast<int>(flags.get_int("jobs", jobs));
-      if (jobs < 1) cli::die("--jobs must be >= 1");
-      inflight = static_cast<int>(flags.get_int("inflight", inflight));
-      if (inflight < 0) cli::die("--inflight must be >= 0 (0 = open loop)");
-      arrival = cli::arrival_flag(flags);
-      if (arrival && inflight > 0)
-        cli::die("--arrival (open loop) and --inflight (closed loop) are "
-                 "mutually exclusive");
-      // Multi-tenant regime (the scheduler-as-a-service driver): --weights
-      // alone implies the tenant count; both given must agree.
-      if (flags.has("weights")) {
-        for (const std::string& part : cli::split(flags.get("weights"), ',')) {
-          double w = 0.0;
-          try {
-            std::size_t pos = 0;
-            w = std::stod(part, &pos);
-            if (pos != part.size()) throw std::invalid_argument(part);
-          } catch (const std::exception&) {
-            w = 0.0;
-          }
-          if (!(w > 0.0))
-            cli::die("--weights expects a comma-separated list of positive "
-                     "numbers, got '" + part + "'");
-          tenant_weights.push_back(w);
+  /// Compares the checks against PATH, or rewrites it, and prints a line
+  /// per check. Returns the exit code; 0 without --baseline.
+  int run() const {
+    if (path.empty()) return 0;
+    return update ? rewrite() : compare();
+  }
+
+ private:
+  int compare() const {
+    int compared = 0, failed = 0;
+    try {
+      const json::Value doc = json::parse_file(path);
+      const json::Value* cells = doc.find("cells");
+      if (cells == nullptr || !cells->is_object())
+        throw json::Error(path + ": missing 'cells' object");
+      for (const Check& c : checks) {
+        const std::string name = c.key.empty() ? c.cell : c.cell + " " + c.key;
+        const json::Value* ref = cells->find(c.cell);
+        if (ref == nullptr) {
+          std::cout << "baseline: no reference for cell '" << name
+                    << "' (skipped)\n";
+          continue;
+        }
+        if (!c.key.empty()) ref = ref->find(c.key);
+        if (ref == nullptr || !ref->is_number())
+          throw json::Error(path + ": no number for '" + name + "'");
+        ++compared;
+        const double want = ref->as_number();
+        const double bound = c.rule == kFloor     ? want * (1.0 - kSlack)
+                             : c.rule == kCeiling ? want * (1.0 + kSlack) +
+                                                        kCeilingSlack
+                                                  : want;
+        const bool ok = c.rule == kFloor     ? !(c.value < bound)
+                        : c.rule == kCeiling ? !(c.value > bound)
+                                             : c.value == bound;
+        // Exact checks print every digit: their drift can sit in the last.
+        const auto show = [&c](double v) {
+          if (c.rule == kExact) return json::Value(v).dump();
+          return fmt_double(v, std::fabs(v) >= 100.0 ? 0 : 4);
+        };
+        static constexpr const char* kFailsBy[] = {" < floor ", " > ceiling ",
+                                                   " != "};
+        if (ok) {
+          std::cout << "ok " << name << ": " << show(c.value) << " (baseline "
+                    << show(want) << ")\n";
+        } else {
+          ++failed;
+          std::cerr << "FAIL " << name << ": " << show(c.value)
+                    << kFailsBy[c.rule] << show(bound) << " (baseline "
+                    << show(want) << ")\n";
         }
       }
-      tenants = static_cast<int>(flags.get_int(
-          "tenants", tenant_weights.empty()
-                         ? 1
-                         : static_cast<std::int64_t>(tenant_weights.size())));
-      if (tenants < 1) cli::die("--tenants must be >= 1");
-      if (!tenant_weights.empty() &&
-          static_cast<int>(tenant_weights.size()) != tenants)
-        cli::die("--weights must list exactly one weight per --tenants");
-      tenant_inflight =
-          static_cast<int>(flags.get_int("tenant-inflight", tenant_inflight));
-      if (tenant_inflight < 0)
-        cli::die("--tenant-inflight must be >= 0 (0 = unbounded)");
-      service_inflight =
-          static_cast<int>(flags.get_int("service-inflight", service_inflight));
-      if (service_inflight < 0)
-        cli::die("--service-inflight must be >= 0 (0 = unbounded)");
-      queue_tasks = flags.get_int("queue-tasks", queue_tasks);
-      if (queue_tasks < 0)
-        cli::die("--queue-tasks must be >= 0 (0 = unbounded)");
-      baseline_path = flags.get("baseline");
-      update_baseline = flags.has("update-baseline");
-      if (update_baseline && baseline_path.empty())
-        cli::die("--update-baseline needs --baseline=PATH to know where to "
-                 "write");
-      tolerance = flags.get_double("tolerance", tolerance);
-      if (!(tolerance > 0.0 && tolerance < 1.0))
-        cli::die("--tolerance must be in (0, 1)");
-    } else {
-      flags.require_known(
-          {"backend", "policy", "scenario", "json", "scale", "seed", "help"});
+    } catch (const json::Error& e) {
+      std::cerr << "error: cannot read baseline: " << e.what() << "\n";
+      return 2;
     }
-    backend = backend_flag(flags, backend);
-    scale_explicit = flags.has("scale");
-    scale = flags.get_double("scale",
-                             backend == Backend::kRt ? kRtDefaultScale : 1.0);
+    if (compared == 0) {
+      std::cerr << "error: baseline matched no cell: " << path
+                << " has no reference for any of the run's " << checks.size()
+                << " check(s)\n";
+      return 2;
+    }
+    if (failed > 0) {
+      std::cerr << failed << " of " << compared << " check(s) failed against "
+                << path << " — investigate, or refresh with --update-baseline\n";
+      return 1;
+    }
+    return 0;
+  }
+
+  int rewrite() const {
+    json::Value cells = json::Value::object();
+    try {
+      const json::Value old = json::parse_file(path);
+      if (const json::Value* oc = old.find("cells"); oc && oc->is_object())
+        cells = *oc;
+    } catch (const json::Error&) {
+      // No (readable) previous baseline: start fresh.
+    }
+    json::Value entry;  // the object cell being assembled
+    for (std::size_t i = 0; i < checks.size(); ++i) {
+      const Check& c = checks[i];
+      if (c.key.empty()) {
+        cells.set(c.cell, c.value);
+        continue;
+      }
+      if (i == 0 || checks[i - 1].cell != c.cell) entry = json::Value::object();
+      entry.set(c.key, c.value);
+      cells.set(c.cell, entry);
+    }
+    json::Value doc = json::Value::object();
+    doc.set("schema_version", kResultSchemaVersion);
+    doc.set("bench", bench);
+    doc.set("note", note);
+    doc.set("cells", std::move(cells));
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << doc.dump(2) << '\n';
+    if (!out) {
+      std::cerr << "error: cannot write baseline to '" << path << "'\n";
+      return 2;
+    }
+    std::cout << "updated baseline " << path << "\n";
+    return 0;
+  }
+};
+
+// --- the bench ---------------------------------------------------------------
+
+/// The flags one bench accepts: the common set minus `without`, plus the
+/// groups it opts into and its own flags.
+struct BenchFlags {
+  /// Common flags the bench leaves out; they keep their defaults.
+  std::vector<std::string> without{};
+  Backend backend = Backend::kSim;  ///< the --backend default
+  bool job_stream = false;          ///< accepts cli::kJobStreamFlagsUsage
+  /// Non-empty for the gated benches: they accept Gate::kUsage, and
+  /// --update-baseline writes this "note".
+  std::string gate_note{};
+  /// The bench's own flags as --help lists them; read through Bench::flags.
+  std::string usage{};
+
+  bool drops(const std::string& key) const {
+    return std::find(without.begin(), without.end(), key) != without.end();
+  }
+
+  /// The --help text. It is also the list of accepted keys: every "--key"
+  /// token in it is one (so --help and the parser cannot disagree).
+  std::string help() const {
+    std::string out;
+    for (const std::string& token : cli::split(cli::kCommonFlagsUsage, ' '))
+      if (!drops(flag_key(token))) out += token + ' ';
+    if (job_stream) out += std::string(cli::kJobStreamFlagsUsage) + ' ';
+    if (!gate_note.empty()) out += std::string(Gate::kUsage) + ' ';
+    out += usage;
+    if (!out.empty() && out.back() == ' ') out.pop_back();
+    return out;
+  }
+};
+
+struct Bench {
+  /// Parses the flags `accepts` names: the common set of the header
+  /// comment, the job-stream and gate groups, and the bench's own.
+  Bench(int argc, char* const* argv, std::string bench_name,
+        const BenchFlags& accepts = {})
+      : name(std::move(bench_name)), flags(argc, argv), topo(Topology::tx2()) {
+    ids = kernels::register_paper_kernels(registry);
+    const std::string usage = accepts.help();
+    cli::maybe_help(flags, usage);
+    cli::require_no_positionals(flags);
+    require_listed(argc, argv, usage);
+    // A flag the bench does not accept is absent here: its default holds.
+    backend = backend_flag(flags, accepts.backend);
+    scale = flags.get_double("scale", backend == Backend::kRt &&
+                                              !accepts.drops("scale")
+                                          ? kRtDefaultScale
+                                          : 1.0);
     if (!(scale > 0.0 && scale <= 1.0)) cli::die("--scale must be in (0, 1]");
     seed = flags.get_u64("seed", kFigureSeed);
-    if (flags.has("policy")) {
-      for (const std::string& pname : cli::split(flags.get("policy"), ',')) {
-        const auto p = parse_policy(pname);
-        if (!p) cli::die("unknown policy '" + pname + "'");
-        policy_filter.push_back(*p);
-      }
-    }
+    policy_filter = list_flag(flags, "policy", "", "policy names", parse_policy);
     scenario_override = scenario_flag(flags);
     if (flags.has("json")) {
       json_path = flags.get("json");
       if (json_path.empty()) json_path = "BENCH_" + name + ".json";
       runs = json::Value::array();
     }
+    gate = Gate{.path = flags.get("baseline"),
+                .update = flags.has("update-baseline"),
+                .bench = name + "_baseline",
+                .note = accepts.gate_note};
+    if (flags.has("baseline") && gate.path.empty())
+      cli::die("--baseline needs a PATH");
+    if (gate.update && gate.path.empty())
+      cli::die("--update-baseline needs --baseline=PATH to know where to "
+               "write");
+    if (!accepts.job_stream) return;
+    jobs = static_cast<int>(int_flag(flags, "jobs", jobs, 1));
+    inflight = static_cast<int>(
+        int_flag(flags, "inflight", inflight, 0, " (0 = open loop)"));
+    arrival = cli::arrival_flag(flags);
+    if (arrival && inflight > 0)
+      cli::die("--arrival (open loop) and --inflight (closed loop) are "
+               "mutually exclusive");
+    // Multi-tenant regime (the scheduler-as-a-service driver): --weights
+    // alone implies the tenant count; both given must agree.
+    tenant_weights = list_flag(
+        flags, "weights", "", "positive numbers",
+        [](const std::string& s) -> std::optional<double> {
+          const auto w = to_number<double>(s);
+          return w && *w > 0.0 ? w : std::nullopt;
+        });
+    tenants = static_cast<int>(int_flag(
+        flags, "tenants",
+        tenant_weights.empty()
+            ? 1
+            : static_cast<std::int64_t>(tenant_weights.size()),
+        1));
+    if (!tenant_weights.empty() &&
+        static_cast<int>(tenant_weights.size()) != tenants)
+      cli::die("--weights must list exactly one weight per --tenants");
+    tenant_inflight = static_cast<int>(int_flag(
+        flags, "tenant-inflight", tenant_inflight, 0, " (0 = unbounded)"));
+    service_inflight = static_cast<int>(int_flag(
+        flags, "service-inflight", service_inflight, 0, " (0 = unbounded)"));
+    queue_tasks =
+        int_flag(flags, "queue-tasks", queue_tasks, 0, " (0 = unbounded)");
   }
 
   // --- scenarios ------------------------------------------------------------
@@ -379,10 +613,13 @@ struct Bench {
     if (runs.is_array()) runs.push_back(std::move(rec));
   }
 
-  /// Writes BENCH JSON when --json= was given. Benches end main with
-  /// `return b.finish();` — 0 on success, 2 when the file cannot be written.
+  /// Runs the baseline gate, then writes BENCH JSON when --json= was given.
+  /// Benches end main with `return b.finish();`: the gate's exit code
+  /// (Gate::run; a gate that exits 2 writes no JSON), or 2 when the JSON
+  /// file cannot be written.
   int finish() {
-    if (!runs.is_array()) return 0;
+    const int verdict = gate.run();
+    if (verdict == 2 || !runs.is_array()) return verdict;
     json::Value doc = json::Value::object();
     doc.set("schema_version", kResultSchemaVersion);
     doc.set("bench", name);
@@ -392,7 +629,7 @@ struct Bench {
     doc.set("seed", seed);
     doc.set("scale", scale);
     doc.set("runs", std::move(runs));
-    runs = json::Value();  // finish() is idempotent
+    runs = json::Value();
     std::ofstream out(json_path, std::ios::binary | std::ios::trunc);
     out << doc.dump(2) << '\n';
     if (!out) {
@@ -401,21 +638,20 @@ struct Bench {
       return 2;
     }
     std::cout << "\nwrote " << json_path << "\n";
-    return 0;
+    return verdict;
   }
 
   std::string name;
+  cli::Flags flags;  ///< the command line; benches read their own flags here
   Backend backend = Backend::kSim;
   /// Overrides the JSON document's "backend" field for benches whose runs
   /// span engines (validation_realruntime sets "rt+sim"); per-run records
   /// always carry their own true backend.
   std::string backend_label;
   double scale = 1.0;
-  bool scale_explicit = false;  ///< --scale was given on the command line
   std::uint64_t seed = kFigureSeed;
   // Job-stream flags (parsed only when the bench opts in; see ctor).
   int jobs = 1;       ///< --jobs=N: jobs per measured stream
-  bool jobs_explicit = false;  ///< --jobs was given on the command line
   int inflight = 0;   ///< --inflight=K: closed loop concurrency; 0 = open
   std::optional<cli::Arrival> arrival;  ///< --arrival=; nullopt = batch
   // Multi-tenant job-stream flags (scheduler-as-a-service regime).
@@ -424,9 +660,7 @@ struct Bench {
   int tenant_inflight = 4;              ///< --tenant-inflight: per-tenant cap
   int service_inflight = 0;             ///< --service-inflight: global cap
   std::int64_t queue_tasks = 0;         ///< --queue-tasks: admission budget
-  std::string baseline_path;            ///< --baseline=PATH: fairness gate
-  bool update_baseline = false;         ///< --update-baseline
-  double tolerance = 0.25;              ///< --tolerance=F: gate slack
+  Gate gate;  ///< --baseline / --update-baseline (gated benches only)
 
   /// Tenant i's DRR weight: the --weights entry, or 1.0 when unset.
   double tenant_weight(int i) const {

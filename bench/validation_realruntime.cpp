@@ -1,4 +1,4 @@
-// Cross-engine validation (DESIGN.md A2): the real-thread runtime, with
+// Cross-engine validation: the real-thread runtime, with
 // throttle-emulated TX2 asymmetry and the core-0 co-runner, must rank the
 // schedulers the same way the deterministic DES does on the Fig. 4 MatMul
 // P=2 configuration. Absolute numbers differ (the runtime executes real
@@ -21,7 +21,7 @@ using namespace das::bench;
 int main(int argc, char** argv) {
   Bench b(argc, argv, "validation_realruntime");
   b.backend_label = "rt+sim";  // this bench always runs BOTH engines
-  if (!b.scale_explicit) b.scale = 0.05;  // wall-time budget per real run
+  if (!b.flags.has("scale")) b.scale = 0.05;  // wall-time budget per real run
   const SpeedScenario scenario = b.make_scenario(
       b.topo, [](SpeedScenario& s) { s.add_cpu_corunner(0); });
 

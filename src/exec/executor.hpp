@@ -435,16 +435,16 @@ class Executor {
   /// Hands one queued job to the engine and updates the accounting.
   void release_locked(JobId id) DAS_REQUIRES(svc_mu_);
   /// Removes the drained tenant at ring position `pos` from the DRR ring
-  /// and drops its residual credit. The cursor stays on its tenant, or
-  /// moves to the next one when it pointed at the leaver.
+  /// and drops its residual credit. The cursor stays on its tenant (visit
+  /// and credit kept), or moves to the next one when it was the leaver.
   void leave_ring_locked(std::size_t pos) DAS_REQUIRES(svc_mu_);
   /// Deadline expiry for a still-queued session job: removes it from its
   /// tenant's bucket and marks it Outcome::kTimedOut.
   void timeout_locked(JobId id) DAS_REQUIRES(svc_mu_);
   /// Blocks on an already-claimed job and assembles its RunResult.
   RunResult finish_claimed(JobId id);
-  /// Claims the lowest unclaimed job (optionally of one tenant; -1 = any,
-  /// -2 = bare only); kInvalidJob when none.
+  /// Claims the lowest unclaimed job (optionally of one tenant; -1 = any);
+  /// kInvalidJob when none.
   JobId claim_next_locked(int tenant) DAS_REQUIRES(svc_mu_);
   std::vector<RunResult> drain_tenant(int tenant);
   TenantCounters counters_of(int tenant);

@@ -200,15 +200,18 @@ void Executor::pump_locked() {
 
 void Executor::leave_ring_locked(std::size_t pos) {
   // Drained: drop the residual credit (classic DRR — an idle tenant must
-  // not bank credit against its next burst) and leave the ring.
+  // not bank credit against its next burst) and leave the ring. Only the
+  // cursor tenant's leaving ends the credited visit: another tenant's
+  // leaving (a deadline expiry) must not hand the cursor tenant a second
+  // quantum.
   TenantState& t = tenants_[ring_[pos]];
   t.deficit = 0.0;
   t.in_ring = false;
+  if (pos == ring_cursor_) cursor_credited_ = false;
   ring_.erase(ring_.begin() + static_cast<std::ptrdiff_t>(pos));
   if (ring_cursor_ > pos) --ring_cursor_;
   if (!ring_.empty()) ring_cursor_ %= ring_.size();
   else ring_cursor_ = 0;
-  cursor_credited_ = false;
 }
 
 void Executor::release_locked(JobId id) {
@@ -419,8 +422,7 @@ std::optional<RunResult> Executor::wait_for(JobId id, double timeout_s) {
 JobId Executor::claim_next_locked(int tenant) {
   for (auto& [id, job] : jobs_) {
     if (job.claimed) continue;
-    if (tenant == -1 || job.tenant == tenant ||
-        (tenant == -2 && job.tenant < 0)) {
+    if (tenant == -1 || job.tenant == tenant) {
       job.claimed = true;
       return id;
     }

@@ -35,7 +35,7 @@
 
 namespace das::kernels {
 
-/// All calibration constants in one place (values discussed in DESIGN.md §7).
+/// All calibration constants in one place.
 struct CostModelConfig {
   // MatMul. 0.9 GFLOP/s reproduces the paper's ~0.6 ms 64x64 tile on the
   // Denver core (32000 tasks at ~3200 tasks/s peak in Fig. 4(a)) — the

@@ -1,6 +1,6 @@
 #pragma once
 // Rank-local communication endpoint of the in-process message-passing world
-// (the library's MPI substitute — see DESIGN.md §1).
+// (the library's MPI substitute).
 //
 // User tags must be >= 0; negative tags are reserved for the collectives.
 

@@ -12,8 +12,8 @@
 // co-scheduling behaviour.
 //
 // The scheduler under test observes nothing but inflated task execution
-// times, which is the same signal real dynamic asymmetry produces (see
-// DESIGN.md §1 for the substitution argument).
+// times, which is the same signal real dynamic asymmetry produces: a
+// scheduler cannot tell the emulated slowdown from a real one.
 //
 // The rt worker applies it in Runtime::run_work (rt/worker.cpp): it samples
 // relative_speed() at the start of the participation and busy-waits

@@ -113,12 +113,11 @@ inline constexpr const char* kCommonFlagsUsage =
 /// The job-stream flags (bench/job_stream, fig9_kmeans): how many jobs a
 /// driver submits, how they arrive, and — for the multi-tenant
 /// scheduler-as-a-service regime — how they are split across weighted
-/// sessions and gated against a checked-in fairness baseline.
+/// sessions.
 inline constexpr const char* kJobStreamFlagsUsage =
     "--jobs=N --arrival=poisson:<rate>|fixed:<gap> --inflight=K "
     "--tenants=N --weights=W[,W...] --tenant-inflight=K "
-    "--service-inflight=K --queue-tasks=N "
-    "--baseline=PATH --update-baseline --tolerance=F";
+    "--service-inflight=K --queue-tasks=N";
 
 /// A job-stream arrival process: either a fixed inter-arrival gap (seconds)
 /// or a Poisson process with the given mean rate (jobs/second). Drivers turn

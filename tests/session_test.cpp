@@ -1,14 +1,16 @@
 // Tests for the multi-tenant service layer (exec/session.hpp +
 // exec/service.cpp): config builder parity, bitwise-deterministic sim
-// fairness traces, weighted DRR shares, admission reject/block paths,
-// priority ordering within a tenant, grouped draining, counters, and an
-// rt multi-tenant concurrent-submitter stress (TSan coverage).
+// fairness traces, weighted DRR shares, DRR credit across another
+// tenant's deadline expiry, admission reject/block paths, priority
+// ordering within a tenant, grouped draining, counters, and an rt
+// multi-tenant concurrent-submitter stress (TSan coverage).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -150,6 +152,49 @@ TEST_F(SessionTest, DrrSharesFollowWeightsWhileBacklogged) {
     EXPECT_NEAR(share, want, 0.10 * want + 0.02)
         << "tenant " << t << " got share " << share << ", want " << want;
   }
+}
+
+TEST_F(SessionTest, AnotherTenantsDeadlineDoesNotRecreditTheCursorTenant) {
+  // One job in flight at a time, a 10-task quantum and 5-task jobs: a
+  // credited visit releases two jobs. A1 goes out alone on submit, so A's
+  // first credited visit is A2 A3; then C gets C1 C2, and so on. B's one job
+  // times out while A3 runs, i.e. while the cursor still sits on A's
+  // visit. B leaving the ring must not end that visit: a second quantum
+  // would release A4 A5 ahead of C1.
+  auto exec = make_executor(
+      Backend::kSim, topo_, Policy::kRws, registry_,
+      {.service = {.max_service_inflight = 1, .drr_quantum_tasks = 10}});
+  auto a = exec->open_session(TenantConfig{.name = "A"});
+  auto b = exec->open_session(TenantConfig{.name = "B"});
+  auto c = exec->open_session(TenantConfig{.name = "C"});
+  std::vector<Dag> dags;
+  dags.reserve(13);
+  std::vector<std::pair<JobId, std::string>> jobs;
+  const auto submit = [&](Session& s, const std::string& name,
+                          SubmitOptions opts = {}) {
+    dags.push_back(small_dag(1, 5));  // a 5-task chain
+    jobs.emplace_back(s.submit(dags.back(), opts), name);
+  };
+  for (int j = 1; j <= 6; ++j) submit(*a, "A" + std::to_string(j));
+  SubmitOptions deadline;
+  deadline.deadline_s = 0.4e-3;
+  submit(*b, "B1", deadline);
+  for (int j = 1; j <= 6; ++j) submit(*c, "C" + std::to_string(j));
+
+  std::vector<std::pair<double, std::string>> released;
+  for (const auto& [id, name] : jobs) {
+    const RunResult r = exec->wait(id);
+    if (name == "B1") {
+      EXPECT_EQ(r.outcome, RunResult::Outcome::kTimedOut);
+      continue;
+    }
+    ASSERT_TRUE(r.ok()) << name;
+    released.emplace_back(r.arrival_s + r.queue_s, name);
+  }
+  std::sort(released.begin(), released.end());
+  std::string order;
+  for (const auto& [t, name] : released) order += name + " ";
+  EXPECT_EQ(order, "A1 A2 A3 C1 C2 A4 A5 C3 C4 A6 C5 C6 ");
 }
 
 TEST_F(SessionTest, AdmissionRejectsOverBudgetSubmits) {
