@@ -99,9 +99,10 @@ Result run_policy(Bench& b, const Topology& topo, Policy policy) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Bench b(argc, argv, "fig9_kmeans", {.job_stream = true});
-  if (b.inflight > 0 || b.arrival)
-    cli::die("fig9_kmeans drives iterations lock-step; only --jobs=N applies");
+  // Iterations run lock-step, so of the job-stream flags only --jobs
+  // applies; the arrival, closed-loop and tenant flags are unknown here.
+  Bench b(argc, argv, "fig9_kmeans", {.usage = "--jobs=N"});
+  b.jobs = static_cast<int>(int_flag(b.flags, "jobs", b.jobs, 1));
   print_backend(b);
   if (b.jobs > 1)
     std::cout << "jobs " << b.jobs << " (concurrent clustering tenants per "

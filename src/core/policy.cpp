@@ -56,8 +56,21 @@ PolicyEngine::PolicyEngine(Policy policy, const Topology& topo, PttStore* ptt,
                 std::string(policy_name(policy)) + " requires a PttStore");
   const Cluster& fast = topo.cluster(topo.fastest_cluster());
   for (int c = fast.first_core; c < fast.end_core(); ++c) fast_cores_.push_back(c);
-  for (const ExecutionPlace& p : topo.places())
-    if (fast.contains(p.leader)) fast_cluster_places_.push_back(p);
+  if (traits_.uses_ptt) {
+    const std::vector<int> slots = Ptt::slot_layout(topo);
+    const auto with_slots = [&](const std::vector<ExecutionPlace>& places) {
+      Candidates out;
+      out.reserve(places.size());
+      for (const ExecutionPlace& p : places)
+        out.push_back(
+            Candidate{p, slots[static_cast<std::size_t>(topo.place_id(p))]});
+      return out;
+    };
+    for (int c = 0; c < topo.num_cores(); ++c)
+      local_candidates_.push_back(with_slots(topo.local_places(c)));
+    width1_candidates_ = with_slots(topo.width1_places());
+    place_candidates_ = with_slots(topo.places());
+  }
   if (policy_ == Policy::kDheft) {
     reserved_ = std::make_unique<std::atomic<double>[]>(
         static_cast<std::size_t>(topo.num_cores()));
@@ -74,9 +87,9 @@ ExecutionPlace PolicyEngine::dheft_place(TaskTypeId type) {
   const Ptt& table = ptt_->table(type);
   double explored_sum = 0.0;
   int explored = 0;
-  for (const ExecutionPlace& p : topo_->width1_places()) {
-    if (table.samples(topo_->place_id(p)) > 0) {
-      explored_sum += table.value(topo_->place_id(p));
+  for (const Candidate& c : width1_candidates_) {
+    if (table.slot_samples(c.slot) > 0) {
+      explored_sum += table.slot_value(c.slot);
       ++explored;
     }
   }
@@ -85,15 +98,16 @@ ExecutionPlace PolicyEngine::dheft_place(TaskTypeId type) {
   double best_finish = std::numeric_limits<double>::infinity();
   ExecutionPlace best{0, 1};
   double best_est = fallback;
-  for (const ExecutionPlace& p : topo_->width1_places()) {
-    const int pid = topo_->place_id(p);
-    const double est = table.samples(pid) > 0 ? table.value(pid) : fallback;
+  for (const Candidate& c : width1_candidates_) {
+    const double est =
+        table.slot_samples(c.slot) > 0 ? table.slot_value(c.slot) : fallback;
     const double finish =
-        reserved_[static_cast<std::size_t>(p.leader)].load(std::memory_order_relaxed) +
+        reserved_[static_cast<std::size_t>(c.place.leader)].load(
+            std::memory_order_relaxed) +
         est;
     if (finish < best_finish) {
       best_finish = finish;
-      best = p;
+      best = c.place;
       best_est = est;
     }
   }
@@ -110,16 +124,12 @@ int PolicyEngine::round_robin_fast_core() {
 ExecutionPlace PolicyEngine::local_search(TaskTypeId type, int core) {
   // Algorithm 1, line 4: keep the resource partition and core fixed, mold
   // only the width; minimise predicted time x width (parallel cost).
-  return search(type, topo_->local_places(core), Objective::kCost);
+  return search(type, local_candidates_[static_cast<std::size_t>(core)],
+                Objective::kCost);
 }
 
-ExecutionPlace PolicyEngine::search(TaskTypeId type,
-                                    const std::vector<ExecutionPlace>& candidates,
-                                    Objective objective) {
-  DAS_CHECK(!candidates.empty());
-  DAS_CHECK(ptt_ != nullptr);
-  const Ptt& table = ptt_->table(type);
-
+template <typename KeyOf>
+std::size_t PolicyEngine::pick(std::size_t n, KeyOf key_of) {
   // Minimise the objective key. Zero-valued (unexplored) entries produce a
   // zero key and therefore win, yielding the paper's explore-everything
   // start-up behaviour. Exact key ties are broken by fewest samples, then
@@ -127,19 +137,13 @@ ExecutionPlace PolicyEngine::search(TaskTypeId type,
   // exploration fans out instead of hammering candidate #0. Two passes and
   // no tie list: the first finds the minimum and counts its ties, the
   // second walks to the chosen one.
-  auto key_of = [&](const ExecutionPlace& p, std::uint64_t& samples) {
-    const int pid = topo_->place_id(p);
-    const double v = table.value(pid);
-    samples = table.samples(pid);
-    return objective == Objective::kCost ? v * static_cast<double>(p.width) : v;
-  };
   double best_key = std::numeric_limits<double>::infinity();
   std::uint64_t best_samples = 0;
   std::size_t first = 0;  // the first tie in candidate order
   std::size_t ties = 0;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t s = 0;
-    const double key = key_of(candidates[i], s);
+    const double key = key_of(i, s);
     if (key < best_key || (key == best_key && s < best_samples)) {
       best_key = key;
       best_samples = s;
@@ -150,7 +154,7 @@ ExecutionPlace PolicyEngine::search(TaskTypeId type,
     }
   }
   DAS_ASSERT(ties > 0);
-  if (ties == 1) return candidates[first];
+  if (ties == 1) return first;
 
   std::size_t idx;
   if (options_.random_tie_break) {
@@ -166,14 +170,46 @@ ExecutionPlace PolicyEngine::search(TaskTypeId type,
   // Walk to the idx-th tie. A concurrent PTT update (real-thread engine) can
   // change keys between the passes; the walk then settles on the last tie
   // it still sees.
-  std::size_t pick = first;
-  for (std::size_t i = first; i < candidates.size(); ++i) {
+  std::size_t chosen = first;
+  for (std::size_t i = first; i < n; ++i) {
     std::uint64_t s = 0;
-    if (key_of(candidates[i], s) != best_key || s != best_samples) continue;
-    pick = i;
+    if (key_of(i, s) != best_key || s != best_samples) continue;
+    chosen = i;
     if (idx-- == 0) break;
   }
-  return candidates[pick];
+  return chosen;
+}
+
+ExecutionPlace PolicyEngine::search(TaskTypeId type,
+                                    const std::vector<ExecutionPlace>& candidates,
+                                    Objective objective) {
+  DAS_CHECK(!candidates.empty());
+  DAS_CHECK(ptt_ != nullptr);
+  const Ptt& table = ptt_->table(type);
+  return candidates[pick(candidates.size(), [&](std::size_t i,
+                                                std::uint64_t& samples) {
+    const ExecutionPlace& p = candidates[i];
+    const int slot = table.slot(topo_->place_id(p));
+    const double v = table.slot_value(slot);
+    samples = table.slot_samples(slot);
+    return objective == Objective::kCost ? v * static_cast<double>(p.width) : v;
+  })];
+}
+
+ExecutionPlace PolicyEngine::search(TaskTypeId type,
+                                    const Candidates& candidates,
+                                    Objective objective) {
+  DAS_ASSERT(!candidates.empty());
+  const Ptt& table = ptt_->table(type);
+  return candidates[pick(candidates.size(), [&](std::size_t i,
+                                                std::uint64_t& samples) {
+    const Candidate& c = candidates[i];
+    const double v = table.slot_value(c.slot);
+    samples = table.slot_samples(c.slot);
+    return objective == Objective::kCost
+               ? v * static_cast<double>(c.place.width)
+               : v;
+  })].place;
 }
 
 void PolicyEngine::dheft_drain(const ExecutionPlace& place, double seconds) {

@@ -19,7 +19,17 @@
 //   on_execute  — dequeue time: the final width molding for tasks without a
 //                 fixed place (paper Fig. 3 steps 4-5: thieves re-run the
 //                 local search).
-//   record_sample — task completion: folds the observed span into the PTT.
+//   record_sample — task completion: folds the observed span into the PTT
+//                 (record_sample_st: the same for a single-writer engine,
+//                 the DES, through Ptt::update_st).
+//
+// Search cost. Every search the hooks run is over a candidate list that
+// Topology owns (local_places, width1_places, places). The engine
+// precomputes each list's PTT slots (Ptt::slot_layout) at construction, so
+// a search reads each candidate's value and sample count straight from its
+// slot, with no place validation or slot lookup per candidate. The public
+// search() over an explicit list resolves slots per candidate and applies
+// the same selection, so both pick the same place from the same state.
 
 #include <atomic>
 #include <cstdint>
@@ -135,6 +145,10 @@ class PolicyEngine {
 
   /// Folds an observed task span into the model (no-op for RWS / FA).
   void record_sample(TaskTypeId type, const ExecutionPlace& place, double seconds);
+  /// record_sample for an engine whose tables have ONE writer thread (a DES
+  /// rank): Ptt::update_st, the same arithmetic without the RMWs.
+  void record_sample_st(TaskTypeId type, const ExecutionPlace& place,
+                        double seconds);
 
   // Exposed for tests and analysis ------------------------------------------
   enum class Objective { kCost, kTime };
@@ -145,6 +159,20 @@ class PolicyEngine {
                         Objective objective);
 
  private:
+  /// A candidate place with its PTT slot.
+  struct Candidate {
+    ExecutionPlace place;
+    int slot = 0;
+  };
+  using Candidates = std::vector<Candidate>;
+
+  /// search() over a precomputed candidate list.
+  ExecutionPlace search(TaskTypeId type, const Candidates& candidates,
+                        Objective objective);
+  /// Algorithm 1's min-search: the index of the candidate to pick among
+  /// `n`, given each one's key and sample count (policy.cpp).
+  template <typename KeyOf>
+  std::size_t pick(std::size_t n, KeyOf key_of);
   ExecutionPlace local_search(TaskTypeId type, int core);
   int round_robin_fast_core();
   ExecutionPlace dheft_place(TaskTypeId type);
@@ -157,8 +185,12 @@ class PolicyEngine {
   const Topology* topo_;
   PttStore* ptt_;
   PolicyOptions options_;
-  std::vector<ExecutionPlace> fast_cluster_places_;  // FAM-C candidate set
   std::vector<int> fast_cores_;                      // FA round-robin targets
+  // The Topology-owned candidate lists with their slots, in list order
+  // (empty when the policy reads no PTT).
+  std::vector<Candidates> local_candidates_;  // [core]: local_places(core)
+  Candidates width1_candidates_;              // width1_places()
+  Candidates place_candidates_;               // places()
   std::atomic<std::uint32_t> rr_counter_{0};
   std::atomic<std::uint32_t> tie_counter_{0};
   std::atomic<std::uint64_t> rng_state_;             // splitmix for random ties
@@ -206,20 +238,19 @@ inline WakeDecision PolicyEngine::on_ready(TaskTypeId type, Priority priority,
       // the assigned core. Note the core choice itself stays PTT-blind —
       // that is what keeps half the criticals on a perturbed fast core in
       // the paper's Fig. 5(d) (35% (C0,1) / 48% (C1,1) / 17% (C0,2)).
-      p = search(type, topo_->local_places(round_robin_fast_core()),
-                 Objective::kCost);
+      p = local_search(type, round_robin_fast_core());
       break;
     case Policy::kDa:
       // Global search over single cores for the best predicted time.
-      p = search(type, topo_->width1_places(), Objective::kTime);
+      p = search(type, width1_candidates_, Objective::kTime);
       break;
     case Policy::kDamC:
       // Global search minimising PTT(c,w) * w (Algorithm 1, line 8).
-      p = search(type, topo_->places(), Objective::kCost);
+      p = search(type, place_candidates_, Objective::kCost);
       break;
     case Policy::kDamP:
       // Global search minimising PTT(c,w) (Algorithm 1, line 11).
-      p = search(type, topo_->places(), Objective::kTime);
+      p = search(type, place_candidates_, Objective::kTime);
       break;
     case Policy::kRws:
     case Policy::kRwsmC:
@@ -244,6 +275,14 @@ inline void PolicyEngine::record_sample(TaskTypeId type,
                                         double seconds) {
   if (!traits_.uses_ptt) return;
   ptt_->table(type).update(place, seconds);
+  if (policy_ == Policy::kDheft) dheft_drain(place, seconds);
+}
+
+inline void PolicyEngine::record_sample_st(TaskTypeId type,
+                                           const ExecutionPlace& place,
+                                           double seconds) {
+  if (!traits_.uses_ptt) return;
+  ptt_->table(type).update_st(place, seconds);
   if (policy_ == Policy::kDheft) dheft_drain(place, seconds);
 }
 

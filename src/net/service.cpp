@@ -3,7 +3,6 @@
 #include <chrono>
 #include <map>
 #include <memory>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -43,13 +42,22 @@ void reply(Comm& comm, int dst, WireWriter w) {
   comm.send(dst, kTagServiceReply, bytes.data(), bytes.size());
 }
 
-// Per-client server-side bookkeeping: liveness, the idempotency-token map,
-// and which jobs a reap must drain.
+// Per-client server-side bookkeeping: liveness, the idempotency tokens of
+// the jobs in flight, and which jobs a reap must drain.
 struct ClientState {
   std::chrono::steady_clock::time_point last_seen;
   std::map<std::uint64_t, JobId> submits;  // token -> original JobId
-  std::set<JobId> unwaited;
+  std::map<JobId, std::uint64_t> unwaited;  // job -> its token (0 = none)
   bool departed = false;  // bye'd or reaped; its seat is already freed
+
+  /// The job was waited: it leaves the unwaited set and its token retires,
+  /// so the token map holds only jobs in flight (a reap clears both).
+  void retire(JobId id) {
+    const auto it = unwaited.find(id);
+    if (it == unwaited.end()) return;
+    if (it->second != 0) submits.erase(it->second);
+    unwaited.erase(it);
+  }
 };
 
 }  // namespace
@@ -109,7 +117,7 @@ void serve_executor(Comm& comm, Executor& exec, const ServeOptions& opts) {
           }
           dags.emplace(id, std::move(dag));
           if (token != 0) client.submits.emplace(token, id);
-          client.unwaited.insert(id);
+          client.unwaited.emplace(id, token);
         }
         WireWriter w;
         w.pod(id);
@@ -120,7 +128,7 @@ void serve_executor(Comm& comm, Executor& exec, const ServeOptions& opts) {
         const auto id = r.pod<JobId>();
         const RunResult result = exec.wait(id);
         dags.erase(id);
-        client.unwaited.erase(id);
+        client.retire(id);
         WireWriter w;
         encode_run_result(to_wire(result), w);
         reply(comm, msg.src, std::move(w));
@@ -134,7 +142,7 @@ void serve_executor(Comm& comm, Executor& exec, const ServeOptions& opts) {
         w.pod(static_cast<std::uint8_t>(result.has_value() ? 1 : 0));
         if (result.has_value()) {
           dags.erase(id);
-          client.unwaited.erase(id);
+          client.retire(id);
           encode_run_result(to_wire(*result), w);
         }
         reply(comm, msg.src, std::move(w));
@@ -177,11 +185,12 @@ void serve_executor(Comm& comm, Executor& exec, const ServeOptions& opts) {
       // release and run, or resolve rejected/timed-out), then free the
       // seat. A late request from the client is still answered — only its
       // seat accounting is settled.
-      for (const JobId id : client.unwaited) {
+      for (const auto& [id, token] : client.unwaited) {
         exec.wait(id);
         dags.erase(id);
       }
       client.unwaited.clear();
+      client.submits.clear();
       client.departed = true;
       ++byes;
     }

@@ -42,6 +42,10 @@
 //   same token (ServiceClient::resubmit, after e.g. a lost-reply timeout in
 //   a real transport) returns the original JobId instead of enqueueing the
 //   job twice — exactly-once submission over an at-least-once client retry.
+//   The server remembers a token only while its job is in flight, the
+//   window in which a submit reply can be lost: a wait (or a wait_for that
+//   returns the result) or a reap retires it, so a long-lived client does
+//   not grow the server's token map, and the token may be spent again.
 // * ServiceClient::wait_for bounds the wait server-side
 //   (Executor::wait_for): the reply says whether the job finished, and a
 //   timed-out job stays waitable.
@@ -104,9 +108,11 @@ class ServiceClient {
                int session = -1);
 
   /// Idempotent re-send of an earlier submit: same payload, explicit
-  /// `token`. If the server already accepted that token it replies with
-  /// the ORIGINAL JobId and enqueues nothing — safe to fire after a
-  /// suspected lost reply.
+  /// `token`. If the server accepted that token for a job that is still in
+  /// flight (not yet waited), it replies with the ORIGINAL JobId and
+  /// enqueues nothing — safe to fire after a suspected lost reply. Once
+  /// that job was waited the token is retired, and a submit with it is a
+  /// new job.
   JobId resubmit(const Dag& dag, const SubmitOptions& opts, int session,
                  std::uint64_t token);
 

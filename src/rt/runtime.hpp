@@ -65,9 +65,27 @@
 // submit() registers a job and releases its roots into the worker queues
 // immediately; wait() blocks until that job's last task finishes, returns
 // its wall-clock latency (submit -> completion) and retires the job's
-// record block — the jobs_ map holds only jobs in flight. Jobs in flight
-// concurrently interleave on the same workers, inboxes, WSQs and shared
-// PTT — the persistent-runtime regime of paper §4.1.1, where the
+// record block — the jobs_ map holds only jobs in flight. submit() builds
+// the record block in one pass: each record is constructed once, in place,
+// and the closure-or-cost-model rule reads a per-type flag table instead
+// of the registry. A job counts its unfinished tasks in `outstanding`, but
+// a finishing worker does not write that shared counter per task: it adds
+// the task to its own completion tally, a (job, count) pair only it
+// touches, and subtracts the whole count with one fetch_sub (a flush). A
+// worker flushes
+//   - before it participates in a task of another job, so it never sits on
+//     a finished job's last completions while it runs someone else's task;
+//   - when a progress round finds nothing, before it pauses, yields or
+//     parks, so an idle worker holds no count;
+//   - at every loop top while faults are armed, so a quarantine, wedge or
+//     freeze never strands a count.
+// The flush that takes `outstanding` to zero completes the job, as the last
+// per-task decrement used to. A finished job therefore never waits on a
+// worker that has moved on to another job's task or gone idle; its
+// completion trails its last task by at most one progress round.
+//
+// Jobs in flight concurrently interleave on the same workers, inboxes, WSQs
+// and shared PTT — the persistent-runtime regime of paper §4.1.1, where the
 // performance model keeps learning across application phases. submit() and
 // wait() are thread-safe: multiple submitter threads may drive one runtime.
 // run() remains submit+wait sugar for the one-shot case.
@@ -195,7 +213,13 @@ class Runtime {
  private:
   struct Job;  // fwd
 
+  /// One task of an in-flight job. submit() constructs each record once, in
+  /// place, in raw storage (Job::records), so the type must stay trivially
+  /// destructible: the block is freed without running destructors.
   struct TaskRec {
+    TaskRec(const DagNode* n, const WorkFn* w, NodeId i, Job* j, int p)
+        : node(n), work(w), id(i), job(j), preds(p) {}
+
     const DagNode* node = nullptr;
     const WorkFn* work = nullptr;   // the node's closure; null = cost model
     NodeId id = kInvalidNode;
@@ -219,15 +243,23 @@ class Runtime {
   /// (width-1) x 16-byte nodes keeps a chunk in the tens of kilobytes.
   static constexpr std::size_t kWideChunkTasks = 256;
 
+  /// Frees a record block: raw storage whose records submit() constructed
+  /// in place (no destructor to run, see TaskRec).
+  struct RecordsFree {
+    void operator()(TaskRec* p) const { ::operator delete(p); }
+  };
+
   /// One in-flight job: its record block (one TaskRec per node), a
   /// lazily-allocated arena of AQ hooks for the non-leader slots of wide
-  /// assemblies, and a completion latch. `outstanding` counts unfinished
-  /// tasks; the worker that drops it to zero marks the job done under mu_
-  /// and broadcasts cv_ — the per-job latch every wait(id) blocks on.
+  /// assemblies, and a completion latch. `outstanding` counts tasks not yet
+  /// flushed from a worker's completion tally (see the "Job service"
+  /// paragraph above); the flush that drops it to zero marks the job done
+  /// under mu_ and broadcasts cv_ — the per-job latch every wait(id) blocks
+  /// on.
   struct Job {
     JobId id = kInvalidJob;
     const Dag* dag = nullptr;
-    std::unique_ptr<TaskRec[]> records;
+    std::unique_ptr<TaskRec[], RecordsFree> records;
     /// Two-level lazy arena for the non-leader AQ hooks of wide
     /// assemblies: a CAS-published directory of `num_wide_chunks` chunk
     /// pointers, each chunk holding kWideChunkTasks x (max_place_width - 1)
@@ -264,6 +296,11 @@ class Runtime {
     EventCount ec;      // only this worker ever waits on it
     std::atomic<bool> parked{false};  // set before the pre-park work re-check
     Xoshiro256 rng;
+    // Completion tally (only this worker reads or writes it): tasks of
+    // `tally_job` it finished and has not yet subtracted from the job's
+    // `outstanding`. flush_tally() applies them.
+    Job* tally_job = nullptr;
+    std::int64_t tally = 0;
     std::thread thread;
     // Fault-tolerance plumbing (rt/watchdog.cpp); all of it inert — never
     // loaded or stored — unless faults_armed_.
@@ -299,8 +336,12 @@ class Runtime {
   /// scenario throttle, records busy time; returns this participant's busy
   /// nanoseconds.
   std::int64_t run_work(int core, TaskRec* task, int rank);
-  /// Last-finisher tail: wake dependents, retire the task from its job.
+  /// Last-finisher tail: wake dependents, add the task to this worker's
+  /// completion tally.
   void finish_last(int core, TaskRec* task);
+  /// Subtracts `w`'s tally from its job in one fetch_sub and completes the
+  /// job if that was its last count. Called only by worker `w` itself.
+  void flush_tally(Worker& w);
   void distribute(int core, TaskRec* task, const ExecutionPlace& place);
   TaskRec* try_steal(int core);
   /// `caller_is_worker` means the calling thread IS worker `waking_core`
@@ -344,6 +385,8 @@ class Runtime {
 
   // runtime.cpp
   void submit_roots(Job& job);
+  /// Cold path of submit(): throws the message of the rule node `i` breaks.
+  void reject_node(const Dag& dag, NodeId i) const;
 
   const Topology* topo_;
   const TaskTypeRegistry* registry_;

@@ -30,8 +30,10 @@
 //
 // Completion stays exactly-once: the doomed attempt can never fire
 // finish_last (departures is short of width by exactly `lost`), and only
-// the watchdog requeues, so the task's job-outstanding decrement happens
-// once, on the attempt that runs to full width.
+// the watchdog requeues, so the task enters its finisher's completion tally
+// (and so its job's outstanding count) once, on the attempt that runs to
+// full width. A worker flushes its tally at every loop top while faults are
+// armed, so a retiring, wedging or freezing worker holds no count.
 
 #include <algorithm>
 #include <chrono>

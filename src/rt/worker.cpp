@@ -32,6 +32,9 @@ void Runtime::worker_loop(int core) {
   std::int64_t polling_since_ns = 0;  // start of the current stage 2
   for (;;) {
     if (faults_armed_) [[unlikely]] {
+      // A worker about to wedge, freeze or retire must not hold finished
+      // tasks of a job in its tally: settle it at every loop top.
+      flush_tally(self);
       // Fault checks happen only here, at a loop top — never mid-task — so
       // a planned fail-stop loses queued work but no in-flight
       // participation (rt/watchdog.cpp). in_round brackets the progress
@@ -61,6 +64,9 @@ void Runtime::worker_loop(int core) {
       idle_rounds = 0;
       continue;
     }
+    // Nothing to run: settle the tally before pausing, yielding or parking,
+    // so no job waits on an idle worker.
+    flush_tally(self);
     if (faults_armed_) [[unlikely]]
       self.in_round.store(false, std::memory_order_seq_cst);
     if (++idle_rounds <= kSpinRoundsBeforePark) {
@@ -352,14 +358,34 @@ void Runtime::finish_last(int core, TaskRec* task) {
       wake_task(succ, core, /*caller_is_worker=*/true);
     }
   }
-  if (job->outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+  // Retire the task into this worker's tally instead of the job's shared
+  // counter; participate() already flushed any other job's tally.
+  Worker& self = *workers_[static_cast<std::size_t>(core)];
+  DAS_ASSERT(self.tally_job == nullptr || self.tally_job == job);
+  self.tally_job = job;
+  ++self.tally;
+}
+
+void Runtime::flush_tally(Worker& w) {
+  Job* job = w.tally_job;
+  if (job == nullptr) return;
+  const std::int64_t n = w.tally;
+  w.tally_job = nullptr;
+  w.tally = 0;
+  // acq_rel as the per-task decrement was: the release publishes every task
+  // this worker retired, and the flush that reaches zero acquires them all
+  // before complete_job wakes the waiters.
+  if (job->outstanding.fetch_sub(n, std::memory_order_acq_rel) == n)
     complete_job(job);
-  }
 }
 
 void Runtime::participate(int core, TaskRec* task) {
   const DagNode& node = *task->node;
   const int width = task->place.width;
+  // A worker never runs another job's task while it holds completions of a
+  // job that may already be finished: that task can take arbitrarily long.
+  Worker& self = *workers_[static_cast<std::size_t>(core)];
+  if (self.tally_job != task->job) flush_tally(self);
 
   if (width == 1) {
     // Width-1 fast path: this participant IS the assembly. No arrival or

@@ -343,8 +343,10 @@ class SimEngine {
   /// Multi-rank completion accounting of one in-flight job on one shard:
   /// the tasks the shard completed since its last fold and the latest of
   /// their completion instants. fold_completions() adds them into the
-  /// shared Job fields once per window.
-  struct CompletionTally {
+  /// shared Job fields once per window. Line-aligned: submit() grows every
+  /// shard's tally array back to back on one thread, so without it two
+  /// shards' arrays could share a line that both write on every completion.
+  struct alignas(64) CompletionTally {
     JobId job = kInvalidJob;
     std::int64_t completed = 0;
     double finish_s = -1.0;

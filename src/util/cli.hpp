@@ -110,10 +110,10 @@ inline constexpr const char* kCommonFlagsUsage =
     "--backend=sim|rt --policy=NAME[,NAME...] --scenario=<name|file> "
     "--json=<path> --scale=F --seed=N";
 
-/// The job-stream flags (bench/job_stream, fig9_kmeans): how many jobs a
-/// driver submits, how they arrive, and — for the multi-tenant
-/// scheduler-as-a-service regime — how they are split across weighted
-/// sessions.
+/// The job-stream flags (bench/job_stream; fig9_kmeans takes only --jobs):
+/// how many jobs a driver submits, how they arrive, and — for the
+/// multi-tenant scheduler-as-a-service regime — how they are split across
+/// weighted sessions.
 inline constexpr const char* kJobStreamFlagsUsage =
     "--jobs=N --arrival=poisson:<rate>|fixed:<gap> --inflight=K "
     "--tenants=N --weights=W[,W...] --tenant-inflight=K "

@@ -243,6 +243,41 @@ TEST_F(NetServiceTest, ResubmitTokenIsIdempotent) {
   });
 }
 
+TEST_F(NetServiceTest, WaitedTokenRetires) {
+  // A token deduplicates only while its job is in flight (the lost-reply
+  // window). Once the job is waited, the server forgets the token, so a
+  // long-lived client does not grow the server's token map without bound,
+  // and the same token then submits a new job.
+  net::World world(2);
+  world.run([&](net::Comm& comm) {
+    if (comm.rank() == 0) {
+      auto exec = fresh_sim();
+      net::serve_executor(comm, *exec);
+      return;
+    }
+    net::ServiceClient client(comm, 0);
+    const Dag dag = paper_dag(3, 30);
+    const JobId first = client.resubmit(dag, {}, /*session=*/-1, /*token=*/77);
+    EXPECT_EQ(client.resubmit(dag, {}, /*session=*/-1, /*token=*/77), first);
+    EXPECT_TRUE(client.wait(first).ok());
+    const JobId second = client.resubmit(dag, {}, /*session=*/-1, /*token=*/77);
+    EXPECT_NE(second, first);
+    // A successful wait_for retires the token too; a timed-out one does not.
+    EXPECT_FALSE(client.wait_for(second, 0.0).has_value());
+    EXPECT_EQ(client.resubmit(dag, {}, /*session=*/-1, /*token=*/77), second);
+    const std::optional<net::WireRunResult> done = client.wait_for(second, 60.0);
+    ASSERT_TRUE(done.has_value());
+    EXPECT_TRUE(done->ok());
+    EXPECT_EQ(done->tasks, 30);
+    const JobId third = client.resubmit(dag, {}, /*session=*/-1, /*token=*/77);
+    EXPECT_NE(third, second);
+    const net::WireRunResult r = client.wait(third);
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(r.tasks, 30);
+    client.bye();
+  });
+}
+
 TEST_F(NetServiceTest, ClientWaitForTimesOutThenCompletes) {
   // The bounded remote wait: a too-short bound replies "not yet" and the
   // job stays waitable; a generous bound delivers the normal result. ping()

@@ -9,6 +9,7 @@
 
 #include "core/policy.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace das {
 namespace {
@@ -241,6 +242,58 @@ TEST_F(PolicyFixture, RandomTieBreakStillExploresAll) {
   }
   // Fewest-samples tie-breaking still guarantees full coverage.
   EXPECT_EQ(static_cast<int>(chosen.size()), topo_.num_places());
+}
+
+TEST_F(PolicyFixture, SlotIndexedSearchMatchesExplicitCandidates) {
+  // The hooks search the Topology-owned candidate lists through precomputed
+  // PTT slots; search() over an explicit copy of the same list must pick
+  // the same place from the same state, ties included. Two engines built
+  // alike share the PTT: one runs the hooks, the other the explicit
+  // searches in the same order, so their tie-break state advances alike.
+  const Cluster& fast = topo_.cluster(topo_.fastest_cluster());
+  Xoshiro256 rng(11);
+  for (const bool random_ties : {false, true}) {
+    for (const Policy p :
+         {Policy::kDa, Policy::kFamC, Policy::kDamC, Policy::kDamP}) {
+      for (int round = 0; round < 50; ++round) {
+        // Unexplored entries, repeated values (key and sample ties) and
+        // distinct ones.
+        ptt_.table(kT).fill(0.0);
+        for (int pid = 0; pid < topo_.num_places(); ++pid) {
+          const std::uint64_t kind = rng.below(4);
+          if (kind == 0) continue;
+          const double v = kind == 1 ? 1e-3 : kind == 2 ? 2e-3 : rng.uniform();
+          for (std::uint64_t k = 0, n = 1 + rng.below(2); k < n; ++k)
+            ptt_.table(kT).update(pid, v);
+        }
+        PolicyEngine hooks = make(p, {.random_tie_break = random_ties});
+        PolicyEngine explicit_lists = make(p, {.random_tie_break = random_ties});
+        const auto objective = p == Policy::kDamC || p == Policy::kFamC
+                                   ? PolicyEngine::Objective::kCost
+                                   : PolicyEngine::Objective::kTime;
+        for (int call = 0; call < 2 * topo_.num_cores(); ++call) {
+          const int core = call % topo_.num_cores();
+          // Wake-up: the global (or, for FAM-C, round-robin local) search.
+          std::vector<ExecutionPlace> list =
+              p == Policy::kDa     ? topo_.width1_places()
+              : p == Policy::kFamC ? topo_.local_places(
+                                         fast.first_core + call % fast.num_cores)
+                                   : topo_.places();
+          const WakeDecision wd = hooks.on_ready(kT, Priority::kHigh, core);
+          ASSERT_TRUE(wd.has_fixed_place);
+          EXPECT_EQ(wd.fixed_place, explicit_lists.search(kT, list, objective))
+              << policy_name(p) << " round " << round << " call " << call;
+          // Dequeue: the moldable policies' local cost search.
+          if (!policy_moldable(p)) continue;
+          list = topo_.local_places(core);
+          EXPECT_EQ(hooks.on_execute(kT, Priority::kLow, core),
+                    explicit_lists.search(kT, list,
+                                          PolicyEngine::Objective::kCost))
+              << policy_name(p) << " round " << round << " core " << core;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(PolicyFixture, RecordSampleIsNoOpForNonPttPolicies) {

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -218,6 +219,112 @@ TEST_F(RtTest, RejectsMultiRankDag) {
   dag.node(0).rank = 1;
   Runtime rt(topo_, Policy::kRws, registry_);
   EXPECT_THROW(rt.run(dag), PreconditionError);
+}
+
+TEST_F(RtTest, RejectsRankChangedAfterSeal) {
+  // submit() reads the live node fields, not the seal's snapshot.
+  Dag dag;
+  dag.add_node(ids_.matmul, Priority::kLow, {}, [](const ExecContext&) {});
+  dag.add_node(ids_.matmul, Priority::kLow, {}, [](const ExecContext&) {});
+  dag.add_edge(0, 1);
+  Runtime rt(topo_, Policy::kRws, registry_);
+  rt.run(dag);  // seals the DAG
+  dag.node(1).rank = 1;
+  try {
+    rt.submit(dag);
+    ADD_FAILURE() << "a multi-rank DAG was accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "the threaded runtime executes single-rank DAGs"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(rt.jobs_in_flight(), 0);
+  dag.node(1).rank = 0;
+  rt.run(dag);
+  EXPECT_EQ(rt.stats().tasks_total(), 4);
+}
+
+TEST_F(RtTest, RejectsClosurelessNodeOfModellessType) {
+  // A node without a work closure runs by emulating its type's cost model;
+  // a type without one is rejected at submit, whether the DAG was built
+  // that way or its node's type changed after the seal.
+  const TaskTypeId bare = registry_.register_type("no_cost_model");
+  Runtime rt(topo_, Policy::kRws, registry_);
+  const auto expect_rejected = [&](const Dag& dag) {
+    const int before = rt.jobs_in_flight();
+    try {
+      rt.submit(dag);
+      ADD_FAILURE() << "a closure-less node without a cost model was accepted";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "node without work closure needs a cost model to emulate"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(rt.jobs_in_flight(), before);
+  };
+
+  Dag built;
+  built.add_node(ids_.matmul, Priority::kLow, {}, [](const ExecContext&) {});
+  built.add_node(bare);
+  built.add_edge(0, 1);
+  expect_rejected(built);
+
+  Dag retyped;
+  TaskParams p;
+  p.p0 = 16;
+  retyped.add_node(ids_.matmul, Priority::kLow, p);  // emulated cost model
+  rt.run(retyped);                                   // seals the DAG
+  retyped.node(0).type = bare;
+  expect_rejected(retyped);
+
+  // A type the registry does not know is refused too.
+  retyped.node(0).type = registry_.size();
+  EXPECT_THROW(rt.submit(retyped), PreconditionError);
+  EXPECT_EQ(rt.jobs_in_flight(), 0);
+
+  // A node of that type WITH a closure runs.
+  Dag closure;
+  closure.add_node(bare, Priority::kLow, {}, [](const ExecContext&) {});
+  rt.run(closure);
+  EXPECT_EQ(rt.stats().tasks_total(), 2);
+}
+
+TEST_F(RtTest, JobCompletesWhileItsFinisherRunsAnotherJob) {
+  // Job A's last task submits job B, one task that sleeps 300 ms. With one
+  // worker, the worker that finished A is the one that runs B, so A's
+  // completion must not wait for that worker to go idle: its completion
+  // tally is flushed before B's task starts.
+  const Topology one = Topology::symmetric(1, 1, 1.0);
+  Runtime rt(one, Policy::kRws, registry_);
+  using Clock = std::chrono::steady_clock;
+  std::atomic<bool> b_finished{false};
+  Dag b;
+  b.add_node(ids_.matmul, Priority::kLow, {}, [&](const ExecContext&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    b_finished.store(true);
+  });
+  // Written by A's last task; read after wait(A), which happens-after it.
+  JobId b_id = kInvalidJob;
+  Clock::time_point b_submitted{};
+  Dag a;
+  constexpr int kChain = 4;
+  for (int i = 0; i < kChain; ++i) {
+    a.add_node(ids_.matmul, Priority::kLow, {}, [&, i](const ExecContext&) {
+      if (i != kChain - 1) return;
+      b_id = rt.submit(b);
+      b_submitted = Clock::now();
+    });
+    if (i > 0) a.add_edge(i - 1, i);
+  }
+  rt.wait(rt.submit(a));
+  const Clock::time_point a_done = Clock::now();
+  EXPECT_FALSE(b_finished.load());
+  EXPECT_LT(a_done - b_submitted, std::chrono::milliseconds(100));
+  rt.wait(b_id);
+  EXPECT_TRUE(b_finished.load());
+  EXPECT_EQ(rt.stats().tasks_total(), kChain + 1);
 }
 
 TEST_F(RtTest, StarvedPoolParksInsteadOfSpinning) {
