@@ -56,14 +56,18 @@ PolicyEngine::PolicyEngine(Policy policy, const Topology& topo, PttStore* ptt,
                 std::string(policy_name(policy)) + " requires a PttStore");
   const Cluster& fast = topo.cluster(topo.fastest_cluster());
   for (int c = fast.first_core; c < fast.end_core(); ++c) fast_cores_.push_back(c);
-  if (traits_.uses_ptt) {
-    const std::vector<int> slots = Ptt::slot_layout(topo);
+  if (traits_.uses_ptt && ptt_->num_types() > 0) {
+    // Every table of the store shares one slot layout; take the slots from
+    // the first. Slot reads are unchecked, so the store must index exactly
+    // this topology's places.
+    const Ptt& layout = ptt_->table(0);
+    DAS_CHECK_MSG(layout.topology().places() == topo.places(),
+                  "the PttStore must be built over the engine's topology");
     const auto with_slots = [&](const std::vector<ExecutionPlace>& places) {
       Candidates out;
       out.reserve(places.size());
       for (const ExecutionPlace& p : places)
-        out.push_back(
-            Candidate{p, slots[static_cast<std::size_t>(topo.place_id(p))]});
+        out.push_back(Candidate{p, layout.slot(topo.place_id(p))});
       return out;
     };
     for (int c = 0; c < topo.num_cores(); ++c)
@@ -124,7 +128,9 @@ int PolicyEngine::round_robin_fast_core() {
 ExecutionPlace PolicyEngine::local_search(TaskTypeId type, int core) {
   // Algorithm 1, line 4: keep the resource partition and core fixed, mold
   // only the width; minimise predicted time x width (parallel cost).
-  return search(type, local_candidates_[static_cast<std::size_t>(core)],
+  const Ptt& table = ptt_->table(type);
+  DAS_CHECK(core >= 0 && core < topo_->num_cores());
+  return search(table, local_candidates_[static_cast<std::size_t>(core)],
                 Objective::kCost);
 }
 
@@ -196,11 +202,10 @@ ExecutionPlace PolicyEngine::search(TaskTypeId type,
   })];
 }
 
-ExecutionPlace PolicyEngine::search(TaskTypeId type,
+ExecutionPlace PolicyEngine::search(const Ptt& table,
                                     const Candidates& candidates,
                                     Objective objective) {
   DAS_ASSERT(!candidates.empty());
-  const Ptt& table = ptt_->table(type);
   return candidates[pick(candidates.size(), [&](std::size_t i,
                                                 std::uint64_t& samples) {
     const Candidate& c = candidates[i];

@@ -19,15 +19,14 @@
 //   on_execute  — dequeue time: the final width molding for tasks without a
 //                 fixed place (paper Fig. 3 steps 4-5: thieves re-run the
 //                 local search).
-//   record_sample — task completion: folds the observed span into the PTT
-//                 (record_sample_st: the same for a single-writer engine,
-//                 the DES, through Ptt::update_st).
+//   record_sample — task completion: folds the observed span into the PTT.
 //
 // Search cost. Every search the hooks run is over a candidate list that
-// Topology owns (local_places, width1_places, places). The engine
-// precomputes each list's PTT slots (Ptt::slot_layout) at construction, so
-// a search reads each candidate's value and sample count straight from its
-// slot, with no place validation or slot lookup per candidate. The public
+// Topology owns (local_places, width1_places, places). At construction the
+// engine checks that the PttStore indexes exactly this topology's places and
+// asks the store's table for each candidate's slot (Ptt::slot), so a search
+// reads each candidate's value and sample count straight from its slot,
+// with no place validation or slot lookup per candidate. The public
 // search() over an explicit list resolves slots per candidate and applies
 // the same selection, so both pick the same place from the same state.
 
@@ -145,10 +144,6 @@ class PolicyEngine {
 
   /// Folds an observed task span into the model (no-op for RWS / FA).
   void record_sample(TaskTypeId type, const ExecutionPlace& place, double seconds);
-  /// record_sample for an engine whose tables have ONE writer thread (a DES
-  /// rank): Ptt::update_st, the same arithmetic without the RMWs.
-  void record_sample_st(TaskTypeId type, const ExecutionPlace& place,
-                        double seconds);
 
   // Exposed for tests and analysis ------------------------------------------
   enum class Objective { kCost, kTime };
@@ -166,8 +161,8 @@ class PolicyEngine {
   };
   using Candidates = std::vector<Candidate>;
 
-  /// search() over a precomputed candidate list.
-  ExecutionPlace search(TaskTypeId type, const Candidates& candidates,
+  /// search() over a precomputed candidate list of `table`'s topology.
+  ExecutionPlace search(const Ptt& table, const Candidates& candidates,
                         Objective objective);
   /// Algorithm 1's min-search: the index of the candidate to pick among
   /// `n`, given each one's key and sample count (policy.cpp).
@@ -242,15 +237,15 @@ inline WakeDecision PolicyEngine::on_ready(TaskTypeId type, Priority priority,
       break;
     case Policy::kDa:
       // Global search over single cores for the best predicted time.
-      p = search(type, width1_candidates_, Objective::kTime);
+      p = search(ptt_->table(type), width1_candidates_, Objective::kTime);
       break;
     case Policy::kDamC:
       // Global search minimising PTT(c,w) * w (Algorithm 1, line 8).
-      p = search(type, place_candidates_, Objective::kCost);
+      p = search(ptt_->table(type), place_candidates_, Objective::kCost);
       break;
     case Policy::kDamP:
       // Global search minimising PTT(c,w) (Algorithm 1, line 11).
-      p = search(type, place_candidates_, Objective::kTime);
+      p = search(ptt_->table(type), place_candidates_, Objective::kTime);
       break;
     case Policy::kRws:
     case Policy::kRwsmC:
@@ -275,14 +270,6 @@ inline void PolicyEngine::record_sample(TaskTypeId type,
                                         double seconds) {
   if (!traits_.uses_ptt) return;
   ptt_->table(type).update(place, seconds);
-  if (policy_ == Policy::kDheft) dheft_drain(place, seconds);
-}
-
-inline void PolicyEngine::record_sample_st(TaskTypeId type,
-                                           const ExecutionPlace& place,
-                                           double seconds) {
-  if (!traits_.uses_ptt) return;
-  ptt_->table(type).update_st(place, seconds);
   if (policy_ == Policy::kDheft) dheft_drain(place, seconds);
 }
 

@@ -5,13 +5,16 @@
 
 namespace das {
 
-std::vector<int> Ptt::slot_layout(const Topology& topo) {
+Ptt::Ptt(const Topology& topo, UpdateRatio ratio) : topo_(&topo), ratio_(ratio) {
+  DAS_CHECK_MSG(ratio_.den > 0 && ratio_.num > 0 && ratio_.num <= ratio_.den,
+                "update ratio must satisfy 0 < num <= den");
+
   // Assign slots: group places by leader core, pad each leader's group to a
   // cache-line boundary.
   constexpr std::size_t kEntriesPerLine = kCacheLine / sizeof(Entry);
   static_assert(kCacheLine % sizeof(Entry) == 0);
 
-  std::vector<int> slots(static_cast<std::size_t>(topo.num_places()), -1);
+  slot_of_place_.assign(static_cast<std::size_t>(topo.num_places()), -1);
   std::size_t slot = 0;
   int current_leader = -1;
   std::size_t used_in_group = 0;
@@ -23,22 +26,10 @@ std::vector<int> Ptt::slot_layout(const Topology& topo) {
       current_leader = p.leader;
       used_in_group = 0;
     }
-    slots[static_cast<std::size_t>(pid)] = static_cast<int>(slot + used_in_group);
+    slot_of_place_[static_cast<std::size_t>(pid)] = static_cast<int>(slot + used_in_group);
     ++used_in_group;
   }
-  return slots;
-}
-
-Ptt::Ptt(const Topology& topo, UpdateRatio ratio)
-    : topo_(&topo), ratio_(ratio), slot_of_place_(slot_layout(topo)) {
-  DAS_CHECK_MSG(ratio_.den > 0 && ratio_.num > 0 && ratio_.num <= ratio_.den,
-                "update ratio must satisfy 0 < num <= den");
-  constexpr std::size_t kEntriesPerLine = kCacheLine / sizeof(Entry);
-  const std::size_t used =
-      slot_of_place_.empty()
-          ? 0
-          : static_cast<std::size_t>(slot_of_place_.back()) + 1;
-  num_slots_ = align_up(used, kEntriesPerLine);
+  num_slots_ = align_up(slot + used_in_group, kEntriesPerLine);
   entries_ = std::make_unique<Entry[]>(num_slots_);
 }
 
@@ -47,48 +38,38 @@ int Ptt::slot(int place_id) const {
   return slot_of_place_[static_cast<std::size_t>(place_id)];
 }
 
-Ptt::Entry& Ptt::entry(int place_id) {
-  return entries_[static_cast<std::size_t>(slot(place_id))];
-}
-
 double Ptt::value(int place_id) const { return slot_value(slot(place_id)); }
 
 std::uint64_t Ptt::samples(int place_id) const {
   return slot_samples(slot(place_id));
 }
 
-double Ptt::blend(std::uint64_t prior, double old_v, double sample_s) const {
-  // The very first measurement seeds the entry verbatim: averaging a real
-  // sample against the sentinel 0 would underestimate by (den-num)/den and
-  // take several rounds to recover.
+void Ptt::update(int place_id, double sample_s) {
+  DAS_CHECK(place_id >= 0 && place_id < topo_->num_places());
+  DAS_CHECK_MSG(sample_s >= 0.0, "negative execution time");
+  Entry& e =
+      entries_[static_cast<std::size_t>(slot_of_place_[static_cast<std::size_t>(place_id)])];
+
+  const std::uint64_t prior = e.samples.fetch_add(1, std::memory_order_relaxed);
   const double num = static_cast<double>(ratio_.num);
   const double den = static_cast<double>(ratio_.den);
-  return prior == 0 ? sample_s : ((den - num) * old_v + num * sample_s) / den;
-}
 
-void Ptt::update(int place_id, double sample_s) {
-  Entry& e = entry(place_id);
-  DAS_CHECK_MSG(sample_s >= 0.0, "negative execution time");
-  const std::uint64_t prior = e.samples.fetch_add(1, std::memory_order_relaxed);
   double old_v = e.value.load(std::memory_order_relaxed);
-  while (!e.value.compare_exchange_weak(old_v, blend(prior, old_v, sample_s),
-                                        std::memory_order_relaxed)) {
+  for (;;) {
+    // The very first measurement seeds the entry verbatim: averaging a real
+    // sample against the sentinel 0 would underestimate by (den-num)/den and
+    // take several rounds to recover.
+    const double new_v =
+        prior == 0 ? sample_s : ((den - num) * old_v + num * sample_s) / den;
+    if (e.value.compare_exchange_weak(old_v, new_v, std::memory_order_relaxed))
+      return;
   }
-}
-
-void Ptt::update_st(int place_id, double sample_s) {
-  Entry& e = entry(place_id);
-  DAS_CHECK_MSG(sample_s >= 0.0, "negative execution time");
-  // One writer: nobody can change the entry between these loads and stores.
-  const std::uint64_t prior = e.samples.load(std::memory_order_relaxed);
-  e.samples.store(prior + 1, std::memory_order_relaxed);
-  e.value.store(blend(prior, e.value.load(std::memory_order_relaxed), sample_s),
-                std::memory_order_relaxed);
 }
 
 void Ptt::fill(double value_s) {
   for (int pid = 0; pid < topo_->num_places(); ++pid) {
-    Entry& e = entry(pid);
+    Entry& e =
+        entries_[static_cast<std::size_t>(slot_of_place_[static_cast<std::size_t>(pid)])];
     e.value.store(value_s, std::memory_order_relaxed);
     e.samples.store(value_s > 0.0 ? 1 : 0, std::memory_order_relaxed);
   }

@@ -17,19 +17,16 @@
 // on a fresh cache line, so a worker updating its own places does not
 // false-share with its neighbours (paper: "individual rows fit into cache
 // lines ... each core mainly accesses a single cache line indexed with its
-// own core id"). An entry's index in that layout is its SLOT; the layout
-// depends only on the topology (slot_layout), so every table of a store
-// shares it.
+// own core id"). An entry's index in that layout is its SLOT (slot()); the
+// layout depends only on the topology's place list, so every table of a
+// store shares it.
 //
 // Concurrency contract. Readers (value/samples and the slot-indexed
 // slot_value/slot_samples) take relaxed loads: a search only needs each
 // entry's own latest value, never an order between entries, and a stale
-// read costs one worse placement, not a wrong result. update() is the
-// multi-writer path (rt workers: a fetch_add on the count and a CAS loop on
-// the value, so concurrent finishers never lose a sample). update_st() is
-// the single-writer path (a DES rank owns its tables): plain relaxed loads
-// and stores with the same arithmetic, so both paths fold a sample sequence
-// to bit-identical entries.
+// read costs one worse placement, not a wrong result. update() may run on
+// several threads at once (rt workers): a fetch_add on the count and a CAS
+// loop on the value, so concurrent finishers never lose a sample.
 
 #include <atomic>
 #include <cstdint>
@@ -63,11 +60,8 @@ class Ptt {
 
   /// Slot of a place's entry (see the layout note above).
   int slot(int place_id) const;
-  /// Every place's slot, by place id, for `topo`: the layout a Ptt of that
-  /// topology uses. Callers precompute candidate slots from it.
-  static std::vector<int> slot_layout(const Topology& topo);
   /// value()/samples() by slot: no place validation and no slot lookup.
-  /// `slot` must come from slot() or slot_layout() of this topology.
+  /// `slot` must come from slot() of a table over the same topology.
   double slot_value(int slot) const {
     return entries_[static_cast<std::size_t>(slot)].value.load(
         std::memory_order_relaxed);
@@ -82,13 +76,6 @@ class Ptt {
   /// (CAS loop) so concurrent finishers cannot lose updates.
   void update(int place_id, double sample_s);
   void update(const ExecutionPlace& p, double s) { update(topo_->place_id(p), s); }
-  /// update() for a table with ONE writer thread (the DES): the same
-  /// arithmetic with plain loads and stores instead of the RMWs. Concurrent
-  /// readers still see whole values.
-  void update_st(int place_id, double sample_s);
-  void update_st(const ExecutionPlace& p, double s) {
-    update_st(topo_->place_id(p), s);
-  }
 
   /// Overwrites every entry (used by tests and the optimistic-init ablation).
   void fill(double value_s);
@@ -101,10 +88,6 @@ class Ptt {
     std::atomic<double> value{0.0};
     std::atomic<std::uint64_t> samples{0};
   };
-
-  /// The weighted average both update paths apply.
-  double blend(std::uint64_t prior, double old_v, double sample_s) const;
-  Entry& entry(int place_id);
 
   const Topology* topo_;
   UpdateRatio ratio_;

@@ -1,9 +1,5 @@
 #include "rt/runtime.hpp"
 
-#include <new>
-#include <type_traits>
-#include <vector>
-
 #include "platform/affinity.hpp"
 #include "util/assert.hpp"
 #include "util/time.hpp"
@@ -98,17 +94,6 @@ void Runtime::submit_roots(Job& job) {
   }
 }
 
-void Runtime::reject_node(const Dag& dag, NodeId i) const {
-  const DagNode& n = dag.node(i);
-  const WorkFn& work = dag.work(i);
-  DAS_CHECK_MSG(n.rank == 0, "the threaded runtime executes single-rank DAGs"
-                             " (distributed DAGs run via das::net)");
-  DAS_CHECK_MSG(
-      work != nullptr || registry_->info(n.type).cost != nullptr ||
-          registry_->info(n.type).expr.kind != CostExpr::Kind::kCallable,
-      "node without work closure needs a cost model to emulate");
-}
-
 JobId Runtime::submit(const Dag& dag) {
   DAS_CHECK(dag.num_nodes() > 0);
   // Compact any staged edges into the CSR arena before workers fan out
@@ -120,41 +105,28 @@ JobId Runtime::submit(const Dag& dag) {
   job->dag = &dag;
   // The record block is the job's only up-front allocation (the wide-hook
   // arena is lazy, see wide_hooks) — steady-state dispatch allocates
-  // nothing. Raw storage: the loop below constructs each record once.
-  static_assert(std::is_trivially_destructible_v<TaskRec>);
-  static_assert(alignof(TaskRec) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
-  const auto num_nodes = static_cast<std::size_t>(dag.num_nodes());
-  job->records.reset(
-      static_cast<TaskRec*>(::operator new(num_nodes * sizeof(TaskRec))));
-  job->num_wide_chunks = (num_nodes + kWideChunkTasks - 1) / kWideChunkTasks;
-  // One pass validates each node and constructs its record; a rejected DAG
-  // throws before the job is published. Both rules read the live node
-  // fields (rank and type may change after a seal). Whether a type has a
-  // cost model to emulate comes from a flag table built at the first node
-  // without a closure, so an all-closure DAG never consults the registry.
-  std::vector<unsigned char> modelled;
-  const auto has_model = [&](TaskTypeId t) {
-    if (modelled.empty()) {
-      modelled.resize(static_cast<std::size_t>(registry_->size()));
-      for (TaskTypeId k = 0; k < registry_->size(); ++k) {
-        const TaskTypeInfo& info = registry_->info(k);
-        modelled[static_cast<std::size_t>(k)] =
-            info.cost != nullptr || info.expr.kind != CostExpr::Kind::kCallable;
-      }
-    }
-    return t >= 0 && static_cast<std::size_t>(t) < modelled.size() &&
-           modelled[static_cast<std::size_t>(t)] != 0;
-  };
-  const DagNode* nodes = &dag.node(0);
-  TaskRec* records = job->records.get();
+  // nothing.
+  job->records = std::make_unique<TaskRec[]>(static_cast<std::size_t>(dag.num_nodes()));
+  job->num_wide_chunks =
+      (static_cast<std::size_t>(dag.num_nodes()) + kWideChunkTasks - 1) /
+      kWideChunkTasks;
+  // One pass validates each node and fills its record; a rejected DAG
+  // throws before the job is published.
   for (NodeId i = 0; i < dag.num_nodes(); ++i) {
-    const DagNode& n = nodes[i];
+    const DagNode& n = dag.node(i);
     const WorkFn& work = dag.work(i);
-    const bool has_work = work != nullptr;
-    if (n.rank != 0 || (!has_work && !has_model(n.type))) [[unlikely]]
-      reject_node(dag, i);
-    new (&records[i])
-        TaskRec(&n, has_work ? &work : nullptr, i, job.get(), n.num_predecessors);
+    DAS_CHECK_MSG(n.rank == 0, "the threaded runtime executes single-rank DAGs"
+                               " (distributed DAGs run via das::net)");
+    DAS_CHECK_MSG(
+        work != nullptr || registry_->info(n.type).cost != nullptr ||
+            registry_->info(n.type).expr.kind != CostExpr::Kind::kCallable,
+        "node without work closure needs a cost model to emulate");
+    TaskRec& r = job->records[static_cast<std::size_t>(i)];
+    r.node = &n;
+    r.work = work ? &work : nullptr;
+    r.id = i;
+    r.job = job.get();
+    r.preds.store(n.num_predecessors, std::memory_order_relaxed);
   }
   job->outstanding.store(dag.num_nodes(), std::memory_order_release);
   job->submit_ns = now_ns();

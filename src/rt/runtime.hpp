@@ -65,14 +65,11 @@
 // submit() registers a job and releases its roots into the worker queues
 // immediately; wait() blocks until that job's last task finishes, returns
 // its wall-clock latency (submit -> completion) and retires the job's
-// record block — the jobs_ map holds only jobs in flight. submit() builds
-// the record block in one pass: each record is constructed once, in place,
-// and the closure-or-cost-model rule reads a per-type flag table instead
-// of the registry. A job counts its unfinished tasks in `outstanding`, but
-// a finishing worker does not write that shared counter per task: it adds
-// the task to its own completion tally, a (job, count) pair only it
-// touches, and subtracts the whole count with one fetch_sub (a flush). A
-// worker flushes
+// record block — the jobs_ map holds only jobs in flight. A job counts its
+// unfinished tasks in `outstanding`, but a finishing worker does not write
+// that shared counter per task: it adds the task to its own completion
+// tally, a (job, count) pair only it touches, and subtracts the whole count
+// with one fetch_sub (a flush). A worker flushes
 //   - before it participates in a task of another job, so it never sits on
 //     a finished job's last completions while it runs someone else's task;
 //   - when a progress round finds nothing, before it pauses, yields or
@@ -213,13 +210,7 @@ class Runtime {
  private:
   struct Job;  // fwd
 
-  /// One task of an in-flight job. submit() constructs each record once, in
-  /// place, in raw storage (Job::records), so the type must stay trivially
-  /// destructible: the block is freed without running destructors.
   struct TaskRec {
-    TaskRec(const DagNode* n, const WorkFn* w, NodeId i, Job* j, int p)
-        : node(n), work(w), id(i), job(j), preds(p) {}
-
     const DagNode* node = nullptr;
     const WorkFn* work = nullptr;   // the node's closure; null = cost model
     NodeId id = kInvalidNode;
@@ -243,12 +234,6 @@ class Runtime {
   /// (width-1) x 16-byte nodes keeps a chunk in the tens of kilobytes.
   static constexpr std::size_t kWideChunkTasks = 256;
 
-  /// Frees a record block: raw storage whose records submit() constructed
-  /// in place (no destructor to run, see TaskRec).
-  struct RecordsFree {
-    void operator()(TaskRec* p) const { ::operator delete(p); }
-  };
-
   /// One in-flight job: its record block (one TaskRec per node), a
   /// lazily-allocated arena of AQ hooks for the non-leader slots of wide
   /// assemblies, and a completion latch. `outstanding` counts tasks not yet
@@ -259,7 +244,7 @@ class Runtime {
   struct Job {
     JobId id = kInvalidJob;
     const Dag* dag = nullptr;
-    std::unique_ptr<TaskRec[], RecordsFree> records;
+    std::unique_ptr<TaskRec[]> records;
     /// Two-level lazy arena for the non-leader AQ hooks of wide
     /// assemblies: a CAS-published directory of `num_wide_chunks` chunk
     /// pointers, each chunk holding kWideChunkTasks x (max_place_width - 1)
@@ -385,8 +370,6 @@ class Runtime {
 
   // runtime.cpp
   void submit_roots(Job& job);
-  /// Cold path of submit(): throws the message of the rule node `i` breaks.
-  void reject_node(const Dag& dag, NodeId i) const;
 
   const Topology* topo_;
   const TaskTypeRegistry* registry_;

@@ -925,9 +925,7 @@ void SimEngine::handle_done(Shard& sh, const Event& e, double t) {
     // core observes — NOT the assembly span: the span includes arrival skew
     // (participants queueing behind other work), which would make wide
     // places look slow for reasons that have nothing to do with the place.
-    // The rank's PTT, like its stats, has one writer (the thread running
-    // this shard), hence the single-writer update.
-    r.policy->record_sample_st(n.type, ts.place, ts.max_cost);
+    r.policy->record_sample(n.type, ts.place, ts.max_cost);
     const int place_id = r.topo->place_id(ts.place);
     r.stats->record_task_at_st(n.priority, place_id, n.phase);
     ts.completion = t;

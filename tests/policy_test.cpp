@@ -89,6 +89,28 @@ TEST_F(PolicyFixture, PttRequiredExactlyWhenTraitsSaySo) {
   }
 }
 
+TEST_F(PolicyFixture, PttStoreMustIndexTheEnginesTopology) {
+  // The hooks read PTT entries by precomputed slot, unchecked, so an engine
+  // refuses a store built over other places; an equal copy of the topology
+  // is fine, and so is a store the policy never reads.
+  const Topology other = Topology::symmetric(1, 2);
+  PttStore small(other, 1);
+  for (Policy p : all_known_policies()) {
+    if (policy_traits(p).uses_ptt) {
+      EXPECT_THROW(PolicyEngine(p, topo_, &small), PreconditionError)
+          << policy_name(p);
+    } else {
+      EXPECT_NO_THROW(PolicyEngine(p, topo_, &small)) << policy_name(p);
+    }
+  }
+  const Topology copy = Topology::tx2();
+  PttStore same_places(copy, 1);
+  PolicyEngine eng(Policy::kDamC, topo_, &same_places);
+  EXPECT_TRUE(eng.on_ready(kT, Priority::kHigh, 0).has_fixed_place);
+  EXPECT_THROW(eng.on_execute(kT, Priority::kLow, topo_.num_cores()),
+               PreconditionError);
+}
+
 // --- Wake-up routing ---------------------------------------------------------
 
 TEST_F(PolicyFixture, LowPriorityStaysLocalAndStealableForAllPolicies) {

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -13,7 +12,6 @@
 #include "core/ptt.hpp"
 #include "util/aligned.hpp"
 #include "util/assert.hpp"
-#include "util/rng.hpp"
 
 namespace das {
 namespace {
@@ -150,61 +148,33 @@ TEST_F(PttTest, ConcurrentUpdatesLoseNothing) {
   EXPECT_NEAR(t.value(p), 1.0, 1e-9);
 }
 
-TEST_F(PttTest, SingleWriterUpdateMatchesAtomicUpdateBitwise) {
-  // The DES folds samples with update_st, the rt with update: the same
-  // sample sequence must leave bit-identical entries (the sim goldens rest
-  // on it), for every ratio, through first-sample seeding and zero samples.
-  for (const UpdateRatio ratio : {UpdateRatio{1, 5}, UpdateRatio{2, 5},
-                                  UpdateRatio{3, 7}, UpdateRatio{5, 5}}) {
-    Ptt atomic(topo_, ratio);
-    Ptt single(topo_, ratio);
-    Xoshiro256 rng(static_cast<std::uint64_t>(ratio.num * 31 + ratio.den));
-    for (int i = 0; i < 4000; ++i) {
-      const int pid =
-          static_cast<int>(rng.below(static_cast<std::uint64_t>(topo_.num_places())));
-      const double s = rng.below(8) == 0 ? 0.0 : 1e-6 + rng.uniform() * 1e-2;
-      atomic.update(pid, s);
-      single.update_st(pid, s);
-    }
-    for (int pid = 0; pid < topo_.num_places(); ++pid) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(atomic.value(pid)),
-                std::bit_cast<std::uint64_t>(single.value(pid)))
-          << "place " << pid << " ratio " << ratio.num << "/" << ratio.den;
-      EXPECT_EQ(atomic.samples(pid), single.samples(pid)) << "place " << pid;
-      // The slot-indexed reads see the same entry.
-      const int slot = single.slot(pid);
-      EXPECT_EQ(single.slot_value(slot), single.value(pid));
-      EXPECT_EQ(single.slot_samples(slot), single.samples(pid));
-    }
-  }
-  Ptt t(topo_);
-  EXPECT_THROW(t.update_st(0, -1.0), PreconditionError);
-  EXPECT_THROW(t.update_st(topo_.num_places(), 1.0), PreconditionError);
-}
-
-TEST_F(PttTest, SlotLayoutGivesEachLeaderItsOwnLines) {
-  // Every table of a topology uses slot_layout's slots; leader groups start
-  // on a cache line of their own and no two places share a slot.
-  const std::vector<int> slots = Ptt::slot_layout(topo_);
-  ASSERT_EQ(static_cast<int>(slots.size()), topo_.num_places());
-  Ptt t(topo_);
+TEST_F(PttTest, SlotsGiveEachLeaderItsOwnLines) {
+  // Leader groups start on a cache line of their own, no two places share
+  // a slot, every table of a store has the same slots, and the slot reads
+  // see the entry value()/samples() see.
+  PttStore store(topo_, 2);
+  Ptt& t = store.table(0);
   // An entry is a value and a sample count.
   constexpr int kEntriesPerLine = static_cast<int>(
       kCacheLine / (sizeof(double) + sizeof(std::uint64_t)));
   int prev_leader = -1;
   for (int pid = 0; pid < topo_.num_places(); ++pid) {
-    EXPECT_EQ(t.slot(pid), slots[static_cast<std::size_t>(pid)]);
+    t.update(pid, 1e-3 * (pid + 1));
+    const int slot = t.slot(pid);
+    EXPECT_EQ(store.table(1).slot(pid), slot);
+    EXPECT_EQ(t.slot_value(slot), t.value(pid));
+    EXPECT_EQ(t.slot_samples(slot), t.samples(pid));
     if (pid > 0) {
-      EXPECT_GT(slots[static_cast<std::size_t>(pid)],
-                slots[static_cast<std::size_t>(pid - 1)]);
+      EXPECT_GT(slot, t.slot(pid - 1));
     }
     const int leader = topo_.place_at(pid).leader;
     if (leader != prev_leader) {
-      EXPECT_EQ(slots[static_cast<std::size_t>(pid)] % kEntriesPerLine, 0)
-          << "place " << pid;
+      EXPECT_EQ(slot % kEntriesPerLine, 0) << "place " << pid;
     }
     prev_leader = leader;
   }
+  EXPECT_THROW(t.slot(-1), PreconditionError);
+  EXPECT_THROW(t.slot(topo_.num_places()), PreconditionError);
 }
 
 TEST_F(PttTest, StoreCreatesOneTablePerType) {
