@@ -19,15 +19,27 @@
 
 namespace das {
 
+void check_tenant_config(const TenantConfig& cfg) {
+  DAS_CHECK_MSG(cfg.weight > 0.0, "open_session: weight must be > 0");
+  DAS_CHECK_MSG(cfg.max_in_flight >= 0,
+                "open_session: max_in_flight must be >= 0 (0 = unbounded)");
+  DAS_CHECK_MSG(cfg.max_queued_tasks >= 0,
+                "open_session: max_queued_tasks must be >= 0 (0 = unbounded)");
+}
+
+void check_submit_options(const SubmitOptions& opts) {
+  DAS_CHECK_MSG(opts.arrival_offset_s >= 0.0,
+                "submit: arrival offset must be >= 0");
+  DAS_CHECK_MSG(opts.deadline_s >= 0.0, "submit: deadline must be >= 0");
+}
+
 JobId Executor::submit(const Dag& dag, const SubmitOptions& opts) {
   return submit_impl(dag, opts, /*tenant=*/-1);
 }
 
 JobId Executor::submit_impl(const Dag& dag, const SubmitOptions& opts,
                             int tenant) {
-  DAS_CHECK_MSG(opts.arrival_offset_s >= 0.0,
-                "submit: arrival offset must be >= 0");
-  DAS_CHECK_MSG(opts.deadline_s >= 0.0, "submit: deadline must be >= 0");
+  check_submit_options(opts);
   const auto tasks = static_cast<std::int64_t>(dag.num_nodes());
   JobId id = kInvalidJob;
   bool block = false;
@@ -480,11 +492,7 @@ std::vector<TenantResults> Executor::drain_grouped() {
 }
 
 std::unique_ptr<Session> Executor::open_session(TenantConfig cfg) {
-  DAS_CHECK_MSG(cfg.weight > 0.0, "open_session: weight must be > 0");
-  DAS_CHECK_MSG(cfg.max_in_flight >= 0,
-                "open_session: max_in_flight must be >= 0 (0 = unbounded)");
-  DAS_CHECK_MSG(cfg.max_queued_tasks >= 0,
-                "open_session: max_queued_tasks must be >= 0 (0 = unbounded)");
+  check_tenant_config(cfg);
   MutexLock g(svc_mu_);
   const int tenant = static_cast<int>(tenants_.size());
   const std::string name = cfg.name;

@@ -93,6 +93,13 @@ struct SubmitOptions {
   double deadline_s = 0.0;
 };
 
+/// Throw PreconditionError for a config Executor::open_session refuses
+/// (weight not > 0, a negative bound) or options Executor::submit refuses
+/// (a negative arrival offset or deadline); a NaN fails too. The net server
+/// runs them on decoded requests before they reach the executor.
+void check_tenant_config(const TenantConfig& cfg);
+void check_submit_options(const SubmitOptions& opts);
+
 /// Service-wide options (ExecutorConfig::service).
 struct ServiceConfig {
   /// Global cap on jobs released-but-not-completed across ALL tenants

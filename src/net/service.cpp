@@ -21,6 +21,10 @@ enum class Req : std::uint8_t {
   kWaitFor,
 };
 
+/// First byte of every reply: kOk, then the request's result, or kRefused,
+/// then the reason. A refused request never reached the executor.
+enum class Status : std::uint8_t { kOk = 0, kRefused };
+
 WireRunResult to_wire(const RunResult& r) {
   WireRunResult w;
   w.makespan_s = r.makespan_s;
@@ -60,6 +64,90 @@ struct ClientState {
   }
 };
 
+/// A decoded request that passed every check the server makes before the
+/// executor sees it. Which fields are set depends on `kind`.
+struct Request {
+  Req kind = Req::kPing;
+  TenantConfig tenant;        // kOpenSession
+  std::int32_t session = -1;  // kSubmit; < 0 submits bare
+  std::uint64_t token = 0;    // kSubmit
+  SubmitOptions opts;         // kSubmit
+  std::unique_ptr<Dag> dag;   // kSubmit, unless the token is a duplicate
+  JobId job = kInvalidJob;    // kWait, kWaitFor; kSubmit's duplicate
+  double timeout_s = 0.0;     // kWaitFor
+};
+
+/// Decodes and checks one request from `client`. Throws PreconditionError,
+/// having changed nothing, for a request the server refuses: a payload that
+/// does not decode, an unknown kind or session, options or a tenant config
+/// the executor would reject, or a wait on a job that is not one of the
+/// client's unwaited jobs (another client's, already waited, or unknown).
+Request decode_request(const Message& msg, const ClientState& client,
+                       std::size_t num_sessions) {
+  WireReader r(msg.payload);
+  Request q;
+  q.kind = static_cast<Req>(r.pod<std::uint8_t>());
+  switch (q.kind) {
+    case Req::kOpenSession:
+      q.tenant = decode_tenant_config(r);
+      check_tenant_config(q.tenant);
+      break;
+    case Req::kSubmit: {
+      q.session = r.pod<std::int32_t>();
+      q.token = r.pod<std::uint64_t>();
+      q.opts = decode_submit_options(r);
+      DAS_CHECK_MSG(q.session < 0 ||
+                        static_cast<std::size_t>(q.session) < num_sessions,
+                    "serve_executor: unknown session " << q.session);
+      check_submit_options(q.opts);
+      const auto seen = q.token != 0 ? client.submits.find(q.token)
+                                     : client.submits.end();
+      // A duplicate token names a job already in: no second DAG decode
+      // (exactly-once submission).
+      if (seen != client.submits.end())
+        q.job = seen->second;
+      else
+        q.dag = std::make_unique<Dag>(decode_dag(r));
+      break;
+    }
+    case Req::kWait:
+    case Req::kWaitFor:
+      q.job = r.pod<JobId>();
+      DAS_CHECK_MSG(client.unwaited.count(q.job) != 0,
+                    "serve_executor: job " << q.job
+                                           << " is not an unwaited job of "
+                                              "this client");
+      if (q.kind == Req::kWaitFor) {
+        q.timeout_s = r.pod<double>();
+        DAS_CHECK_MSG(q.timeout_s >= 0.0,
+                      "serve_executor: wait_for timeout must be >= 0");
+      }
+      break;
+    case Req::kBye:
+    case Req::kPing:
+      break;
+    default:
+      DAS_CHECK_MSG(false, "serve_executor: unknown request kind "
+                               << static_cast<int>(q.kind));
+  }
+  return q;
+}
+
+/// Sends `request` to the server and hands the reply, after its status
+/// byte, to `read`. A refusal throws PreconditionError with the server's
+/// reason.
+template <class Read>
+auto call(Comm& comm, int server, const WireWriter& request, Read&& read) {
+  comm.send(server, kTagServiceRequest, request.data(), request.size());
+  // Synchronous request/reply against a live server: every request but bye
+  // gets one reply, and wait_for's bound is applied server-side.
+  const Message msg =
+      comm.recv_msg(server, kTagServiceReply);  // daslint: allow(unbounded-wait)
+  WireReader r(msg.payload);
+  if (r.pod<Status>() == Status::kRefused) throw PreconditionError(r.str());
+  return read(r);
+}
+
 }  // namespace
 
 void serve_executor(Comm& comm, Executor& exec, const ServeOptions& opts) {
@@ -85,82 +173,63 @@ void serve_executor(Comm& comm, Executor& exec, const ServeOptions& opts) {
   int byes = 0;
 
   const auto handle = [&](const Message& msg, ClientState& client) {
-    WireReader r(msg.payload);
-    switch (static_cast<Req>(r.pod<std::uint8_t>())) {
-      case Req::kOpenSession: {
-        sessions.push_back(exec.open_session(decode_tenant_config(r)));
-        WireWriter w;
+    Request q;
+    try {
+      q = decode_request(msg, client, sessions.size());
+    } catch (const PreconditionError& e) {
+      WireWriter w;
+      w.pod(Status::kRefused);
+      w.str(e.what());
+      reply(comm, msg.src, std::move(w));
+      return;
+    }
+    WireWriter w;
+    w.pod(Status::kOk);
+    switch (q.kind) {
+      case Req::kOpenSession:
+        sessions.push_back(exec.open_session(std::move(q.tenant)));
         w.pod(static_cast<std::int32_t>(sessions.size() - 1));
-        reply(comm, msg.src, std::move(w));
         break;
-      }
-      case Req::kSubmit: {
-        const auto session = r.pod<std::int32_t>();
-        const auto token = r.pod<std::uint64_t>();
-        const SubmitOptions opts_in = decode_submit_options(r);
-        JobId id = kInvalidJob;
-        const auto seen = token != 0 ? client.submits.find(token)
-                                     : client.submits.end();
-        if (seen != client.submits.end()) {
-          // Duplicate token: the job is already in — reply the original id
-          // without decoding the DAG again (exactly-once submission).
-          id = seen->second;
-        } else {
-          auto dag = std::make_unique<Dag>(decode_dag(r));
-          if (session < 0) {
-            id = exec.submit(*dag, opts_in);
-          } else {
-            DAS_CHECK_MSG(static_cast<std::size_t>(session) < sessions.size(),
-                          "serve_executor: unknown session");
-            id = sessions[static_cast<std::size_t>(session)]->submit(*dag,
-                                                                     opts_in);
-          }
-          dags.emplace(id, std::move(dag));
-          if (token != 0) client.submits.emplace(token, id);
-          client.unwaited.emplace(id, token);
+      case Req::kSubmit:
+        if (q.dag != nullptr) {
+          q.job = q.session < 0
+                      ? exec.submit(*q.dag, q.opts)
+                      : sessions[static_cast<std::size_t>(q.session)]->submit(
+                            *q.dag, q.opts);
+          dags.emplace(q.job, std::move(q.dag));
+          if (q.token != 0) client.submits.emplace(q.token, q.job);
+          client.unwaited.emplace(q.job, q.token);
         }
-        WireWriter w;
-        w.pod(id);
-        reply(comm, msg.src, std::move(w));
+        w.pod(q.job);
         break;
-      }
       case Req::kWait: {
-        const auto id = r.pod<JobId>();
-        const RunResult result = exec.wait(id);
-        dags.erase(id);
-        client.retire(id);
-        WireWriter w;
+        const RunResult result = exec.wait(q.job);
+        dags.erase(q.job);
+        client.retire(q.job);
         encode_run_result(to_wire(result), w);
-        reply(comm, msg.src, std::move(w));
         break;
       }
       case Req::kWaitFor: {
-        const auto id = r.pod<JobId>();
-        const auto timeout_s = r.pod<double>();
-        const std::optional<RunResult> result = exec.wait_for(id, timeout_s);
-        WireWriter w;
+        const std::optional<RunResult> result =
+            exec.wait_for(q.job, q.timeout_s);
         w.pod(static_cast<std::uint8_t>(result.has_value() ? 1 : 0));
         if (result.has_value()) {
-          dags.erase(id);
-          client.retire(id);
+          dags.erase(q.job);
+          client.retire(q.job);
           encode_run_result(to_wire(*result), w);
         }
-        reply(comm, msg.src, std::move(w));
         break;
       }
-      case Req::kPing: {
-        WireWriter w;
-        w.pod(static_cast<std::uint8_t>(1));
-        reply(comm, msg.src, std::move(w));
+      case Req::kPing:  // the status byte is the whole reply
         break;
-      }
-      case Req::kBye:
+      case Req::kBye:  // no reply
         if (!client.departed) {
           client.departed = true;
           ++byes;
         }
-        break;
+        return;
     }
+    reply(comm, msg.src, std::move(w));
   };
 
   while (byes < num_clients) {
@@ -183,8 +252,9 @@ void serve_executor(Comm& comm, Executor& exec, const ServeOptions& opts) {
       // Heartbeat lost: drain the client's outstanding jobs so their DAG
       // buffers can be freed (released jobs run to completion; queued jobs
       // release and run, or resolve rejected/timed-out), then free the
-      // seat. A late request from the client is still answered — only its
-      // seat accounting is settled.
+      // seat. Only the submitting client may wait a job, so none of these
+      // was waited yet. A late request from the client is still answered —
+      // only its seat accounting is settled.
       for (const auto& [id, token] : client.unwaited) {
         exec.wait(id);
         dags.erase(id);
@@ -207,11 +277,8 @@ int ServiceClient::open_session(const TenantConfig& cfg) {
   WireWriter w;
   w.pod(static_cast<std::uint8_t>(Req::kOpenSession));
   encode_tenant_config(cfg, w);
-  comm_.send(server_, kTagServiceRequest, w.data(), w.size());
-  // Synchronous request/reply against a live server; bounded client-side
-  // variants exist only where a reply can legitimately not come (wait_for).
-  return comm_.recv_value<std::int32_t>(  // daslint: allow(unbounded-wait)
-      server_, kTagServiceReply);
+  return call(comm_, server_, w,
+              [](WireReader& r) { return r.pod<std::int32_t>(); });
 }
 
 JobId ServiceClient::submit(const Dag& dag, const SubmitOptions& opts,
@@ -227,20 +294,15 @@ JobId ServiceClient::resubmit(const Dag& dag, const SubmitOptions& opts,
   w.pod(token);
   encode_submit_options(opts, w);
   encode_dag(dag, w);
-  comm_.send(server_, kTagServiceRequest, w.data(), w.size());
-  return comm_.recv_value<JobId>(  // daslint: allow(unbounded-wait)
-      server_, kTagServiceReply);
+  return call(comm_, server_, w, [](WireReader& r) { return r.pod<JobId>(); });
 }
 
 WireRunResult ServiceClient::wait(JobId id) {
   WireWriter w;
   w.pod(static_cast<std::uint8_t>(Req::kWait));
   w.pod(id);
-  comm_.send(server_, kTagServiceRequest, w.data(), w.size());
-  const Message msg =
-      comm_.recv_msg(server_, kTagServiceReply);  // daslint: allow(unbounded-wait)
-  WireReader r(msg.payload);
-  return decode_run_result(r);
+  return call(comm_, server_, w,
+              [](WireReader& r) { return decode_run_result(r); });
 }
 
 std::optional<WireRunResult> ServiceClient::wait_for(JobId id,
@@ -249,22 +311,17 @@ std::optional<WireRunResult> ServiceClient::wait_for(JobId id,
   w.pod(static_cast<std::uint8_t>(Req::kWaitFor));
   w.pod(id);
   w.pod(timeout_s);
-  comm_.send(server_, kTagServiceRequest, w.data(), w.size());
-  // The server bounds the engine wait; its reply always comes, so this
-  // receive is request/reply like the others.
-  const Message msg =
-      comm_.recv_msg(server_, kTagServiceReply);  // daslint: allow(unbounded-wait)
-  WireReader r(msg.payload);
-  if (r.pod<std::uint8_t>() == 0) return std::nullopt;
-  return decode_run_result(r);
+  return call(comm_, server_, w,
+              [](WireReader& r) -> std::optional<WireRunResult> {
+                if (r.pod<std::uint8_t>() == 0) return std::nullopt;
+                return decode_run_result(r);
+              });
 }
 
 void ServiceClient::ping() {
   WireWriter w;
   w.pod(static_cast<std::uint8_t>(Req::kPing));
-  comm_.send(server_, kTagServiceRequest, w.data(), w.size());
-  (void)comm_.recv_value<std::uint8_t>(  // daslint: allow(unbounded-wait)
-      server_, kTagServiceReply);
+  call(comm_, server_, w, [](WireReader&) {});
 }
 
 void ServiceClient::bye() {

@@ -49,6 +49,16 @@
 // * ServiceClient::wait_for bounds the wait server-side
 //   (Executor::wait_for): the reply says whether the job finished, and a
 //   timed-out job stays waitable.
+// * REFUSALS. Every reply starts with a status byte. The server decodes and
+//   checks each request before the executor sees it, and refuses — instead
+//   of throwing out of serve_executor, which would end the service for
+//   every client — a payload that does not decode, an unknown request kind
+//   or session index, submit options or a tenant config the executor would
+//   reject (check_submit_options, check_tenant_config), a negative or NaN
+//   wait_for timeout, and a wait or wait_for on a job that is not one of
+//   the client's own unwaited jobs. ServiceClient turns a refusal into a
+//   PreconditionError carrying the server's reason. A well-formed DAG the
+//   engine rejects is not checked here.
 
 #include <cstdint>
 #include <optional>
@@ -89,7 +99,8 @@ void serve_executor(Comm& comm, Executor& exec, int num_clients = -1);
 
 /// Client-side handle: serializes requests to the server rank and decodes
 /// its replies. One handle per client rank; calls are synchronous
-/// (request/reply) and must come from the rank's own world thread.
+/// (request/reply) and must come from the rank's own world thread. A call
+/// the server refuses throws PreconditionError with the server's reason.
 class ServiceClient {
  public:
   ServiceClient(Comm& comm, int server_rank)

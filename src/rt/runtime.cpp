@@ -117,10 +117,12 @@ JobId Runtime::submit(const Dag& dag) {
     const WorkFn& work = dag.work(i);
     DAS_CHECK_MSG(n.rank == 0, "the threaded runtime executes single-rank DAGs"
                                " (distributed DAGs run via das::net)");
-    DAS_CHECK_MSG(
-        work != nullptr || registry_->info(n.type).cost != nullptr ||
-            registry_->info(n.type).expr.kind != CostExpr::Kind::kCallable,
-        "node without work closure needs a cost model to emulate");
+    // Every node's type must be registered, closure or not: the policy
+    // reads its PTT table on a worker thread.
+    const TaskTypeInfo& info = registry_->info(n.type);
+    DAS_CHECK_MSG(work != nullptr || info.cost != nullptr ||
+                      info.expr.kind != CostExpr::Kind::kCallable,
+                  "node without work closure needs a cost model to emulate");
     TaskRec& r = job->records[static_cast<std::size_t>(i)];
     r.node = &n;
     r.work = work ? &work : nullptr;

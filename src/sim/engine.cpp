@@ -88,13 +88,8 @@ SimEngine::SimEngine(std::vector<RankSpec> ranks, Policy policy,
     for (int c = 0; c < sh.num_cores; ++c)
       sh.idle_bits[static_cast<std::size_t>(c) >> 6] |= std::uint64_t{1}
                                                         << (c & 63);
-    if (num_ranks > 1) {
-      for (auto& set : sh.out) {
-        set.resize(num_ranks);
-        for (std::size_t d = 0; d < num_ranks; ++d)
-          if (d != r) set[d] = std::make_unique<BoundaryQueue<BoundaryMsg>>();
-      }
-    }
+    if (num_ranks > 1)
+      for (auto& set : sh.out) set.resize(num_ranks);
     // Seed the rank's fault schedule into its heap (kFault events carry the
     // schedule index in their job field). Without faults nothing is pushed
     // and faults_enabled_ stays false: the event and RNG streams are
@@ -756,9 +751,7 @@ double SimEngine::participation_cost(Shard& sh, const Job& job, NodeId id,
   // per-participant path is the query build + the cost arithmetic itself.
   const TaskTypeInfo& info = *ts.type_info;
   double cost = cost_eval(info, n.params, q);
-  if (options_.noise) {
-    cost *= lognormal_noise(sh, TaskTypeRegistry::noise_sigma_of(info, cost));
-  }
+  cost *= lognormal_noise(sh, TaskTypeRegistry::noise_sigma_of(info, cost));
   return std::max(cost, 1e-9);
 }
 
@@ -954,7 +947,7 @@ void SimEngine::handle_done(Shard& sh, const Event& e, double t) {
       }
     } else {
       // Multi-rank: rank-local releases stay on this shard; cross-rank
-      // releases are STAGED into the destination's boundary queue (drained
+      // releases are STAGED into the destination's boundary buffer (drained
       // at the next window-phase boundary in sender-rank order — never
       // pushed into another shard's live event queue).
       for (const DagEdge& edge : job.dag->successors(id)) {
@@ -968,7 +961,7 @@ void SimEngine::handle_done(Shard& sh, const Event& e, double t) {
           }
         } else {
           const double at = t + edge.delay_s;
-          sh.out[sh.parity][static_cast<std::size_t>(target)]->push(BoundaryMsg{
+          sh.out[sh.parity][static_cast<std::size_t>(target)].push(BoundaryMsg{
               at, Event{Ev::kRelease, -1, e.job, edge.to, kRemoteWaker}});
           sh.staged_min = std::min(sh.staged_min, at);
         }
@@ -1113,8 +1106,8 @@ void SimEngine::fold_completions(Shard& sh) {
 }
 
 void SimEngine::drain_inbound(Shard& sh, int parity) {
-  // Drain in-bound boundary links in SENDER-RANK order, FIFO within each
-  // link: the receiving queue's seq assignment — and with it every
+  // Drain in-bound boundary buffers in SENDER-RANK order, FIFO within each
+  // buffer: the receiving queue's seq assignment — and with it every
   // same-time tie-break — is a pure function of the event streams,
   // independent of which thread ran which rank when. All staged messages
   // carry time >= W + L >= this shard's clock, so nothing lands in the
@@ -1124,7 +1117,7 @@ void SimEngine::drain_inbound(Shard& sh, int parity) {
     if (s == sh.rank) continue;
     shards_[static_cast<std::size_t>(s)]
         .out[parity][static_cast<std::size_t>(sh.rank)]
-        ->drain([&sh](const BoundaryMsg& m) { sh.events.push(m.time, m.ev); });
+        .drain([&sh](const BoundaryMsg& m) { sh.events.push(m.time, m.ev); });
   }
 }
 

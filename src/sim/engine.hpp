@@ -5,8 +5,9 @@
 // work-stealing queue (WSQ), steal-exempt priority inbox, FIFO assembly
 // queue (AQ), moldable assemblies — in deterministic virtual time. Task
 // durations come from the task type's analytic cost model evaluated against
-// the SpeedScenario at the participant's start instant, optionally perturbed
-// by lognormal measurement noise.
+// the SpeedScenario at the participant's start instant, perturbed by the
+// type's lognormal measurement noise (none for a type whose noise
+// coefficients are both zero).
 //
 // The engine drives the *same* PolicyEngine and Ptt code as the real-thread
 // runtime, so scheduling behaviour (searches, exploration, steal-exemption)
@@ -58,18 +59,19 @@
 //   window:  [W, W + L], L = min cross-rank DagEdge::delay_s over the
 //            in-flight jobs (Dag::min_cross_rank_delay(), sealed metadata).
 //   phase 1: every rank processes its local events with time <= W + L;
-//            cross-rank releases are staged into bounded SPSC boundary
-//            queues (sim/boundary_queue.hpp), never pushed remotely.
+//            cross-rank releases are appended to per-rank-pair boundary
+//            buffers (sim/boundary_queue.hpp), never pushed remotely.
 //   arrive:  every rank publishes a lower bound on the next window start —
 //            min(its next local event, the earliest release it staged this
 //            window) — plus a stop flag, then waits at the barrier.
-//   drain:   each rank drains its in-bound boundary queues in sender-rank
+//   drain:   each rank drains its in-bound boundary buffers in sender-rank
 //            order; the next W is the min over the published bounds, which
 //            every thread computes from the same slots.
 //
 // A fast rank may start window k+1 while a slow one still drains window k,
-// so the bound slots and the boundary queues are double-buffered by window
-// parity. Because a cross-rank release sent from t_send >= W arrives at
+// so the bound slots and the boundary buffers are double-buffered by window
+// parity; the barrier alone orders each buffer's appends before its drain.
+// Because a cross-rank release sent from t_send >= W arrives at
 // t_send + delay >= W + L, nothing can land inside a horizon a rank already
 // processed — the window partition, the drain order and therefore the whole
 // simulation are pure functions of the event streams, independent of the
@@ -121,7 +123,6 @@ namespace das::sim {
 /// options: they are constants of sim/engine.cpp.
 struct SimOptions {
   std::uint64_t seed = kDefaultSeed;  ///< shared default (util/rng.hpp)
-  bool noise = true;                  ///< lognormal measurement noise
   int stats_phases = 1;               ///< phase dimension of ExecutionStats
   /// Worker threads for multi-rank runs: <= 1 simulates every rank's
   /// window phases on the calling thread (default); N > 1 spreads the
@@ -263,7 +264,7 @@ class SimEngine {
   /// affinity path (a remote completion cannot name local queues).
   static constexpr int kRemoteWaker = -2;
 
-  /// A staged cross-rank release travelling through a boundary queue.
+  /// A staged cross-rank release travelling through a boundary buffer.
   struct BoundaryMsg {
     double time;
     Event ev;
@@ -427,12 +428,12 @@ class SimEngine {
     std::vector<CoreFault> faults;
     std::uint64_t tasks_reexecuted = 0;
     int cores_failed = 0;
-    /// Out-bound boundary-release queues, one per destination rank
-    /// ([self] stays null), double-buffered by window parity: window k
+    /// Out-bound boundary-release buffers, one per destination rank
+    /// ([self] stays empty), double-buffered by window parity: window k
     /// stages into out[k % 2], which the destinations drain after the
     /// window-k barrier while this shard may already stage window k+1
     /// into the other set. This shard is the only producer.
-    std::vector<std::unique_ptr<BoundaryQueue<BoundaryMsg>>> out[2];
+    std::vector<BoundaryQueue<BoundaryMsg>> out[2];
     int parity = 0;  ///< out[] set of the window in progress
     /// Earliest release staged into out[parity] this window: half of the
     /// rank's lower bound on the next window start.
@@ -549,7 +550,7 @@ class SimEngine {
   /// Phase 1 of a window for one shard: process local events up to and
   /// including `hi`, staging cross-rank releases into out[parity].
   void window_phase1(Shard& sh, double hi, int parity);
-  /// Drains the shard's in-bound boundary queues of window parity `parity`
+  /// Drains the shard's in-bound boundary buffers of window parity `parity`
   /// in sender-rank order (the deterministic seq assignment).
   void drain_inbound(Shard& sh, int parity);
   /// End of a shard's phase 1 (multi-rank): adds its completion tallies

@@ -5,12 +5,12 @@
 // block of ranks; window k is:
 //
 //   1. phase 1 — process the rank's events inside the window horizon,
-//      staging cross-rank releases into boundary queues;
+//      staging cross-rank releases into boundary buffers;
 //   2. arrive(rank, k, bound, stop) — publish a lower bound on the next
 //      window start (min of the rank's next local event and the earliest
 //      release it staged this window) plus a stop request;
 //   3. wait_all_at_least(k) — the window's only barrier;
-//   4. drain the in-bound boundary queues in sender-rank order;
+//   4. drain the in-bound boundary buffers in sender-rank order;
 //   5. collect(k): next window start = min over the published bounds, or
 //      leave the loop if any rank asked to stop.
 //
@@ -33,7 +33,7 @@
 // threads than CPUs it parks at once.
 //
 // Determinism contract: the epochs only order windows; everything a rank
-// publishes for others to read (its slot, boundary spill buffers) is
+// publishes for others to read (its slot, its boundary buffers) is
 // written before its epoch store and read after the waiter's acquire
 // sweep.
 //

@@ -50,16 +50,20 @@ TEST_F(EngineInvariants, PerCoreBusyNeverExceedsMakespan) {
 TEST_F(EngineInvariants, PttLearnsIntrinsicDurationNotQueueSkew) {
   // Regression: wide places once learned assembly spans including the time
   // participants spent finishing OTHER work, making molding look terrible.
-  // With noise off, the learned value for (2,4) must approximate the cost
-  // model's width-4 prediction, not a multiple of it.
-  sim::SimOptions opts;
-  opts.noise = false;
+  // Without noise (zero noise coefficients), the learned value for (2,4)
+  // must approximate the cost model's width-4 prediction, not a multiple
+  // of it.
+  kernels::CostModelConfig noiseless;
+  noiseless.noise0 = 0.0;
+  noiseless.noise1 = 0.0;
+  TaskTypeRegistry quiet;
+  const auto quiet_ids = kernels::register_paper_kernels(quiet, noiseless);
   Dag dag = workloads::make_synthetic_dag(
-      workloads::paper_matmul_spec(ids_.matmul, 6, 0.05));
-  sim::SimEngine eng(topo_, Policy::kRwsmC, registry_, opts);
+      workloads::paper_matmul_spec(quiet_ids.matmul, 6, 0.05));
+  sim::SimEngine eng(topo_, Policy::kRwsmC, quiet);
   eng.run(dag);
 
-  const Ptt& ptt = eng.ptt().table(ids_.matmul);
+  const Ptt& ptt = eng.ptt().table(quiet_ids.matmul);
   const ExecutionPlace wide{2, 4};
   if (ptt.samples(wide) > 0) {
     CostQuery q;
@@ -70,7 +74,7 @@ TEST_F(EngineInvariants, PttLearnsIntrinsicDurationNotQueueSkew) {
     q.cluster = &topo_.cluster(1);
     TaskParams params;
     params.p0 = 64;
-    const double predicted = registry_.info(ids_.matmul).cost(params, q);
+    const double predicted = quiet.info(quiet_ids.matmul).cost(params, q);
     EXPECT_LT(ptt.value(wide), predicted * 1.5)
         << "PTT value contaminated by arrival skew";
     EXPECT_GT(ptt.value(wide), predicted * 0.5);

@@ -233,13 +233,16 @@ TEST_F(JobServiceTest, TenThousandJobStreamStaysBounded) {
 
   // sim backend: the same stream in virtual time.
   {
-    sim::SimOptions opts;
-    opts.noise = false;
-    sim::SimEngine engine(topo_, Policy::kRws, registry_, opts);
+    kernels::CostModelConfig noiseless;
+    noiseless.noise0 = 0.0;
+    noiseless.noise1 = 0.0;
+    TaskTypeRegistry quiet;
+    const auto quiet_ids = kernels::register_paper_kernels(quiet, noiseless);
+    sim::SimEngine engine(topo_, Policy::kRws, quiet);
     Dag dag;
     TaskParams p;
     p.p0 = 16;
-    dag.add_node(ids_.matmul, Priority::kLow, p);
+    dag.add_node(quiet_ids.matmul, Priority::kLow, p);
     for (int j = 0; j < kJobs; ++j) {
       engine.wait(engine.submit(dag));
       ASSERT_EQ(engine.jobs_in_flight(), 0) << "job map grew at job " << j;

@@ -550,17 +550,16 @@ TEST(ModelCheckRingMutants, WrapCopyBugCaught) {
 // ---------------------------------------------------------------------------
 // Parallel-DES window protocol scenarios (sim/boundary_queue.hpp,
 // sim/rank_sync.hpp). These explore the REAL templates the conservative
-// parallel engine (sim/engine.cpp) is built on, and encode its four
+// parallel engine (sim/engine.cpp) is built on, and encode its three
 // ordering claims BEFORE any real thread runs them:
 //
-//   1. ring publication — a release staged by the sender rank's push() is
-//      visible (payload and all) to a concurrently draining receiver;
-//   2. window handoff — spill overflow and next-window bounds published
-//      by a rank's arrive() are visible after wait_all_at_least, and drain
-//      order is push order (seq assignment determinism);
-//   3. park/wake — a rank parked at a window barrier is always woken by
+//   1. window handoff — the releases a sender rank appends to a boundary
+//      buffer and the next-window bound its arrive() publishes are visible
+//      after wait_all_at_least, and drain order is push order (seq
+//      assignment determinism). The barrier is the buffer's only ordering;
+//   2. park/wake — a rank parked at a window barrier is always woken by
 //      the last straggler's arrive;
-//   4. double buffering — over consecutive windows, a fast rank's
+//   3. double buffering — over consecutive windows, a fast rank's
 //      window-k+1 publication is never read as its window-k slot.
 //
 // Each claim has a seeded mutant test that must FAIL the exploration.
@@ -570,45 +569,15 @@ using ChkRankSync = sim::BasicRankSync<chk::Model>;
 /// The single-buffered slot mutant: one bound/stop cell per rank.
 using ChkRankSyncSingleSlot = sim::BasicRankSync<chk::Model, 1>;
 
-/// Claim 1: producer pushes two releases into the ring while the consumer
-/// concurrently drains. Slots are chk::Var cells, so consuming a slot not
-/// ordered by the tail_ release/acquire pair is a data race; order must be
-/// push order.
-chk::Scenario boundary_ring_scenario() {
-  struct State {
-    ChkBoundary q{4};
-  };
-  auto st = std::make_shared<State>();
-  chk::Scenario s;
-  s.threads.push_back([st] {
-    st->q.push(11);
-    st->q.push(22);
-  });
-  s.threads.push_back([st] {
-    std::uint64_t got[2] = {0, 0};
-    std::size_t n = 0;
-    while (n < 2) {
-      st->q.drain([&](std::uint64_t v) {
-        if (n < 2) got[n] = v;
-        ++n;
-      });
-      if (n < 2) chk::spin_yield();
-    }
-    chk::expect(n == 2 && got[0] == 11 && got[1] == 22,
-                "boundary: ring drain lost or reordered releases");
-  });
-  return s;
-}
-
-/// Claims 1+2 together, exactly as the engine's window loop uses them: the
-/// sender stages three releases into a capacity-2 ring (the third spills),
-/// then arrives with its next-window bound. The receiver arrives with its
-/// own bound, waits at the barrier, drains, and reduces the bounds. The
-/// spill vector and bound slots are plain cells — their safety is exactly
-/// the happens-before edge of arrive / wait_all_at_least.
+/// Claim 1, exactly as the engine's window loop uses it: the sender stages
+/// three releases, then arrives with its next-window bound. The receiver
+/// arrives with its own bound, waits at the barrier, drains, and reduces
+/// the bounds. The buffer's item count and the bound slots are plain
+/// cells — their safety is exactly the happens-before edge of arrive /
+/// wait_all_at_least.
 chk::Scenario window_phase_scenario() {
   struct State {
-    ChkBoundary q{2};
+    ChkBoundary q;
     ChkRankSync sync{2};
   };
   auto st = std::make_shared<State>();
@@ -616,7 +585,7 @@ chk::Scenario window_phase_scenario() {
   s.threads.push_back([st] {  // rank 0: phase 1 of a window
     st->q.push(1);
     st->q.push(2);
-    st->q.push(3);  // ring full -> spills
+    st->q.push(3);
     st->sync.arrive(0, 1, 1.5, false);
     // (The barrier wait is exercised by rank_sync_park_scenario; leaving
     // it out keeps this state space exhaustible and keeps the no-park
@@ -640,7 +609,28 @@ chk::Scenario window_phase_scenario() {
   return s;
 }
 
-/// Claim 3: two ranks reach a window barrier in either order; each waits
+/// Claim 1's protocol mutant: the receiver drains without waiting at the
+/// barrier. The buffer has no ordering of its own, so its checked item
+/// count must report the drain as a race.
+chk::Scenario unordered_drain_scenario() {
+  struct State {
+    ChkBoundary q;
+    ChkRankSync sync{2};
+  };
+  auto st = std::make_shared<State>();
+  chk::Scenario s;
+  s.threads.push_back([st] {
+    st->q.push(1);
+    st->sync.arrive(0, 1, 1.5, false);
+  });
+  s.threads.push_back([st] {
+    st->sync.arrive(1, 1, 2.5, false);
+    st->q.drain([](std::uint64_t) {});  // no wait_all_at_least(1)
+  });
+  return s;
+}
+
+/// Claim 2: two ranks reach a window barrier in either order; each waits
 /// for the other. A lost wakeup is a deadlock.
 chk::Scenario rank_sync_park_scenario() {
   struct State {
@@ -659,7 +649,7 @@ chk::Scenario rank_sync_park_scenario() {
   return s;
 }
 
-/// Claim 4: two ranks run two consecutive windows through the barrier.
+/// Claim 3: two ranks run two consecutive windows through the barrier.
 /// Rank r publishes bound 10k + r at window k, and rank 1 asks to stop at
 /// window 2; every reduction must see exactly its own window's slots. With
 /// a single-buffered slot, a fast rank's window-2 arrive overwrites the
@@ -690,14 +680,6 @@ chk::Scenario rank_sync_two_window_scenario(int spin_polls) {
     });
   }
   return s;
-}
-
-TEST(ModelCheckParallelDes, BoundaryRingExhaustive) {
-  chk::Options o;
-  o.max_schedules = 60000;
-  auto r = chk::explore(o, boundary_ring_scenario);
-  EXPECT_TRUE(r.ok) << r.violation;
-  EXPECT_TRUE(r.exhausted);
 }
 
 TEST(ModelCheckParallelDes, WindowPhaseHandoffBoundedDfs) {
@@ -737,8 +719,7 @@ TEST(ModelCheckParallelDes, TwoWindowsSpinThenParkRandomSweep) {
 // slice of each to add up the distinct interleavings.
 TEST(ModelCheckParallelDes, CoverageAtLeast10k) {
   std::uint64_t total = 0;
-  for (auto* scen : {&boundary_ring_scenario, &window_phase_scenario,
-                     &rank_sync_park_scenario}) {
+  for (auto* scen : {&window_phase_scenario, &rank_sync_park_scenario}) {
     chk::Options o;
     o.max_schedules = 10000;
     total += chk::explore(o, *scen).distinct_interleavings;
@@ -759,30 +740,21 @@ TEST(ModelCheckParallelDes, CoverageAtLeast10k) {
   EXPECT_GE(total, 10000u);
 }
 
-TEST(ModelCheckParallelDesMutants, RingPublishDowngradeCaught) {
-  MutantGuard g(chk::Mutant::kStoreReleaseToRelaxed);
-  chk::Options o;
-  o.max_schedules = 60000;
-  auto r = chk::explore(o, boundary_ring_scenario);
-  EXPECT_FALSE(r.ok) << "mutant 1 survived " << r.schedules << " schedules";
-  EXPECT_NE(r.violation.find("race"), std::string::npos) << r.violation;
-}
-
-TEST(ModelCheckParallelDesMutants, RingConsumeDowngradeCaught) {
-  MutantGuard g(chk::Mutant::kLoadAcquireToRelaxed);
-  chk::Options o;
-  o.max_schedules = 60000;
-  auto r = chk::explore(o, boundary_ring_scenario);
-  EXPECT_FALSE(r.ok) << "mutant 5 survived " << r.schedules << " schedules";
-  EXPECT_NE(r.violation.find("race"), std::string::npos) << r.violation;
-}
-
 TEST(ModelCheckParallelDesMutants, PhasePublishDowngradeCaught) {
   MutantGuard g(chk::Mutant::kStoreReleaseToRelaxed);
   chk::Options o;
   o.max_schedules = 100000;
   auto r = chk::explore(o, window_phase_scenario);
   EXPECT_FALSE(r.ok) << "mutant 1 survived " << r.schedules << " schedules";
+  EXPECT_NE(r.violation.find("race"), std::string::npos) << r.violation;
+}
+
+TEST(ModelCheckParallelDesMutants, UnorderedDrainIsRace) {
+  chk::Options o;
+  o.max_schedules = 20000;
+  auto r = chk::explore(o, unordered_drain_scenario);
+  EXPECT_FALSE(r.ok) << "unordered drain survived " << r.schedules
+                     << " schedules";
   EXPECT_NE(r.violation.find("race"), std::string::npos) << r.violation;
 }
 

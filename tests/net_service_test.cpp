@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -300,6 +302,88 @@ TEST_F(NetServiceTest, ClientWaitForTimesOutThenCompletes) {
     EXPECT_EQ(second->tasks, 40);
     client.bye();
   });
+}
+
+TEST_F(NetServiceTest, InvalidRequestsAreRefusedAndTheServerKeepsServing) {
+  // Client 2 sends every request the server can check before its executor
+  // sees it, each one invalid, and gets a refusal (a PreconditionError with
+  // the server's reason) each time. The server keeps serving: client 1
+  // then waits its own job, and both clients' byes end serve_executor.
+  constexpr int kPeerTag = 7;  // client-to-client handshake
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  net::WireRunResult first_result;
+  net::World world(3);
+  world.run([&](net::Comm& comm) {
+    if (comm.rank() == 0) {
+      auto exec = fresh_sim();
+      net::serve_executor(comm, *exec);
+      return;
+    }
+    net::ServiceClient client(comm, 0);
+    const Dag dag = paper_dag(3, 30);
+    if (comm.rank() == 1) {
+      const JobId mine = client.submit(dag, {}, client.open_session({}));
+      comm.send_value(2, kPeerTag, mine);
+      (void)comm.recv_value<int>(2, kPeerTag);  // client 2 is done
+      first_result = client.wait(mine);
+      client.bye();
+      return;
+    }
+    const auto theirs = comm.recv_value<JobId>(1, kPeerTag);
+    // Waits on a job that is not this client's unwaited job.
+    try {
+      client.wait(theirs);
+      ADD_FAILURE() << "waited another client's job";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("is not an unwaited job"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(client.wait_for(theirs, 1.0), PreconditionError);
+    EXPECT_THROW(client.wait(theirs + 1000), PreconditionError);
+    const JobId own = client.submit(dag);
+    EXPECT_THROW(client.wait_for(own, -1.0), PreconditionError);
+    EXPECT_THROW(client.wait_for(own, nan), PreconditionError);
+    EXPECT_TRUE(client.wait(own).ok());
+    EXPECT_THROW(client.wait(own), PreconditionError);  // already waited
+    // A session index out of range, and submit options or tenant configs
+    // the executor rejects.
+    EXPECT_THROW(client.submit(dag, {}, /*session=*/7), PreconditionError);
+    for (const SubmitOptions& bad :
+         {SubmitOptions{.arrival_offset_s = -1.0},
+          SubmitOptions{.arrival_offset_s = nan},
+          SubmitOptions{.deadline_s = -1.0}, SubmitOptions{.deadline_s = nan}})
+      EXPECT_THROW(client.submit(dag, bad), PreconditionError);
+    for (const TenantConfig& bad :
+         {TenantConfig{.weight = 0.0}, TenantConfig{.weight = nan},
+          TenantConfig{.max_in_flight = -1},
+          TenantConfig{.max_queued_tasks = -1}})
+      EXPECT_THROW(client.open_session(bad), PreconditionError);
+    // Raw frames: a submit whose DAG is cut short, an unknown request kind
+    // and an empty frame. The first byte of a request is its kind (submit
+    // is 1); the first byte of a reply is its status (0 = served).
+    net::WireWriter frame;
+    frame.pod(std::uint8_t{1});
+    frame.pod(std::int32_t{-1});   // bare submit
+    frame.pod(std::uint64_t{0});   // no idempotency token
+    net::encode_submit_options({}, frame);
+    const std::size_t head = frame.size();
+    net::encode_dag(dag, frame);
+    const auto refused = [&](const void* data, std::size_t bytes) {
+      comm.send(0, net::kTagServiceRequest, data, bytes);
+      const net::Message reply = comm.recv_msg(0, net::kTagServiceReply);
+      return !reply.payload.empty() &&
+             static_cast<std::uint8_t>(reply.payload[0]) != 0;
+    };
+    EXPECT_TRUE(refused(frame.data(), head + (frame.size() - head) / 2));
+    const std::uint8_t unknown_kind = 0xee;
+    EXPECT_TRUE(refused(&unknown_kind, 1));
+    EXPECT_TRUE(refused(frame.data(), 0));
+    comm.send_value(1, kPeerTag, 1);
+    client.bye();
+  });
+  EXPECT_TRUE(first_result.ok());
+  EXPECT_EQ(first_result.tasks, 30);
 }
 
 TEST_F(NetServiceTest, ServerReapsDeadClient) {

@@ -4,8 +4,9 @@
 // per-rank event counts, identical per-rank FNV-1a trace hashes (every
 // processed event folded in order), for every policy, multiple seeds,
 // asymmetric per-rank topologies, and cross-rank delay edges. A
-// tiny-lookahead case forces many small windows — the stress cell the
-// sanitizer CI job leans on.
+// tiny-lookahead case forces many small windows and a burst case stages
+// 1,200 releases in one window — the stress cells the sanitizer CI job
+// leans on.
 
 #include <gtest/gtest.h>
 
@@ -212,6 +213,48 @@ TEST_F(ParallelDesTest, TinyLookaheadManyWindows) {
   EXPECT_TRUE(serial == par);
   EXPECT_GT(serial.lookahead, 0.0);
   EXPECT_LT(serial.lookahead, 1e-6);  // the tiny latency really took effect
+}
+
+/// One rank-0 task releases 1,200 rank-1 tasks over edges of equal delay,
+/// so a single window stages every release into one (sender, receiver)
+/// boundary buffer. The receiver must get all of them, in push order, at
+/// any thread count.
+TEST_F(ParallelDesTest, CrossRankBurstInOneWindow) {
+  constexpr int kBurst = 1200;
+  Dag dag;
+  TaskParams p;
+  p.p0 = 16;
+  const NodeId root = dag.add_node(ids_.matmul, Priority::kLow, p);
+  for (int i = 0; i < kBurst; ++i) {
+    const NodeId n = dag.add_node(ids_.matmul, Priority::kLow, p);
+    dag.node(n).rank = 1;
+    dag.add_edge(root, n, /*delay_s=*/20e-6);
+  }
+  const std::vector<RankSpec> ranks = {RankSpec{&tx2_, nullptr},
+                                       RankSpec{&small_, nullptr}};
+  const auto run = [&](int des_threads) {
+    SimOptions o;
+    o.des_threads = des_threads;
+    o.hash_traces = true;
+    SimEngine eng(ranks, Policy::kRws, registry_, o);
+    CellResult res;
+    res.makespan = eng.run(dag);
+    res.lookahead = eng.lookahead_s();
+    std::int64_t tasks = 0;
+    for (int r = 0; r < 2; ++r) {
+      res.hashes.push_back(eng.trace_hash(r));
+      res.events.push_back(eng.events_processed(r));
+      tasks += eng.stats(r).tasks_total();
+    }
+    EXPECT_EQ(tasks, dag.num_nodes()) << "des_threads " << des_threads;
+    return res;
+  };
+  const CellResult serial = run(1);
+  const CellResult par = run(2);
+  EXPECT_TRUE(serial == par) << "serial=" << serial.makespan
+                             << " parallel=" << par.makespan;
+  EXPECT_EQ(serial.lookahead, 20e-6);
+  EXPECT_GT(serial.events[1], static_cast<std::uint64_t>(kBurst));
 }
 
 /// Back-to-back jobs on a persistent engine: the windowed protocol must

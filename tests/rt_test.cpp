@@ -291,6 +291,28 @@ TEST_F(RtTest, RejectsClosurelessNodeOfModellessType) {
   EXPECT_EQ(rt.stats().tasks_total(), 2);
 }
 
+TEST_F(RtTest, RejectsUnknownTaskTypeOnClosureNode) {
+  // A work closure does not excuse an unregistered type: DAM-C reads the
+  // type's PTT table to place the node, on a worker (low priority) or in
+  // submit itself (high priority). Either way submit refuses the DAG before
+  // the job is published, and the pool keeps serving.
+  Runtime rt(topo_, Policy::kDamC, registry_);
+  for (const Priority prio : {Priority::kLow, Priority::kHigh}) {
+    Dag dag;
+    dag.add_node(registry_.size(), prio, {}, [](const ExecContext&) {});
+    EXPECT_THROW(rt.submit(dag), PreconditionError)
+        << "priority " << static_cast<int>(prio);
+    EXPECT_EQ(rt.jobs_in_flight(), 0);
+  }
+  Dag valid;
+  valid.add_node(ids_.matmul, Priority::kHigh, {}, [](const ExecContext&) {});
+  valid.add_node(ids_.matmul, Priority::kLow, {}, [](const ExecContext&) {});
+  valid.add_edge(0, 1);
+  rt.run(valid);
+  EXPECT_EQ(rt.stats().tasks_total(), 2);
+  EXPECT_EQ(rt.jobs_in_flight(), 0);
+}
+
 TEST_F(RtTest, JobCompletesWhileItsFinisherRunsAnotherJob) {
   // Job A's last task submits job B, one task that sleeps 300 ms. With one
   // worker, the worker that finished A is the one that runs B, so A's

@@ -16,6 +16,15 @@
 namespace das::sim {
 namespace {
 
+/// The paper kernels' calibration with both noise coefficients zero: the
+/// DES draws no measurement noise for types registered with it.
+kernels::CostModelConfig noiseless() {
+  kernels::CostModelConfig cfg;
+  cfg.noise0 = 0.0;
+  cfg.noise1 = 0.0;
+  return cfg;
+}
+
 class SimTest : public ::testing::Test {
  protected:
   SimTest() : topo_(Topology::tx2()) {
@@ -145,15 +154,15 @@ TEST_F(SimTest, DependenciesRespected) {
 }
 
 TEST_F(SimTest, EdgeDelayPostponesSuccessor) {
+  TaskTypeRegistry quiet;
+  const auto quiet_ids = kernels::register_paper_kernels(quiet, noiseless());
   Dag dag;
   TaskParams p;
   p.p0 = 16;
-  const NodeId a = dag.add_node(ids_.matmul, Priority::kLow, p);
-  const NodeId b = dag.add_node(ids_.matmul, Priority::kLow, p);
+  const NodeId a = dag.add_node(quiet_ids.matmul, Priority::kLow, p);
+  const NodeId b = dag.add_node(quiet_ids.matmul, Priority::kLow, p);
   dag.add_edge(a, b, /*delay_s=*/0.5);
-  SimOptions opts;
-  opts.noise = false;
-  SimEngine eng(topo_, Policy::kRws, registry_, opts);
+  SimEngine eng(topo_, Policy::kRws, quiet);
   eng.run(dag);
   EXPECT_GE(eng.completion_time(b) - eng.completion_time(a), 0.5);
 }
@@ -202,31 +211,33 @@ TEST_F(SimTest, StealingSpreadsRwsWork) {
 TEST_F(SimTest, InterferenceSlowsPerturbedCoreTasks) {
   // Same seed, same DAG; with a co-runner on core 0 the makespan under FA
   // (which pins criticals to denver) must grow.
-  SimOptions opts;
-  opts.noise = false;
+  TaskTypeRegistry quiet;
+  const auto quiet_ids = kernels::register_paper_kernels(quiet, noiseless());
+  ASSERT_EQ(quiet_ids.matmul, ids_.matmul);  // small_dag builds with ids_
   double clean, perturbed;
   {
     Dag dag = small_dag(2, 300, /*tile=*/64);  // paper-size ~0.6 ms tasks
-    SimEngine eng(topo_, Policy::kFa, registry_, opts);
+    SimEngine eng(topo_, Policy::kFa, quiet);
     clean = eng.run(dag);
   }
   {
     Dag dag = small_dag(2, 300, /*tile=*/64);
     SpeedScenario scenario(topo_);
     scenario.add_cpu_corunner(0);
-    SimEngine eng(topo_, Policy::kFa, registry_, opts, &scenario);
+    SimEngine eng(topo_, Policy::kFa, quiet, {}, &scenario);
     perturbed = eng.run(dag);
   }
   EXPECT_GT(perturbed, clean * 1.15);
 }
 
 TEST_F(SimTest, DvfsLowPhaseStretchesExecution) {
-  SimOptions opts;
-  opts.noise = false;
+  TaskTypeRegistry quiet;
+  const auto quiet_ids = kernels::register_paper_kernels(quiet, noiseless());
+  ASSERT_EQ(quiet_ids.matmul, ids_.matmul);  // small_dag builds with ids_
   double hi_phase, lo_phase;
   {
     Dag dag = small_dag(2, 60, /*tile=*/64);
-    SimEngine eng(topo_, Policy::kFa, registry_, opts);
+    SimEngine eng(topo_, Policy::kFa, quiet);
     hi_phase = eng.run(dag);
   }
   {
@@ -235,7 +246,7 @@ TEST_F(SimTest, DvfsLowPhaseStretchesExecution) {
     // Permanently LO on the denver cluster.
     scenario.add_dvfs(DvfsSchedule{.cluster = 0, .period_s = 1e9, .duty_hi = 0.0,
                                    .hi = 1.0, .lo = 0.17});
-    SimEngine eng(topo_, Policy::kFa, registry_, opts, &scenario);
+    SimEngine eng(topo_, Policy::kFa, quiet, {}, &scenario);
     lo_phase = eng.run(dag);
   }
   EXPECT_GT(lo_phase, hi_phase * 1.5);

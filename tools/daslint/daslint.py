@@ -78,10 +78,6 @@ import sys
 # slashes). Each carries its ordering argument in comments at the use site.
 RELAXED_WHITELIST = {
     "src/chk/chk.cpp",
-    # SPSC ring: relaxed loads are each side's OWN index (single writer);
-    # cross-thread publication rides the release/acquire pair on the
-    # opposite index. Argued in the header comment at each use site.
-    "src/sim/boundary_queue.hpp",
     "src/core/policy.cpp",
     # PTT entries: relaxed loads and stores of independent per-entry values
     # (no ordering between entries is ever needed); the readers and the two
