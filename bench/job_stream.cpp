@@ -127,8 +127,8 @@ StreamResult run_stream(Bench& b, Policy policy,
   auto exec = b.make(policy, scenario, cfg);
   const workloads::SyntheticDagSpec spec = job_spec(b);
 
-  // Weighted sessions for the multi-tenant regime. kReject + a 0 budget
-  // means nothing is refused by default; --queue-tasks arms admission.
+  // Weighted sessions for the multi-tenant regime. A 0 budget means
+  // nothing is rejected by default; --queue-tasks arms admission.
   std::vector<std::unique_ptr<Session>> sessions;
   for (int t = 0; t < b.tenants && b.tenants > 1; ++t) {
     TenantConfig tc;
@@ -136,7 +136,6 @@ StreamResult run_stream(Bench& b, Policy policy,
     tc.weight = b.tenant_weight(t);
     tc.max_in_flight = b.tenant_inflight;
     tc.max_queued_tasks = b.queue_tasks;
-    tc.overload = Overload::kReject;
     sessions.push_back(exec->open_session(tc));
   }
   const std::vector<int> owner = make_tenant_assignment(b);

@@ -149,23 +149,21 @@ class SimExecutor final : public Executor {
     const JobId id = engine_.submit(dag, arrival_offset_s);
     return JobTicket{id, engine_.now() + arrival_offset_s};
   }
+  void check_job(const Dag& dag) const override { engine_.check_dag(dag); }
   double wait_job(JobId id) override {
     // engine_.wait pumps: each pump runs to the next service notification
     // (job-done, timer) and delivers it before the next pump starts.
     return engine_.wait(id);
   }
-  void svc_block_until(SvcWait cond, JobId id) override {
+  void svc_block_until(JobId id) override {
     // Single driving thread: nothing else advances the service, so pump
-    // virtual time until the condition (release/admission) resolves.
+    // virtual time until the job is released or rejected.
     for (;;) {
-      {
-        MutexLock g(svc_mu_);
-        if (svc_cond_locked(cond, id)) return;
-      }
+      const JobProbe p = probe_job(id);
+      if (p.terminal || p.released) return;
       DAS_CHECK_MSG(engine_.pump(),
                     "service deadlock: job " + std::to_string(id) +
-                        " cannot progress with no engine events pending "
-                        "(blocked admission with nothing in flight?)");
+                        " cannot progress with no engine events pending");
     }
   }
   void svc_arm_timer(double offset_s, std::uint64_t token) override {
@@ -254,10 +252,16 @@ class RtExecutor final : public Executor {
     const double arrival = runtime_.scenario_now();
     return JobTicket{runtime_.submit(dag), arrival};
   }
+  void check_job(const Dag& dag) const override { runtime_.check_dag(dag); }
   double wait_job(JobId id) override { return runtime_.wait(id); }
-  void svc_block_until(SvcWait cond, JobId id) override {
+  void svc_block_until(JobId id) override {
+    // Release and rejection notify svc_cv_: park and re-probe on every wake.
     MutexLock g(svc_mu_);
-    while (!svc_cond_locked(cond, id)) svc_cv_.wait(g);
+    for (;;) {
+      const JobProbe p = probe_job_locked(id);
+      if (p.terminal || p.released) return;
+      svc_cv_.wait(g);
+    }
   }
   void svc_arm_timer(double offset_s, std::uint64_t token) override {
     const std::int64_t deadline =

@@ -15,9 +15,9 @@
 // SERVICE: `submit(dag)` / `wait(job)` / `drain()` execute a stream of
 // independent DAGs concurrently on one worker pool and one learned PTT, and
 // open_session() carves that service into TENANTS — each with an admission
-// budget, an overload policy and a deficit-round-robin fair-share weight
-// (exec/session.hpp documents the model). `run()` is the submit+wait sugar
-// shown above and stays single-tenant. ExecutorConfig holds the options
+// budget and a deficit-round-robin fair-share weight (exec/session.hpp
+// documents the model). `run()` is the submit+wait sugar shown above and
+// stays single-tenant. ExecutorConfig holds the options
 // shared by both engines (seed, scenario, policy tunables, PTT ratio, stats
 // phases, timeline) plus per-backend sub-structs and the ServiceConfig; set
 // its fields directly or with designated initializers. run() returns a
@@ -149,15 +149,10 @@ struct ExecutorConfig {
 /// what wait()/drain() return per job.
 struct RunResult {
   /// How the job ended. Only kOk carries engine results (makespan, stats);
-  /// the other outcomes mean the job never ran: bounced by admission
-  /// (kRejected), cancelled by its queueing deadline (kTimedOut), or
-  /// bounced after exhausting its tenant's retry budget
-  /// (kRetriesExhausted).
+  /// kRejected means admission bounced the job and it never ran.
   enum class Outcome : std::uint8_t {
     kOk = 0,
     kRejected,
-    kTimedOut,
-    kRetriesExhausted,
   };
 
   double makespan_s = 0.0;   ///< job latency: release -> completion, virtual
@@ -176,8 +171,8 @@ struct RunResult {
   double queue_s = 0.0;
   /// Session name the job was submitted under; empty for bare submits.
   std::string tenant;
-  /// How the job ended (see Outcome). Anything but kOk means the job never
-  /// reached the engine: makespan_s/tasks_per_s are 0 and stats are empty.
+  /// How the job ended (see Outcome). kRejected means the job never reached
+  /// the engine: makespan_s/tasks_per_s are 0 and stats are empty.
   Outcome outcome = Outcome::kOk;
   bool ok() const { return outcome == Outcome::kOk; }
   /// Engine-cumulative count of tasks re-executed after fail-stop faults
@@ -191,14 +186,6 @@ struct RunResult {
 };
 
 class Session;
-
-/// drain_grouped() bucket: one tenant's drained results in completion-claim
-/// order. `tenant` is empty (weight 0) for the bare-submit group.
-struct TenantResults {
-  std::string tenant;
-  double weight = 0.0;
-  std::vector<RunResult> results;
-};
 
 /// Engine-agnostic handle. Obtain via make_executor(); all engine state
 /// (workers, PTT, stats, clock) lives for the handle's lifetime.
@@ -215,8 +202,8 @@ struct TenantResults {
 /// from one thread.
 ///
 /// CLAIM OWNERSHIP. Every job is claimed by exactly ONE finisher: the first
-/// wait(id) / drain() / Session::drain() / drain_grouped() to reach it owns
-/// its RunResult, and a second claim of the same id throws. drain() claims
+/// wait(id) / drain() / Session::drain() to reach it owns its RunResult,
+/// and a second claim of the same id throws. drain() claims
 /// every unclaimed job — including jobs submitted through sessions — so an
 /// executor-level drain composes with concurrent per-id wait()ers but NOT
 /// with a concurrent Session::drain() expecting to collect its own jobs;
@@ -236,7 +223,9 @@ class Executor {
   /// release on the engine's clock — the DES schedules the roots at
   /// now() + offset in virtual time, which is how a job stream's arrival
   /// trace is replayed deterministically; Backend::kRt paces the release
-  /// with a wall-clock timer thread in the service layer.
+  /// with a wall-clock timer thread in the service layer. A DAG the engine
+  /// cannot run throws PreconditionError here, before any id is taken,
+  /// deferred or not.
   JobId submit(const Dag& dag, const SubmitOptions& opts);
 
   /// Blocks until job `id` completes (or its rejection is recorded);
@@ -257,12 +246,6 @@ class Executor {
   /// submission order; returns their results (ordered by JobId). Empty
   /// when nothing is in flight. See the claim-ownership contract above.
   std::vector<RunResult> drain();
-
-  /// drain(), grouped: the bare-submit group first (empty tenant name, only
-  /// present when non-empty), then one TenantResults per session in
-  /// open_session() order — including sessions with no unclaimed jobs, so
-  /// positions are stable across calls.
-  std::vector<TenantResults> drain_grouped();
 
   /// Opens a tenant session: subsequent Session::submit()s are admission-
   /// checked against `cfg`'s budget and released to the engine by weighted
@@ -312,23 +295,24 @@ class Executor {
   };
   /// Engine-specific submission; must not block on job execution.
   virtual JobTicket submit_job(const Dag& dag, double arrival_offset_s) = 0;
+  /// The checks submit_job runs first: throws PreconditionError for a DAG
+  /// the engine cannot run, changing nothing. The service runs them at
+  /// submit for a job it queues or defers, so a bad DAG never reaches a
+  /// later release.
+  virtual void check_job(const Dag& dag) const = 0;
   /// Engine-specific completion latch; returns the job's makespan seconds.
   /// Takes the ENGINE job id (ServiceJob::engine_id), not the public id.
   virtual double wait_job(JobId id) = 0;
 
   // ---- service bridge (implemented per engine) ----------------------------
-  // The admission/fairness layer below is engine-agnostic; these three
-  // virtuals are how it borrows an engine's notion of blocking and time.
+  // The admission/fairness layer below is engine-agnostic; these virtuals
+  // are how it borrows an engine's notion of blocking and time.
 
-  /// What a service-layer wait is waiting FOR (svc_block_until).
-  enum class SvcWait : std::uint8_t {
-    kReleased,          ///< job released to the engine (or rejected)
-    kAdmissionDecided,  ///< blocked submit admitted (or rejected)
-  };
-  /// Blocks until svc_cond_locked(cond, id) holds. The sim implementation
-  /// pumps the virtual-time event loop (single thread, nothing else will);
-  /// the rt implementation parks on svc_cv_, woken by worker/pacer threads.
-  virtual void svc_block_until(SvcWait cond, JobId id) = 0;
+  /// Blocks until job `id` (public) is released to the engine or rejected,
+  /// re-checking with probe_job. The sim implementation pumps the
+  /// virtual-time event loop (single thread, nothing else will); the rt
+  /// implementation parks on svc_cv_, woken by worker/pacer threads.
+  virtual void svc_block_until(JobId id) = 0;
   /// Arms a one-shot service timer ~offset_s from now on the engine clock,
   /// delivering on_timer(token): a virtual-time event on sim, a wall-clock
   /// pacer thread on rt.
@@ -340,16 +324,16 @@ class Executor {
   /// service builds.
   virtual bool engine_defers_arrivals() const = 0;
   /// Timed completion probe for wait_for(): blocks until job `id` (public)
-  /// is finishable without blocking — engine-complete, rejected, or timed
-  /// out — returning true; or until `deadline_s` on the engine clock passes
+  /// is finishable without blocking — engine-complete or rejected —
+  /// returning true; or until `deadline_s` on the engine clock passes
   /// first, returning false. Sim pumps virtual time; rt parks on svc_cv_.
   virtual bool svc_finished_by(JobId id, double deadline_s) = 0;
   /// Engine-cumulative fail-stop re-execution counter (RunResult field).
   virtual std::uint64_t engine_tasks_reexecuted() const = 0;
 
-  /// Lock-free-to-callers snapshot used by svc_finished_by implementations.
+  /// Lock-free-to-callers snapshot used by the svc_* implementations.
   struct JobProbe {
-    bool terminal = false;  ///< rejected or timed out: finish without engine
+    bool terminal = false;  ///< rejected: finish without engine
     bool released = false;  ///< engine_id is valid
     JobId engine_id = kInvalidJob;
   };
@@ -366,9 +350,6 @@ class Executor {
   /// Service timer callback (token = public JobId): releases a deferred
   /// bare job or runs a deferred session arrival's admission check.
   void on_timer(std::uint64_t token);
-  /// Re-evaluates `cond` for job `id`; kAdmissionDecided RETRIES admission
-  /// (side effect: the job may be enqueued/rejected here).
-  bool svc_cond_locked(SvcWait cond, JobId id) DAS_REQUIRES(svc_mu_);
 
   /// Protects all service state; never held while calling into wait_job,
   /// but held across submit_job (lock order: svc_mu_ -> engine lock).
@@ -385,62 +366,35 @@ class Executor {
     int tenant = -1;  ///< index into tenants_; -1 = bare submit
     const Dag* dag = nullptr;
     std::int64_t tasks = 0;
-    int priority = 0;
     double arrival_s = 0.0;  ///< service clock at admission
     double release_s = 0.0;  ///< engine clock at release
     JobId engine_id = kInvalidJob;
-    double deadline_s = 0.0;  ///< SubmitOptions::deadline_s (0 = none)
-    int retries = 0;          ///< admission retries already run
-    bool arrived = false;   ///< admitted into its tenant queue
     bool released = false;  ///< handed to the engine
-    bool rejected = false;  ///< bounced by Overload::kReject
-    bool retries_exhausted = false;  ///< rejected after the retry budget
-    bool timed_out = false;          ///< cancelled by its queueing deadline
+    bool rejected = false;  ///< over its tenant's queued-task budget
     bool claimed = false;   ///< a finisher owns its RunResult
   };
-
-  /// Service timer tokens: low 62 bits = public JobId, top 2 bits = kind.
-  /// kTimerArrival (0) keeps the historical plain-id encoding, so existing
-  /// sim timer traces are unchanged.
-  enum : std::uint64_t {
-    kTimerArrival = 0,
-    kTimerDeadline = 1,
-    kTimerRetry = 2,
-  };
-  static constexpr int kTimerKindShift = 62;
-  static std::uint64_t timer_token(std::uint64_t kind, JobId id) {
-    return (kind << kTimerKindShift) | static_cast<std::uint64_t>(id);
-  }
 
   /// One tenant's queue + DRR accounting (exec/session.hpp).
   struct TenantState {
     TenantConfig cfg;
-    /// priority -> FIFO of queued public ids; higher priority drains first.
-    std::map<int, std::deque<JobId>, std::greater<int>> buckets;
+    std::deque<JobId> queue;         ///< queued public ids, submission order
     std::int64_t pending_tasks = 0;  ///< task-weighted queue depth
     int released_in_flight = 0;      ///< released, not yet completed
     double deficit = 0.0;            ///< DRR credit, in tasks
-    bool in_ring = false;            ///< member of ring_ (buckets non-empty)
+    bool in_ring = false;            ///< member of ring_ (queue non-empty)
     TenantCounters counters;
   };
 
   JobId submit_impl(const Dag& dag, const SubmitOptions& opts, int tenant);
-  /// Admission decision for a not-yet-arrived job: true when decided
-  /// (enqueued or rejected), false when Overload::kBlock defers it.
-  bool try_admit_locked(JobId id) DAS_REQUIRES(svc_mu_);
+  /// Admission decision for an arriving session job: enqueues it (and
+  /// pumps) when it fits its tenant's queued-task budget, else rejects it.
+  void try_admit_locked(JobId id) DAS_REQUIRES(svc_mu_);
   /// Weighted-DRR release pump: releases queued jobs to the engine until
   /// every backlogged tenant is blocked by an in-flight bound (its own or
   /// the global one) or drained. Deterministic given the queue state.
   void pump_locked() DAS_REQUIRES(svc_mu_);
   /// Hands one queued job to the engine and updates the accounting.
   void release_locked(JobId id) DAS_REQUIRES(svc_mu_);
-  /// Removes the drained tenant at ring position `pos` from the DRR ring
-  /// and drops its residual credit. The cursor stays on its tenant (visit
-  /// and credit kept), or moves to the next one when it was the leaver.
-  void leave_ring_locked(std::size_t pos) DAS_REQUIRES(svc_mu_);
-  /// Deadline expiry for a still-queued session job: removes it from its
-  /// tenant's bucket and marks it Outcome::kTimedOut.
-  void timeout_locked(JobId id) DAS_REQUIRES(svc_mu_);
   /// Blocks on an already-claimed job and assembles its RunResult.
   RunResult finish_claimed(JobId id);
   /// Claims the lowest unclaimed job (optionally of one tenant; -1 = any);
@@ -482,18 +436,13 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Admission-checked submit under this tenant (exec/session.hpp):
-  /// returns immediately unless the tenant is over its queued-task budget
-  /// with Overload::kBlock, in which case it blocks until the backlog
-  /// drains (kBlock requires opts.arrival_offset_s == 0). With kReject the
-  /// id is always returned; wait() reports `rejected` when it bounced.
+  /// Admission-checked submit under this tenant (exec/session.hpp);
+  /// returns immediately. The id is always returned: wait() reports
+  /// Outcome::kRejected when the job did not fit the tenant's queued-task
+  /// budget. A DAG the engine cannot run throws, as on Executor::submit.
   JobId submit(const Dag& dag, const SubmitOptions& opts = {}) {
     return exec_->submit_impl(dag, opts, tenant_);
   }
-
-  /// submit() for a batch; one shared SubmitOptions. Order preserved.
-  std::vector<JobId> submit_batch(const std::vector<const Dag*>& dags,
-                                  const SubmitOptions& opts = {});
 
   /// Executor::wait — any job id may be waited through any handle; the
   /// session adds no claim of its own.
@@ -507,8 +456,7 @@ class Session {
 
   const std::string& name() const { return name_; }
   double weight() const { return weight_; }
-  /// The tenant's index within its executor (drain_grouped() position,
-  /// bare group excluded).
+  /// The tenant's index within its executor (open_session() order).
   int tenant() const { return tenant_; }
 
  private:

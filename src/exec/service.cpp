@@ -1,5 +1,3 @@
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "exec/executor.hpp"
@@ -19,6 +17,13 @@
 
 namespace das {
 
+namespace {
+
+/// DRR quantum: tasks credited per ring visit to a weight-1.0 tenant.
+constexpr double kDrrQuantumTasks = 32.0;
+
+}  // namespace
+
 void check_tenant_config(const TenantConfig& cfg) {
   DAS_CHECK_MSG(cfg.weight > 0.0, "open_session: weight must be > 0");
   DAS_CHECK_MSG(cfg.max_in_flight >= 0,
@@ -30,7 +35,6 @@ void check_tenant_config(const TenantConfig& cfg) {
 void check_submit_options(const SubmitOptions& opts) {
   DAS_CHECK_MSG(opts.arrival_offset_s >= 0.0,
                 "submit: arrival offset must be >= 0");
-  DAS_CHECK_MSG(opts.deadline_s >= 0.0, "submit: deadline must be >= 0");
 }
 
 JobId Executor::submit(const Dag& dag, const SubmitOptions& opts) {
@@ -40,108 +44,64 @@ JobId Executor::submit(const Dag& dag, const SubmitOptions& opts) {
 JobId Executor::submit_impl(const Dag& dag, const SubmitOptions& opts,
                             int tenant) {
   check_submit_options(opts);
-  const auto tasks = static_cast<std::int64_t>(dag.num_nodes());
-  JobId id = kInvalidJob;
-  bool block = false;
-  {
+  ServiceJob job;
+  job.tenant = tenant;
+  job.dag = &dag;
+  job.tasks = static_cast<std::int64_t>(dag.num_nodes());
+  if (tenant < 0 &&
+      (opts.arrival_offset_s == 0.0 || engine_defers_arrivals())) {
+    // Bare submit on the engine's own arrival path: no queue, no timer,
+    // no hook registration — byte-for-byte the pre-service behavior
+    // (single-tenant sim streams stay bitwise-reproducible). The engine
+    // checks the DAG before the job takes an id.
     MutexLock g(svc_mu_);
-    id = next_public_++;
-    ServiceJob job;
-    job.tenant = tenant;
-    job.dag = &dag;
-    job.tasks = tasks;
-    job.priority = opts.priority;
-    job.deadline_s = opts.deadline_s;
-    if (tenant < 0 &&
-        (opts.arrival_offset_s == 0.0 || engine_defers_arrivals())) {
-      // Bare submit on the engine's own arrival path: no queue, no timer,
-      // no hook registration — byte-for-byte the pre-service behavior
-      // (single-tenant sim streams stay bitwise-reproducible).
-      const JobTicket ticket = submit_job(dag, opts.arrival_offset_s);
-      job.engine_id = ticket.id;
-      job.arrival_s = ticket.arrival_s;
-      job.release_s = ticket.arrival_s;
-      job.arrived = true;
-      job.released = true;
-      jobs_.emplace(id, std::move(job));
-      return id;
-    }
-    if (tenant >= 0) {
-      DAS_CHECK_MSG(static_cast<std::size_t>(tenant) < tenants_.size(),
-                    "submit: unknown tenant");
-      const TenantConfig& cfg = tenants_[static_cast<std::size_t>(tenant)].cfg;
-      if (cfg.overload == Overload::kBlock) {
-        // A blocking admission decision cannot be deferred to a timer, and
-        // an over-budget job would never fit however long it waits.
-        DAS_CHECK_MSG(opts.arrival_offset_s == 0.0,
-                      "Overload::kBlock tenants cannot defer arrivals "
-                      "(arrival_offset_s must be 0)");
-        DAS_CHECK_MSG(
-            cfg.max_queued_tasks == 0 || tasks <= cfg.max_queued_tasks,
-                      "submit: job (" + std::to_string(tasks) +
-                          " tasks) exceeds tenant '" + cfg.name +
-                          "' queued-task budget " +
-                          std::to_string(cfg.max_queued_tasks) +
-                          " — an Overload::kBlock submit would never unblock");
-      }
-    }
+    const JobTicket ticket = submit_job(dag, opts.arrival_offset_s);
+    job.engine_id = ticket.id;
+    job.arrival_s = ticket.arrival_s;
+    job.release_s = ticket.arrival_s;
+    job.released = true;
+    const JobId id = next_public_++;
     jobs_.emplace(id, std::move(job));
-    if (opts.arrival_offset_s > 0.0) {
-      // Deferred arrival: bare rt release pacing (tenant < 0) or a session
-      // job whose admission check runs at arrival time, both driven by the
-      // engine-appropriate timer (virtual event on sim, pacer thread on rt).
-      svc_arm_timer(opts.arrival_offset_s, timer_token(kTimerArrival, id));
-      return id;
-    }
-    block = !try_admit_locked(id);
+    return id;
   }
-  if (block) svc_block_until(SvcWait::kAdmissionDecided, id);
+  // Every other job reaches the engine later, from a completion hook or a
+  // timer, where a DAG the engine refuses could only end the process:
+  // refuse it here, before it takes an id.
+  check_job(dag);
+  MutexLock g(svc_mu_);
+  const JobId id = next_public_++;
+  jobs_.emplace(id, std::move(job));
+  if (opts.arrival_offset_s > 0.0) {
+    // Deferred arrival: bare rt release pacing (tenant < 0) or a session
+    // job whose admission check runs at arrival time, both driven by the
+    // engine-appropriate timer (virtual event on sim, pacer thread on rt).
+    // The token is the public id.
+    svc_arm_timer(opts.arrival_offset_s, static_cast<std::uint64_t>(id));
+  } else {
+    try_admit_locked(id);
+  }
   return id;
 }
 
-bool Executor::try_admit_locked(JobId id) {
+void Executor::try_admit_locked(JobId id) {
   ServiceJob& job = jobs_.at(id);
-  if (job.arrived || job.rejected) return true;  // idempotent on retries
   TenantState& t = tenants_[static_cast<std::size_t>(job.tenant)];
+  job.arrival_s = now();
   if (t.cfg.max_queued_tasks > 0 &&
       t.pending_tasks + job.tasks > t.cfg.max_queued_tasks) {
-    if (t.cfg.overload == Overload::kReject) {
-      if (job.retries < t.cfg.max_retries) {
-        // Retry policy: instead of bouncing, re-run this admission check
-        // after a capped exponential backoff. The submitter is NOT blocked
-        // (the job is simply undecided until a retry lands or the budget
-        // runs out); wait() resolves either way.
-        const double backoff =
-            std::min(t.cfg.retry_backoff_s *
-                         std::pow(2.0, static_cast<double>(job.retries)),
-                     t.cfg.retry_backoff_cap_s);
-        ++job.retries;
-        ++t.counters.retries;
-        svc_arm_timer(backoff, timer_token(kTimerRetry, id));
-        return true;
-      }
-      job.rejected = true;
-      job.retries_exhausted = t.cfg.max_retries > 0;
-      job.arrival_s = now();
-      ++t.counters.rejected;
-      svc_cv_.notify_all();
-      return true;
-    }
-    return false;  // kBlock: the submitter parks and retries on drain
+    job.rejected = true;
+    ++t.counters.rejected;
+    svc_cv_.notify_all();
+    return;
   }
-  job.arrived = true;
-  job.arrival_s = now();
   ++t.counters.submitted;
   t.pending_tasks += job.tasks;
-  t.buckets[job.priority].push_back(id);
-  if (job.deadline_s > 0.0)
-    svc_arm_timer(job.deadline_s, timer_token(kTimerDeadline, id));
+  t.queue.push_back(id);
   if (!t.in_ring) {
     t.in_ring = true;
     ring_.push_back(static_cast<std::size_t>(job.tenant));
   }
   pump_locked();
-  return true;
 }
 
 void Executor::pump_locked() {
@@ -178,11 +138,11 @@ void Executor::pump_locked() {
     }
     TenantState& t = tenants_[ring_[pos]];
     if (!cursor_credited_) {
-      t.deficit += t.cfg.weight * static_cast<double>(svc_.drr_quantum_tasks);
+      t.deficit += t.cfg.weight * kDrrQuantumTasks;
       cursor_credited_ = true;
     }
     bool global_blocked = false;
-    while (!t.buckets.empty()) {
+    while (!t.queue.empty()) {
       if (svc_.max_service_inflight > 0 &&
           service_inflight_ >= svc_.max_service_inflight) {
         global_blocked = true;
@@ -191,39 +151,27 @@ void Executor::pump_locked() {
       if (t.cfg.max_in_flight > 0 &&
           t.released_in_flight >= t.cfg.max_in_flight)
         break;
-      auto head = t.buckets.begin();
-      const JobId id = head->second.front();
+      const JobId id = t.queue.front();
       const auto cost = static_cast<double>(jobs_.at(id).tasks);
       if (t.deficit < cost) break;
       t.deficit -= cost;
-      head->second.pop_front();
-      if (head->second.empty()) t.buckets.erase(head);
+      t.queue.pop_front();
       release_locked(id);
     }
     if (global_blocked) return;  // resume THIS tenant when capacity frees
     cursor_credited_ = false;
-    if (t.buckets.empty()) {
-      leave_ring_locked(pos);
+    if (t.queue.empty()) {
+      // Drained: drop the residual credit (classic DRR — an idle tenant
+      // must not bank credit against its next burst) and leave the ring;
+      // the cursor moves on to the tenant that followed.
+      t.deficit = 0.0;
+      t.in_ring = false;
+      ring_.erase(ring_.begin() + static_cast<std::ptrdiff_t>(pos));
+      ring_cursor_ = ring_.empty() ? 0 : pos % ring_.size();
     } else {
       ring_cursor_ = (pos + 1) % ring_.size();
     }
   }
-}
-
-void Executor::leave_ring_locked(std::size_t pos) {
-  // Drained: drop the residual credit (classic DRR — an idle tenant must
-  // not bank credit against its next burst) and leave the ring. Only the
-  // cursor tenant's leaving ends the credited visit: another tenant's
-  // leaving (a deadline expiry) must not hand the cursor tenant a second
-  // quantum.
-  TenantState& t = tenants_[ring_[pos]];
-  t.deficit = 0.0;
-  t.in_ring = false;
-  if (pos == ring_cursor_) cursor_credited_ = false;
-  ring_.erase(ring_.begin() + static_cast<std::ptrdiff_t>(pos));
-  if (ring_cursor_ > pos) --ring_cursor_;
-  if (!ring_.empty()) ring_cursor_ %= ring_.size();
-  else ring_cursor_ = 0;
 }
 
 void Executor::release_locked(JobId id) {
@@ -234,7 +182,6 @@ void Executor::release_locked(JobId id) {
   job.released = true;
   if (job.tenant < 0) {
     // Paced bare release: arrival == release, mirroring the engine path.
-    job.arrived = true;
     job.arrival_s = ticket.arrival_s;
   }
   if (job.tenant >= 0) {
@@ -271,70 +218,16 @@ void Executor::on_engine_job_done(JobId engine_id) {
 }
 
 void Executor::on_timer(std::uint64_t token) {
-  const std::uint64_t kind = token >> kTimerKindShift;
-  const auto id =
-      static_cast<JobId>(token & ((std::uint64_t{1} << kTimerKindShift) - 1));
+  const auto id = static_cast<JobId>(token);
   {
     MutexLock g(svc_mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end()) return;  // claimed/finished before the timer fired
-    switch (kind) {
-      case kTimerArrival:
-        if (it->second.tenant < 0) {
-          release_locked(id);  // paced bare release (rt future arrival)
-        } else {
-          (void)try_admit_locked(id);  // deferred session arrival
-        }
-        break;
-      case kTimerDeadline:
-        // Only a still-queued job can time out: released jobs run to
-        // completion, rejected/retrying ones already have their outcome.
-        if (it->second.arrived && !it->second.released) timeout_locked(id);
-        break;
-      case kTimerRetry:
-        if (!it->second.arrived && !it->second.rejected)
-          (void)try_admit_locked(id);
-        break;
-      default:
-        DAS_CHECK_MSG(false, "on_timer: unknown timer token kind");
+    if (jobs_.at(id).tenant < 0) {
+      release_locked(id);  // paced bare release (rt future arrival)
+    } else {
+      try_admit_locked(id);  // deferred session arrival
     }
   }
   svc_cv_.notify_all();
-}
-
-void Executor::timeout_locked(JobId id) {
-  ServiceJob& job = jobs_.at(id);
-  TenantState& t = tenants_[static_cast<std::size_t>(job.tenant)];
-  auto bucket = t.buckets.find(job.priority);
-  DAS_CHECK(bucket != t.buckets.end());
-  auto& q = bucket->second;
-  const auto pos = std::find(q.begin(), q.end(), id);
-  DAS_CHECK(pos != q.end());
-  q.erase(pos);
-  if (q.empty()) t.buckets.erase(bucket);
-  t.pending_tasks -= job.tasks;
-  ++t.counters.timed_out;
-  job.timed_out = true;
-  if (t.buckets.empty() && t.in_ring) {
-    const auto rit =
-        std::find(ring_.begin(), ring_.end(),
-                  static_cast<std::size_t>(job.tenant));
-    DAS_CHECK(rit != ring_.end());
-    leave_ring_locked(static_cast<std::size_t>(rit - ring_.begin()));
-  }
-}
-
-bool Executor::svc_cond_locked(SvcWait cond, JobId id) {
-  switch (cond) {
-    case SvcWait::kReleased: {
-      const ServiceJob& job = jobs_.at(id);
-      return job.released || job.rejected || job.timed_out;
-    }
-    case SvcWait::kAdmissionDecided:
-      return try_admit_locked(id);
-  }
-  DAS_CHECK_MSG(false, "svc_cond_locked: unknown condition");
-  return false;
 }
 
 RunResult Executor::wait(JobId id) {
@@ -354,7 +247,7 @@ RunResult Executor::wait(JobId id) {
 }
 
 RunResult Executor::finish_claimed(JobId id) {
-  svc_block_until(SvcWait::kReleased, id);
+  svc_block_until(id);
   ServiceJob job;
   std::string tenant_name;
   {
@@ -369,11 +262,8 @@ RunResult Executor::finish_claimed(JobId id) {
   r.job = id;
   r.arrival_s = job.arrival_s;
   r.tenant = std::move(tenant_name);
-  if (job.timed_out) {
-    r.outcome = RunResult::Outcome::kTimedOut;
-  } else if (job.rejected) {
-    r.outcome = job.retries_exhausted ? RunResult::Outcome::kRetriesExhausted
-                                      : RunResult::Outcome::kRejected;
+  if (job.rejected) {
+    r.outcome = RunResult::Outcome::kRejected;
   } else {
     r.makespan_s = wait_job(job.engine_id);
     r.tasks = job.tasks;
@@ -394,7 +284,7 @@ RunResult Executor::finish_claimed(JobId id) {
   // this job record disappears and before counters() can observe the wait,
   // so park until the hook has erased the engine mapping. On sim the hook
   // was delivered inside whichever pump completed the job: no wait.
-  if (!job.rejected && !job.timed_out && job.tenant >= 0)
+  if (!job.rejected && job.tenant >= 0)
     while (engine_to_public_.count(job.engine_id) != 0) svc_cv_.wait(g);
   jobs_.erase(id);
   return r;
@@ -403,7 +293,7 @@ RunResult Executor::finish_claimed(JobId id) {
 Executor::JobProbe Executor::probe_job_locked(JobId id) {
   const ServiceJob& job = jobs_.at(id);
   JobProbe p;
-  p.terminal = job.rejected || job.timed_out;
+  p.terminal = job.rejected;
   p.released = job.released;
   p.engine_id = job.engine_id;
   return p;
@@ -462,35 +352,6 @@ std::vector<RunResult> Executor::drain_tenant(int tenant) {
   return results;
 }
 
-std::vector<TenantResults> Executor::drain_grouped() {
-  std::vector<TenantResults> groups;
-  {
-    MutexLock g(svc_mu_);
-    groups.resize(tenants_.size() + 1);
-    groups[0].tenant.clear();  // bare group
-    for (std::size_t i = 0; i < tenants_.size(); ++i) {
-      groups[i + 1].tenant = tenants_[i].cfg.name;
-      groups[i + 1].weight = tenants_[i].cfg.weight;
-    }
-  }
-  bool bare_any = false;
-  for (;;) {
-    JobId id = kInvalidJob;
-    int tenant = -1;
-    {
-      MutexLock g(svc_mu_);
-      id = claim_next_locked(-1);
-      if (id != kInvalidJob) tenant = jobs_.at(id).tenant;
-    }
-    if (id == kInvalidJob) break;
-    if (tenant < 0) bare_any = true;
-    groups[static_cast<std::size_t>(tenant + 1)].results.push_back(
-        finish_claimed(id));
-  }
-  if (!bare_any) groups.erase(groups.begin());
-  return groups;
-}
-
 std::unique_ptr<Session> Executor::open_session(TenantConfig cfg) {
   check_tenant_config(cfg);
   MutexLock g(svc_mu_);
@@ -513,17 +374,6 @@ TenantCounters Executor::counters_of(int tenant) {
 
 void Executor::reset_stats() {
   for (int rank = 0; rank < num_ranks(); ++rank) stats(rank).reset();
-}
-
-std::vector<JobId> Session::submit_batch(const std::vector<const Dag*>& dags,
-                                         const SubmitOptions& opts) {
-  std::vector<JobId> ids;
-  ids.reserve(dags.size());
-  for (const Dag* dag : dags) {
-    DAS_CHECK_MSG(dag != nullptr, "submit_batch: null dag");
-    ids.push_back(submit(*dag, opts));
-  }
-  return ids;
 }
 
 }  // namespace das

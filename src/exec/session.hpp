@@ -12,19 +12,19 @@
 //
 // Admission + fairness model (implemented in exec/service.cpp):
 //
-//   submit ──► per-tenant queue ──► DRR release ──► engine submit_job
-//              (admission:           (weighted fair
-//               queued-task budget)   release, bounded
-//                                     in-flight)
+//   submit ──► per-tenant FIFO ──► DRR release ──► engine submit_job
+//              (admission:          (weighted fair
+//               queued-task budget)  release, bounded
+//                                    in-flight)
 //
-// * Admission is checked at ARRIVAL against `max_queued_tasks`: an over-
-//   budget submit is rejected (Overload::kReject — the job's RunResult
-//   comes back Outcome::kRejected, after the optional retry/backoff loop)
-//   or blocks the submitter until the queue drains (Overload::kBlock).
+// * Admission is checked at ARRIVAL against `max_queued_tasks`: a job that
+//   would take the tenant's queue over budget is rejected — its RunResult
+//   comes back Outcome::kRejected without engine cost. Admitted jobs wait
+//   in the tenant's FIFO in submission order.
 // * Release is paced by deficit round-robin: each needy tenant is credited
-//   `weight * drr_quantum_tasks` per round and releases whole jobs while
-//   its deficit covers their task counts, subject to `max_in_flight` (its
-//   own bound) and `max_service_inflight` (the global bound). Long-run
+//   `weight` x 32 tasks per round and releases whole jobs while its
+//   deficit covers their task counts, subject to `max_in_flight` (its own
+//   bound) and `max_service_inflight` (the global bound). Long-run
 //   released work converges to weight proportions regardless of job sizes.
 // * On Backend::kSim the whole pipeline runs in virtual time and is
 //   bitwise-deterministic: same seed + same submission sequence = same
@@ -39,14 +39,6 @@
 
 namespace das {
 
-/// What to do with a submit that would exceed the tenant's queued-task
-/// budget (TenantConfig::max_queued_tasks).
-enum class Overload : std::uint8_t {
-  kReject = 0,  ///< admit nothing: wait() returns Outcome::kRejected (or
-                ///< retries first, see TenantConfig::max_retries)
-  kBlock,       ///< block the submitter until the backlog drains
-};
-
 /// One tenant's service contract. Passed to Executor::open_session().
 struct TenantConfig {
   /// Label reported back in RunResult::tenant and bench output. Sessions
@@ -59,19 +51,8 @@ struct TenantConfig {
   /// completed. Release throttle, never a rejection. 0 = unbounded.
   int max_in_flight = 4;
   /// Admission budget: max TASKS queued (admitted, not yet released). A
-  /// submit that would exceed it hits the `overload` policy. 0 = unbounded.
+  /// submit that would exceed it is rejected. 0 = unbounded.
   std::int64_t max_queued_tasks = 0;
-  Overload overload = Overload::kReject;
-  /// Retry policy for Overload::kReject bounces: instead of rejecting
-  /// immediately, re-run the admission check after a capped exponential
-  /// backoff (retry_backoff_s, 2x per attempt, capped at
-  /// retry_backoff_cap_s) up to max_retries times; only then does the job
-  /// come back Outcome::kRetriesExhausted. 0 = reject immediately (the
-  /// pre-retry behavior). Backoff timers run on the engine clock — virtual
-  /// time on Backend::kSim (deterministic), the wall-clock pacer on kRt.
-  int max_retries = 0;
-  double retry_backoff_s = 0.01;
-  double retry_backoff_cap_s = 1.0;
 };
 
 /// Per-submission options (Executor::submit / Session::submit).
@@ -79,24 +60,15 @@ struct SubmitOptions {
   /// Release-no-earlier-than delay on the engine clock. The DES schedules
   /// it in virtual time; Backend::kRt paces it with a wall-clock timer
   /// thread inside the service layer (the engine itself still only takes
-  /// offset-0 submissions). Overload::kBlock tenants require offset == 0 —
-  /// a blocking admission decision cannot be deferred.
+  /// offset-0 submissions). A session job's admission check runs at
+  /// arrival.
   double arrival_offset_s = 0.0;
-  /// Release preference WITHIN the tenant's queue: higher goes first, ties
-  /// in submission order. Does not affect cross-tenant fairness.
-  int priority = 0;
-  /// Queueing deadline, seconds from ARRIVAL on the engine clock: a session
-  /// job still queued (not yet released to the engine) when it expires is
-  /// cancelled and comes back Outcome::kTimedOut. Released jobs always run
-  /// to completion — the deadline bounds waiting, not execution. 0 = none.
-  /// Ignored for bare submits (they release immediately).
-  double deadline_s = 0.0;
 };
 
 /// Throw PreconditionError for a config Executor::open_session refuses
 /// (weight not > 0, a negative bound) or options Executor::submit refuses
-/// (a negative arrival offset or deadline); a NaN fails too. The net server
-/// runs them on decoded requests before they reach the executor.
+/// (a negative arrival offset); a NaN fails too. The net server runs them
+/// on decoded requests before they reach the executor.
 void check_tenant_config(const TenantConfig& cfg);
 void check_submit_options(const SubmitOptions& opts);
 
@@ -105,21 +77,15 @@ struct ServiceConfig {
   /// Global cap on jobs released-but-not-completed across ALL tenants
   /// (bare submits bypass it). 0 = unbounded.
   int max_service_inflight = 0;
-  /// DRR quantum: tasks credited per round to a weight-1.0 tenant. Larger
-  /// = coarser interleaving (whole-burst alternation), smaller = finer
-  /// (but a quantum far below the typical job size just adds rounds).
-  std::int64_t drr_quantum_tasks = 32;
 };
 
 /// Monotonic per-tenant counters, snapshotted by Session::counters().
 struct TenantCounters {
   std::int64_t submitted = 0;  ///< submit() calls accepted into the queue
-  std::int64_t rejected = 0;   ///< submits bounced by Overload::kReject
+  std::int64_t rejected = 0;   ///< submits over the queued-task budget
   std::int64_t released = 0;   ///< jobs handed to the engine
   std::int64_t completed = 0;  ///< jobs finished by the engine
   std::int64_t released_tasks = 0;  ///< task-weighted released work
-  std::int64_t timed_out = 0;  ///< jobs cancelled by SubmitOptions::deadline_s
-  std::int64_t retries = 0;    ///< admission retries run (TenantConfig retry)
 };
 
 }  // namespace das

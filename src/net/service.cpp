@@ -22,7 +22,7 @@ enum class Req : std::uint8_t {
 };
 
 /// First byte of every reply: kOk, then the request's result, or kRefused,
-/// then the reason. A refused request never reached the executor.
+/// then the reason. A refused request changed nothing on the server.
 enum class Status : std::uint8_t { kOk = 0, kRefused };
 
 WireRunResult to_wire(const RunResult& r) {
@@ -172,15 +172,18 @@ void serve_executor(Comm& comm, Executor& exec, const ServeOptions& opts) {
   }
   int byes = 0;
 
+  const auto refuse = [&](int dst, const PreconditionError& e) {
+    WireWriter w;
+    w.pod(Status::kRefused);
+    w.str(e.what());
+    reply(comm, dst, std::move(w));
+  };
   const auto handle = [&](const Message& msg, ClientState& client) {
     Request q;
     try {
       q = decode_request(msg, client, sessions.size());
     } catch (const PreconditionError& e) {
-      WireWriter w;
-      w.pod(Status::kRefused);
-      w.str(e.what());
-      reply(comm, msg.src, std::move(w));
+      refuse(msg.src, e);
       return;
     }
     WireWriter w;
@@ -192,10 +195,17 @@ void serve_executor(Comm& comm, Executor& exec, const ServeOptions& opts) {
         break;
       case Req::kSubmit:
         if (q.dag != nullptr) {
-          q.job = q.session < 0
-                      ? exec.submit(*q.dag, q.opts)
-                      : sessions[static_cast<std::size_t>(q.session)]->submit(
-                            *q.dag, q.opts);
+          // The executor refuses a DAG its engine cannot run before the job
+          // takes an id, so a refused submit changed nothing.
+          try {
+            q.job = q.session < 0
+                        ? exec.submit(*q.dag, q.opts)
+                        : sessions[static_cast<std::size_t>(q.session)]
+                              ->submit(*q.dag, q.opts);
+          } catch (const PreconditionError& e) {
+            refuse(msg.src, e);
+            return;
+          }
           dags.emplace(q.job, std::move(q.dag));
           if (q.token != 0) client.submits.emplace(q.token, q.job);
           client.unwaited.emplace(q.job, q.token);
@@ -251,10 +261,10 @@ void serve_executor(Comm& comm, Executor& exec, const ServeOptions& opts) {
       if (silent_s < opts.client_timeout_s) continue;
       // Heartbeat lost: drain the client's outstanding jobs so their DAG
       // buffers can be freed (released jobs run to completion; queued jobs
-      // release and run, or resolve rejected/timed-out), then free the
-      // seat. Only the submitting client may wait a job, so none of these
-      // was waited yet. A late request from the client is still answered —
-      // only its seat accounting is settled.
+      // release and run, or resolve rejected), then free the seat. Only the
+      // submitting client may wait a job, so none of these was waited yet.
+      // A late request from the client is still answered — only its seat
+      // accounting is settled.
       for (const auto& [id, token] : client.unwaited) {
         exec.wait(id);
         dags.erase(id);

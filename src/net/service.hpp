@@ -56,9 +56,11 @@
 //   or session index, submit options or a tenant config the executor would
 //   reject (check_submit_options, check_tenant_config), a negative or NaN
 //   wait_for timeout, and a wait or wait_for on a job that is not one of
-//   the client's own unwaited jobs. ServiceClient turns a refusal into a
-//   PreconditionError carrying the server's reason. A well-formed DAG the
-//   engine rejects is not checked here.
+//   the client's own unwaited jobs. A well-formed DAG the server's engine
+//   cannot run (a node rank it lacks, say) is refused too: the executor's
+//   submit throws before the job takes an id, bare or session, deferred or
+//   not. ServiceClient turns a refusal into a PreconditionError carrying
+//   the server's reason.
 
 #include <cstdint>
 #include <optional>

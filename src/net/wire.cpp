@@ -103,10 +103,6 @@ void encode_tenant_config(const TenantConfig& cfg, WireWriter& w) {
   w.pod(cfg.weight);
   w.pod(static_cast<std::int32_t>(cfg.max_in_flight));
   w.pod(cfg.max_queued_tasks);
-  w.pod(static_cast<std::uint8_t>(cfg.overload));
-  w.pod(static_cast<std::int32_t>(cfg.max_retries));
-  w.pod(cfg.retry_backoff_s);
-  w.pod(cfg.retry_backoff_cap_s);
 }
 
 TenantConfig decode_tenant_config(WireReader& r) {
@@ -115,26 +111,16 @@ TenantConfig decode_tenant_config(WireReader& r) {
   cfg.weight = r.pod<double>();
   cfg.max_in_flight = r.pod<std::int32_t>();
   cfg.max_queued_tasks = r.pod<std::int64_t>();
-  const auto overload = r.pod<std::uint8_t>();
-  DAS_CHECK_MSG(overload <= 1, "decode_tenant_config: bad overload policy");
-  cfg.overload = static_cast<Overload>(overload);
-  cfg.max_retries = r.pod<std::int32_t>();
-  cfg.retry_backoff_s = r.pod<double>();
-  cfg.retry_backoff_cap_s = r.pod<double>();
   return cfg;
 }
 
 void encode_submit_options(const SubmitOptions& opts, WireWriter& w) {
   w.pod(opts.arrival_offset_s);
-  w.pod(static_cast<std::int32_t>(opts.priority));
-  w.pod(opts.deadline_s);
 }
 
 SubmitOptions decode_submit_options(WireReader& r) {
   SubmitOptions opts;
   opts.arrival_offset_s = r.pod<double>();
-  opts.priority = r.pod<std::int32_t>();
-  opts.deadline_s = r.pod<double>();
   return opts;
 }
 
@@ -164,7 +150,7 @@ WireRunResult decode_run_result(WireReader& r) {
   res.backend = r.pod<std::uint8_t>();
   res.policy = r.pod<std::uint8_t>();
   res.outcome = r.pod<std::uint8_t>();
-  DAS_CHECK_MSG(res.outcome <= 3, "decode_run_result: bad outcome byte");
+  DAS_CHECK_MSG(res.outcome <= 1, "decode_run_result: bad outcome byte");
   res.tasks_reexecuted = r.pod<std::int64_t>();
   return res;
 }

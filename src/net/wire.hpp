@@ -127,7 +127,7 @@ struct WireRunResult {
   std::string tenant;
   std::uint8_t backend = 0;
   std::uint8_t policy = 0;
-  /// RunResult::Outcome as a byte (0 = kOk .. 3 = kRetriesExhausted).
+  /// RunResult::Outcome as a byte (0 = kOk, 1 = kRejected).
   std::uint8_t outcome = 0;
   /// Tasks the server's engine re-executed after fail-stops (fault layer).
   std::int64_t tasks_reexecuted = 0;

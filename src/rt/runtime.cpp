@@ -94,8 +94,24 @@ void Runtime::submit_roots(Job& job) {
   }
 }
 
-JobId Runtime::submit(const Dag& dag) {
+void Runtime::check_dag(const Dag& dag) const {
   DAS_CHECK(dag.num_nodes() > 0);
+  for (NodeId i = 0; i < dag.num_nodes(); ++i) {
+    const DagNode& n = dag.node(i);
+    DAS_CHECK_MSG(n.rank == 0, "the threaded runtime executes single-rank DAGs"
+                               " (distributed DAGs run via das::net)");
+    // Every node's type must be registered, closure or not: the policy
+    // reads its PTT table on a worker thread.
+    const TaskTypeInfo& info = registry_->info(n.type);
+    DAS_CHECK_MSG(dag.work(i) != nullptr || info.cost != nullptr ||
+                      info.expr.kind != CostExpr::Kind::kCallable,
+                  "node without work closure needs a cost model to emulate");
+  }
+}
+
+JobId Runtime::submit(const Dag& dag) {
+  // A rejected DAG throws before the job is built or published.
+  check_dag(dag);
   // Compact any staged edges into the CSR arena before workers fan out
   // through it. A no-op for the (usual) already-sealed DAG; submitting one
   // UNSEALED Dag from several threads concurrently is the caller's race.
@@ -110,19 +126,9 @@ JobId Runtime::submit(const Dag& dag) {
   job->num_wide_chunks =
       (static_cast<std::size_t>(dag.num_nodes()) + kWideChunkTasks - 1) /
       kWideChunkTasks;
-  // One pass validates each node and fills its record; a rejected DAG
-  // throws before the job is published.
   for (NodeId i = 0; i < dag.num_nodes(); ++i) {
     const DagNode& n = dag.node(i);
     const WorkFn& work = dag.work(i);
-    DAS_CHECK_MSG(n.rank == 0, "the threaded runtime executes single-rank DAGs"
-                               " (distributed DAGs run via das::net)");
-    // Every node's type must be registered, closure or not: the policy
-    // reads its PTT table on a worker thread.
-    const TaskTypeInfo& info = registry_->info(n.type);
-    DAS_CHECK_MSG(work != nullptr || info.cost != nullptr ||
-                      info.expr.kind != CostExpr::Kind::kCallable,
-                  "node without work closure needs a cost model to emulate");
     TaskRec& r = job->records[static_cast<std::size_t>(i)];
     r.node = &n;
     r.work = work ? &work : nullptr;

@@ -152,6 +152,11 @@ class Runtime {
   /// worker pool and PTT.
   JobId submit(const Dag& dag);
 
+  /// The per-node checks submit() runs first (a node of another rank, a
+  /// closure-less node whose type has no cost model): throws
+  /// PreconditionError without touching the runtime. Thread-safe.
+  void check_dag(const Dag& dag) const;
+
   /// Blocks until job `id` completes; returns its wall-clock latency in
   /// seconds (submit -> last task finished) and releases the job's record
   /// block (jobs_ stays bounded by the number of jobs in flight). Each job

@@ -246,16 +246,12 @@ double SimEngine::lognormal_noise(Shard& sh, double sigma) {
   return std::exp(sigma * z);
 }
 
-JobId SimEngine::submit(const Dag& dag, double arrival_offset_s) {
+void SimEngine::check_dag(const Dag& dag) const {
   DAS_CHECK(dag.num_nodes() > 0);
-  DAS_CHECK_MSG(arrival_offset_s >= 0.0,
-                "submit: arrival offset must be >= 0");
   // Compact any staged edges into the CSR arena once, up front: the release
   // fan-out in handle_done then walks flat spans for the whole job.
   dag.seal();
-  // Validation over the DAG's sealed metadata — O(#types + 1), not O(nodes),
-  // and entirely before any engine state mutates, so a rejected DAG leaves
-  // the engine untouched.
+  // Validation over the DAG's sealed metadata — O(#types + 1), not O(nodes).
   for (const TaskTypeId t : dag.distinct_types()) {
     const TaskTypeInfo& ti = registry_->info(t);
     DAS_CHECK_MSG(ti.cost != nullptr ||
@@ -265,6 +261,14 @@ JobId SimEngine::submit(const Dag& dag, double arrival_offset_s) {
   }
   DAS_CHECK_MSG(dag.min_node_rank() >= 0 && dag.max_node_rank() < num_ranks(),
                 "dag node rank out of range");
+}
+
+JobId SimEngine::submit(const Dag& dag, double arrival_offset_s) {
+  DAS_CHECK_MSG(arrival_offset_s >= 0.0,
+                "submit: arrival offset must be >= 0");
+  // Entirely before any engine state mutates: a rejected DAG leaves the
+  // engine untouched.
+  check_dag(dag);
   // The conservative window lookahead tightens monotonically to the
   // smallest cross-rank delay any submitted job carries. Monotone-min (it
   // never relaxes when small-delay jobs retire) keeps the window partition

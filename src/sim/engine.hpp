@@ -169,6 +169,11 @@ class SimEngine {
   /// trace: the same (seed, submit/arrival sequence) is bitwise deterministic.
   JobId submit(const Dag& dag, double arrival_offset_s = 0.0);
 
+  /// The DAG checks submit() runs first (a node type without a cost model,
+  /// a node rank outside the engine): throws PreconditionError before any
+  /// engine state mutates. Seals the DAG.
+  void check_dag(const Dag& dag) const;
+
   /// Pumps the event loop until job `id` completes (events of other
   /// in-flight jobs interleave in virtual-time order) and returns the job's
   /// makespan: completion - release, in virtual seconds. Each job can be

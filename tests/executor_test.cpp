@@ -219,11 +219,11 @@ TEST_F(ExecutorTest, MultiRankFactoryBuildsSimAndRejectsRt) {
 }
 
 /// The sim facade pumps a multi-rank engine until each service notification
-/// (job done, arrival and deadline timers): a session stream through
+/// (job done, arrival timers): a session stream through
 /// make_executor(kSim, ranks, ...) — two weighted tenants, staggered arrival
-/// offsets, a queueing deadline and one wait_for that gives up first — must
-/// give the same RunResults at des_threads 1 and 4, and its opening bare
-/// job must equal SimEngine::run.
+/// offsets, one job over the light tenant's queued-task budget and one
+/// wait_for that gives up first — must give the same RunResults at
+/// des_threads 1 and 4, and its opening bare job must equal SimEngine::run.
 TEST_F(ExecutorTest, MultiRankSessionStreamEqualAcrossDesThreads) {
   workloads::HeatConfig heat;
   heat.rows = 96;
@@ -249,7 +249,7 @@ TEST_F(ExecutorTest, MultiRankSessionStreamEqualAcrossDesThreads) {
     double bare_makespan = 0.0;
     bool wait_for_finished = true;
     double now_after_wait_for = 0.0;
-    std::vector<RunResult> results;  // drain_grouped order
+    std::vector<RunResult> results;  // light's drain, then heavy's
     double end_now = 0.0;
   };
   const auto run_stream = [&](int des_threads) {
@@ -262,6 +262,7 @@ TEST_F(ExecutorTest, MultiRankSessionStreamEqualAcrossDesThreads) {
     TenantConfig light;
     light.name = "light";
     light.max_in_flight = 1;
+    light.max_queued_tasks = dag.num_nodes();  // one queued job at a time
     TenantConfig heavy;
     heavy.name = "heavy";
     heavy.weight = 3.0;
@@ -272,14 +273,13 @@ TEST_F(ExecutorTest, MultiRankSessionStreamEqualAcrossDesThreads) {
     for (int i = 0; i < 6; ++i) {
       SubmitOptions so;
       so.arrival_offset_s = 40e-6 * i;
-      if (i == 4) so.deadline_s = 5e-6;  // still queued then: times out
       ids.push_back((i % 2 == 0 ? sl : sh)->submit(dag, so));
     }
     const std::optional<RunResult> early = exec->wait_for(ids[1], 20e-6);
     out.wait_for_finished = early.has_value();
     out.now_after_wait_for = exec->now();
-    for (const TenantResults& group : exec->drain_grouped())
-      for (const RunResult& r : group.results) out.results.push_back(r);
+    for (Session* s : {sl.get(), sh.get()})
+      for (const RunResult& r : s->drain()) out.results.push_back(r);
     out.end_now = exec->now();
     return out;
   };
@@ -288,13 +288,13 @@ TEST_F(ExecutorTest, MultiRankSessionStreamEqualAcrossDesThreads) {
   const Stream parallel = run_stream(4);
   EXPECT_EQ(serial.bare_makespan, engine_makespan);
   EXPECT_EQ(parallel.bare_makespan, engine_makespan);
-  EXPECT_FALSE(serial.wait_for_finished);  // the deadline path really ran
+  EXPECT_FALSE(serial.wait_for_finished);  // the wait_for bound really ran
   EXPECT_EQ(serial.wait_for_finished, parallel.wait_for_finished);
   EXPECT_EQ(serial.now_after_wait_for, parallel.now_after_wait_for);
   EXPECT_EQ(serial.end_now, parallel.end_now);
   ASSERT_EQ(serial.results.size(), 6u);
   ASSERT_EQ(parallel.results.size(), serial.results.size());
-  int timed_out = 0;
+  int rejected = 0;
   for (std::size_t i = 0; i < serial.results.size(); ++i) {
     const RunResult& a = serial.results[i];
     const RunResult& b = parallel.results[i];
@@ -304,9 +304,9 @@ TEST_F(ExecutorTest, MultiRankSessionStreamEqualAcrossDesThreads) {
     EXPECT_EQ(a.makespan_s, b.makespan_s) << i;
     EXPECT_EQ(a.queue_s, b.queue_s) << i;
     EXPECT_EQ(a.arrival_s, b.arrival_s) << i;
-    if (a.outcome == RunResult::Outcome::kTimedOut) ++timed_out;
+    if (a.outcome == RunResult::Outcome::kRejected) ++rejected;
   }
-  EXPECT_EQ(timed_out, 1);
+  EXPECT_EQ(rejected, 1);
 }
 
 TEST_F(ExecutorTest, ConfigScenarioIsFallbackForScenarioLessRanks) {

@@ -2,7 +2,7 @@
 // fail-stop recovery with bitwise replay, freeze windows, the rt watchdog's
 // planned fail-stops and wedge DETECTION, the executor facade running the
 // same declarative fault spec on both backends, and the service layer's
-// graceful-degradation surface (deadlines, bounded waits, retry budgets).
+// graceful-degradation surface (bounded waits).
 
 #include <gtest/gtest.h>
 
@@ -282,88 +282,6 @@ TEST_F(FaultToleranceTest, RtPlannedFailStopQuarantinesAndJobsComplete) {
 }
 
 // --- service layer: graceful degradation ------------------------------------
-
-TEST_F(FaultToleranceTest, QueueingDeadlineTimesOutStuckJob) {
-  auto exec = make_executor(Backend::kSim, topo_, Policy::kDamC, registry_,
-                            {.seed = 7});
-  TenantConfig cfg;
-  cfg.name = "deadline";
-  cfg.max_in_flight = 1;
-  auto session = exec->open_session(cfg);
-  const Dag d1 = make_dag(2, 60);
-  const Dag d2 = make_dag(2, 20);
-  const JobId j1 = session->submit(d1);  // released (fills the slot)
-  SubmitOptions opts;
-  opts.deadline_s = 1e-9;  // expires long before j1's virtual completion
-  const JobId j2 = session->submit(d2, opts);
-  const RunResult r2 = exec->wait(j2);
-  EXPECT_EQ(r2.outcome, RunResult::Outcome::kTimedOut);
-  EXPECT_FALSE(r2.ok());
-  EXPECT_EQ(r2.tasks, 0);
-  const RunResult r1 = exec->wait(j1);
-  EXPECT_TRUE(r1.ok());
-  EXPECT_EQ(session->counters().timed_out, 1);
-  EXPECT_EQ(session->counters().completed, 1);
-}
-
-TEST_F(FaultToleranceTest, RetryBudgetExhaustionIsReportedAsSuch) {
-  auto exec = make_executor(Backend::kSim, topo_, Policy::kDamC, registry_,
-                            {.seed = 7});
-  TenantConfig cfg;
-  cfg.name = "retry";
-  cfg.max_in_flight = 1;
-  cfg.max_queued_tasks = 25;
-  cfg.overload = Overload::kReject;
-  cfg.max_retries = 2;
-  cfg.retry_backoff_s = 1e-9;  // virtual: retries fire while j1 still runs
-  auto session = exec->open_session(cfg);
-  // pending_tasks is charged at admission and credited at RELEASE, so with
-  // max_in_flight = 1: j1 admits (20 <= 25) and releases (pending back to
-  // 0); j2 admits and stays pending (20); j3 would push pending to 40 > 25.
-  const Dag d1 = make_dag(2, 20);
-  const Dag d2 = make_dag(2, 20);
-  const Dag d3 = make_dag(2, 20);
-  const JobId j1 = session->submit(d1);  // released
-  const JobId j2 = session->submit(d2);  // queued: fills the budget
-  const JobId j3 = session->submit(d3);  // over budget -> retry loop
-  const RunResult r3 = exec->wait(j3);
-  EXPECT_EQ(r3.outcome, RunResult::Outcome::kRetriesExhausted);
-  EXPECT_FALSE(r3.ok());
-  EXPECT_TRUE(exec->wait(j1).ok());
-  EXPECT_TRUE(exec->wait(j2).ok());
-  const TenantCounters counters = session->counters();
-  EXPECT_EQ(counters.retries, 2);
-  EXPECT_EQ(counters.rejected, 1);
-}
-
-TEST_F(FaultToleranceTest, RetryBackoffEventuallyAdmits) {
-  // With a real backoff budget the retry loop outlives the backlog: the
-  // bounced job is admitted on a later attempt and completes normally.
-  auto exec = make_executor(Backend::kSim, topo_, Policy::kDamC, registry_,
-                            {.seed = 7});
-  TenantConfig cfg;
-  cfg.name = "retry-ok";
-  cfg.max_in_flight = 1;
-  cfg.max_queued_tasks = 25;
-  cfg.overload = Overload::kReject;
-  cfg.max_retries = 40;
-  cfg.retry_backoff_s = 1e-3;
-  cfg.retry_backoff_cap_s = 0.05;
-  auto session = exec->open_session(cfg);
-  const Dag d1 = make_dag(2, 20);
-  const Dag d2 = make_dag(2, 20);
-  const Dag d3 = make_dag(2, 20);
-  const JobId j1 = session->submit(d1);
-  const JobId j2 = session->submit(d2);
-  const JobId j3 = session->submit(d3);
-  const RunResult r3 = exec->wait(j3);
-  EXPECT_TRUE(r3.ok()) << "outcome " << static_cast<int>(r3.outcome);
-  EXPECT_EQ(r3.tasks, 20);
-  EXPECT_TRUE(exec->wait(j1).ok());
-  EXPECT_TRUE(exec->wait(j2).ok());
-  EXPECT_GT(session->counters().retries, 0);
-  EXPECT_EQ(session->counters().rejected, 0);
-}
 
 TEST_F(FaultToleranceTest, WaitForTimesOutThenCompletes) {
   for (Backend backend : {Backend::kSim, Backend::kRt}) {

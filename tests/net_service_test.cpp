@@ -125,7 +125,7 @@ TEST_F(NetServiceTest, RunResultWireRoundTrip) {
   in.tenant = "team-a";
   in.backend = 0;
   in.policy = 3;
-  in.outcome = 2;  // kTimedOut
+  in.outcome = 1;  // kRejected
   in.tasks_reexecuted = 5;
   net::WireWriter w;
   net::encode_run_result(in, w);
@@ -306,9 +306,10 @@ TEST_F(NetServiceTest, ClientWaitForTimesOutThenCompletes) {
 
 TEST_F(NetServiceTest, InvalidRequestsAreRefusedAndTheServerKeepsServing) {
   // Client 2 sends every request the server can check before its executor
-  // sees it, each one invalid, and gets a refusal (a PreconditionError with
-  // the server's reason) each time. The server keeps serving: client 1
-  // then waits its own job, and both clients' byes end serve_executor.
+  // sees it, each one invalid, and DAGs the server's engine refuses, and
+  // gets a refusal (a PreconditionError with the server's reason) each
+  // time. The server keeps serving: client 1 then waits its own job, and
+  // both clients' byes end serve_executor.
   constexpr int kPeerTag = 7;  // client-to-client handshake
   const double nan = std::numeric_limits<double>::quiet_NaN();
   net::WireRunResult first_result;
@@ -346,13 +347,21 @@ TEST_F(NetServiceTest, InvalidRequestsAreRefusedAndTheServerKeepsServing) {
     EXPECT_THROW(client.wait_for(own, nan), PreconditionError);
     EXPECT_TRUE(client.wait(own).ok());
     EXPECT_THROW(client.wait(own), PreconditionError);  // already waited
+    // A well-formed DAG the server's engine cannot run (a node on rank 1 of
+    // a one-rank executor), bare and in a session; this client's next job
+    // then runs.
+    Dag off_rank = paper_dag(2, 10);
+    off_rank.node(0).rank = 1;
+    EXPECT_THROW(client.submit(off_rank), PreconditionError);
+    const int session = client.open_session({});
+    EXPECT_THROW(client.submit(off_rank, {}, session), PreconditionError);
+    EXPECT_TRUE(client.wait(client.submit(dag, {}, session)).ok());
     // A session index out of range, and submit options or tenant configs
     // the executor rejects.
     EXPECT_THROW(client.submit(dag, {}, /*session=*/7), PreconditionError);
     for (const SubmitOptions& bad :
          {SubmitOptions{.arrival_offset_s = -1.0},
-          SubmitOptions{.arrival_offset_s = nan},
-          SubmitOptions{.deadline_s = -1.0}, SubmitOptions{.deadline_s = nan}})
+          SubmitOptions{.arrival_offset_s = nan}})
       EXPECT_THROW(client.submit(dag, bad), PreconditionError);
     for (const TenantConfig& bad :
          {TenantConfig{.weight = 0.0}, TenantConfig{.weight = nan},

@@ -1,9 +1,8 @@
 // Tests for the multi-tenant service layer (exec/session.hpp +
-// exec/service.cpp): config builder parity, bitwise-deterministic sim
-// fairness traces, weighted DRR shares, DRR credit across another
-// tenant's deadline expiry, admission reject/block paths, priority
-// ordering within a tenant, grouped draining, counters, and an rt
-// multi-tenant concurrent-submitter stress (TSan coverage).
+// exec/service.cpp): bitwise-deterministic sim fairness traces, weighted
+// DRR shares, budget rejection, FIFO order within a tenant, a DAG the
+// engine refuses thrown at submit, per-tenant draining, counters, and an
+// rt multi-tenant concurrent-submitter stress (TSan coverage).
 
 #include <gtest/gtest.h>
 
@@ -100,9 +99,7 @@ TEST_F(SessionTest, DrrSharesFollowWeightsWhileBacklogged) {
   // release instants order the trace) without biasing shares: the pump
   // resumes an interrupted tenant's turn instead of rotating past it.
   auto exec = make_executor(Backend::kSim, topo_, Policy::kRws, registry_,
-                            {.seed = 11,
-                             .service = {.max_service_inflight = 4,
-                                         .drr_quantum_tasks = 20}});
+                            {.seed = 11, .service = {.max_service_inflight = 4}});
   const double weights[3] = {1.0, 2.0, 4.0};
   std::vector<std::unique_ptr<Session>> sessions;
   for (int t = 0; t < 3; ++t) {
@@ -154,49 +151,6 @@ TEST_F(SessionTest, DrrSharesFollowWeightsWhileBacklogged) {
   }
 }
 
-TEST_F(SessionTest, AnotherTenantsDeadlineDoesNotRecreditTheCursorTenant) {
-  // One job in flight at a time, a 10-task quantum and 5-task jobs: a
-  // credited visit releases two jobs. A1 goes out alone on submit, so A's
-  // first credited visit is A2 A3; then C gets C1 C2, and so on. B's one job
-  // times out while A3 runs, i.e. while the cursor still sits on A's
-  // visit. B leaving the ring must not end that visit: a second quantum
-  // would release A4 A5 ahead of C1.
-  auto exec = make_executor(
-      Backend::kSim, topo_, Policy::kRws, registry_,
-      {.service = {.max_service_inflight = 1, .drr_quantum_tasks = 10}});
-  auto a = exec->open_session(TenantConfig{.name = "A"});
-  auto b = exec->open_session(TenantConfig{.name = "B"});
-  auto c = exec->open_session(TenantConfig{.name = "C"});
-  std::vector<Dag> dags;
-  dags.reserve(13);
-  std::vector<std::pair<JobId, std::string>> jobs;
-  const auto submit = [&](Session& s, const std::string& name,
-                          SubmitOptions opts = {}) {
-    dags.push_back(small_dag(1, 5));  // a 5-task chain
-    jobs.emplace_back(s.submit(dags.back(), opts), name);
-  };
-  for (int j = 1; j <= 6; ++j) submit(*a, "A" + std::to_string(j));
-  SubmitOptions deadline;
-  deadline.deadline_s = 0.4e-3;
-  submit(*b, "B1", deadline);
-  for (int j = 1; j <= 6; ++j) submit(*c, "C" + std::to_string(j));
-
-  std::vector<std::pair<double, std::string>> released;
-  for (const auto& [id, name] : jobs) {
-    const RunResult r = exec->wait(id);
-    if (name == "B1") {
-      EXPECT_EQ(r.outcome, RunResult::Outcome::kTimedOut);
-      continue;
-    }
-    ASSERT_TRUE(r.ok()) << name;
-    released.emplace_back(r.arrival_s + r.queue_s, name);
-  }
-  std::sort(released.begin(), released.end());
-  std::string order;
-  for (const auto& [t, name] : released) order += name + " ";
-  EXPECT_EQ(order, "A1 A2 A3 C1 C2 A4 A5 C3 C4 A6 C5 C6 ");
-}
-
 TEST_F(SessionTest, AdmissionRejectsOverBudgetSubmits) {
   for (Backend backend : all_backends()) {
     SCOPED_TRACE(backend_name(backend));
@@ -205,7 +159,6 @@ TEST_F(SessionTest, AdmissionRejectsOverBudgetSubmits) {
     cfg.name = "bounded";
     cfg.max_in_flight = 1;
     cfg.max_queued_tasks = 20;  // exactly one queued 20-task job
-    cfg.overload = Overload::kReject;
     auto session = exec->open_session(cfg);
     // On rt the first job must STAY in flight while the others are
     // submitted (otherwise its completion frees the queue slot and nothing
@@ -241,88 +194,62 @@ TEST_F(SessionTest, AdmissionRejectsOverBudgetSubmits) {
   }
 }
 
-TEST_F(SessionTest, BlockingBackpressureUnblocksAsTheQueueDrains) {
-  // Overload::kBlock: the 3rd submit must not return until the backlog
-  // drains below budget — on sim the submitter pumps virtual time, on rt
-  // it parks until a worker completes a job. Nothing is ever rejected.
+TEST_F(SessionTest, TenantQueueReleasesInSubmissionOrder) {
+  // With the tenant throttled to one in-flight job, the jobs queued behind
+  // it release in the order they were submitted.
+  auto exec = make_executor(Backend::kSim, topo_, Policy::kRws, registry_);
+  TenantConfig cfg;
+  cfg.name = "fifo";
+  cfg.max_in_flight = 1;
+  auto session = exec->open_session(cfg);
+  const Dag running = small_dag(2, 20);
+  const Dag first = small_dag(2, 20);
+  const Dag second = small_dag(2, 20);
+  const JobId r0 = session->submit(running);  // occupies the in-flight slot
+  const JobId q1 = session->submit(first);
+  const JobId q2 = session->submit(second);
+  std::map<JobId, double> release;
+  for (JobId id : {r0, q1, q2}) {
+    const RunResult r = exec->wait(id);
+    release[id] = r.arrival_s + r.queue_s;
+  }
+  EXPECT_LT(release[r0], release[q1]);
+  EXPECT_LT(release[q1], release[q2]);  // FIFO within the tenant
+}
+
+TEST_F(SessionTest, EngineRejectedDagThrowsAtSubmit) {
+  // A DAG the engine cannot run (a node on rank 1 of a one-rank executor)
+  // throws at submit, queued or deferred, bare or session: it must never
+  // wait for a later release, which runs in a completion hook or a timer
+  // (on rt a worker or the pacer thread, where the throw ends the process).
   for (Backend backend : all_backends()) {
     SCOPED_TRACE(backend_name(backend));
     auto exec = make_executor(backend, topo_, Policy::kRws, registry_);
     TenantConfig cfg;
-    cfg.name = "pushback";
+    cfg.name = "one-at-a-time";
     cfg.max_in_flight = 1;
-    cfg.max_queued_tasks = 20;
-    cfg.overload = Overload::kBlock;
     auto session = exec->open_session(cfg);
-    std::vector<Dag> dags;
-    for (int j = 0; j < 4; ++j) dags.push_back(small_dag(2, 20));
-    std::vector<JobId> ids;
-    for (const Dag& dag : dags) ids.push_back(session->submit(dag));
-    const std::vector<RunResult> results = session->drain();
-    ASSERT_EQ(results.size(), 4u);
-    for (const RunResult& r : results) {
-      EXPECT_TRUE(r.ok());
-      EXPECT_EQ(r.tasks, 20);
-      EXPECT_GT(r.makespan_s, 0.0);
-    }
-    EXPECT_EQ(session->counters().rejected, 0);
-    EXPECT_EQ(session->counters().completed, 4);
+    // On rt, A must stay in flight while B is submitted, so that a session
+    // submit of B would queue behind it. Sim never calls the closure.
+    std::atomic<bool> gate{false};
+    const WorkFn hold = [&gate](const ExecContext&) {
+      while (!gate.load(std::memory_order_acquire)) busy_wait_ns(500);
+    };
+    const Dag a = small_dag(2, 20, hold);
+    Dag b;
+    b.add_node(ids_.matmul, Priority::kLow, TaskParams{16, 0, 0});
+    b.node(0).rank = 1;
+    const JobId ja = session->submit(a);  // released: fills the slot
+    const SubmitOptions later{.arrival_offset_s = 1e-3};
+    EXPECT_THROW(session->submit(b), PreconditionError);
+    EXPECT_THROW(session->submit(b, later), PreconditionError);
+    EXPECT_THROW(exec->submit(b), PreconditionError);
+    EXPECT_THROW(exec->submit(b, later), PreconditionError);
+    gate.store(true, std::memory_order_release);
+    EXPECT_TRUE(exec->wait(ja).ok());
+    EXPECT_EQ(session->counters().submitted, 1);
+    EXPECT_TRUE(exec->drain().empty());  // the throws left no job behind
   }
-}
-
-TEST_F(SessionTest, HighPriorityJumpsTheTenantQueue) {
-  // With the tenant throttled to one in-flight job, a high-priority job
-  // submitted LAST among the queued ones must release before the earlier
-  // low-priority ones (priority orders within a tenant's queue).
-  auto exec = make_executor(Backend::kSim, topo_, Policy::kRws, registry_);
-  TenantConfig cfg;
-  cfg.name = "prio";
-  cfg.max_in_flight = 1;
-  auto session = exec->open_session(cfg);
-  const Dag running = small_dag(2, 20);
-  const Dag low1 = small_dag(2, 20);
-  const Dag low2 = small_dag(2, 20);
-  const Dag high = small_dag(2, 20);
-  const JobId r0 = session->submit(running);  // occupies the in-flight slot
-  const JobId l1 = session->submit(low1);
-  const JobId l2 = session->submit(low2);
-  SubmitOptions urgent;
-  urgent.priority = 5;
-  const JobId h = session->submit(high, urgent);
-  std::map<JobId, double> release;
-  for (JobId id : {r0, l1, l2, h}) {
-    const RunResult r = exec->wait(id);
-    release[id] = r.arrival_s + r.queue_s;
-  }
-  EXPECT_LT(release[h], release[l1]);
-  EXPECT_LT(release[h], release[l2]);
-  EXPECT_LT(release[l1], release[l2]);  // FIFO within a priority
-}
-
-TEST_F(SessionTest, DrainGroupedBucketsByTenant) {
-  auto exec = make_executor(Backend::kSim, topo_, Policy::kRws, registry_);
-  auto alpha = exec->open_session(TenantConfig{.name = "alpha", .weight = 2.0});
-  auto beta = exec->open_session(TenantConfig{.name = "beta", .weight = 1.0});
-  std::vector<Dag> dags;
-  for (int j = 0; j < 5; ++j) dags.push_back(small_dag(2, 20));
-  exec->submit(dags[0]);  // bare
-  alpha->submit(dags[1]);
-  alpha->submit(dags[2]);
-  beta->submit(dags[3]);
-  exec->submit(dags[4]);  // bare
-  const std::vector<TenantResults> groups = exec->drain_grouped();
-  ASSERT_EQ(groups.size(), 3u);
-  EXPECT_EQ(groups[0].tenant, "");  // bare group first
-  EXPECT_EQ(groups[0].results.size(), 2u);
-  EXPECT_EQ(groups[1].tenant, "alpha");
-  EXPECT_DOUBLE_EQ(groups[1].weight, 2.0);
-  EXPECT_EQ(groups[1].results.size(), 2u);
-  EXPECT_EQ(groups[2].tenant, "beta");
-  EXPECT_EQ(groups[2].results.size(), 1u);
-  for (const TenantResults& g : groups)
-    for (const RunResult& r : g.results) EXPECT_EQ(r.tenant, g.tenant);
-  // Everything was claimed: a second drain finds nothing.
-  EXPECT_TRUE(exec->drain().empty());
 }
 
 TEST_F(SessionTest, SessionDrainClaimsOnlyItsOwnJobs) {
@@ -407,20 +334,6 @@ TEST_F(SessionTest, RtMultiTenantConcurrentSubmitterStress) {
     EXPECT_EQ(counters.rejected, 0);
     EXPECT_EQ(counters.released_tasks, kJobsPerTenant * kTasksPerJob);
   }
-}
-
-TEST_F(SessionTest, SubmitBatchPreservesOrder) {
-  auto exec = make_executor(Backend::kSim, topo_, Policy::kRws, registry_);
-  auto session = exec->open_session(TenantConfig{.name = "batch"});
-  const Dag d1 = small_dag(2, 20);
-  const Dag d2 = small_dag(3, 30);
-  const std::vector<JobId> ids = session->submit_batch({&d1, &d2});
-  ASSERT_EQ(ids.size(), 2u);
-  EXPECT_LT(ids[0], ids[1]);
-  const RunResult r1 = session->wait(ids[0]);
-  const RunResult r2 = session->wait(ids[1]);
-  EXPECT_EQ(r1.tasks, d1.num_nodes());
-  EXPECT_EQ(r2.tasks, d2.num_nodes());
 }
 
 }  // namespace
