@@ -18,6 +18,15 @@
 // Each cell also times building and sealing its DAG (dag_build_s in the
 // table and the JSON; reported, not gated).
 //
+// Heat cell (ungated): after the sweep, the Fig. 10 heat DAG of
+// bench/fig10_heat_distributed (4 ranks x 20-core Haswell nodes,
+// interference on 5 cores of node 0) runs on the DES once per
+// --des-threads entry and policy. It prints the median wall time of 9
+// engine constructions + runs, the event count and the speedup over the
+// serial cell: the windows of this DAG last microseconds, so it is the
+// parallel DES's hard case. Its JSON records carry no "ranks" member, so
+// the multi-rank speedup checks of CI leave it alone.
+//
 // Regression gate (the CI cell, bench/support.hpp Gate): a cell fails when
 // its events/s falls below 0.75 x its reference in --baseline=PATH. Exit 0
 // pass, 1 a cell failed, 2 the baseline is unreadable or matches no cell.
@@ -60,6 +69,7 @@
 #include "../bench/support.hpp"
 #include "sim/engine.hpp"
 #include "util/time.hpp"
+#include "workloads/heat.hpp"
 
 using namespace das;
 using namespace das::bench;
@@ -322,6 +332,82 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
+
+  // The heat cell (see the header comment): no gate check.
+  workloads::HeatConfig heat;
+  heat.rows = 2048;
+  heat.cols = 8192;
+  heat.ranks = 4;
+  heat.iterations = 60;
+  heat.tasks_per_rank = 8;
+  const Topology node = Topology::haswell20();
+  SpeedScenario perturbed(node);
+  perturbed.add_interference(
+      InterferenceEvent{.cores = {0, 1, 2, 3, 4}, .cpu_share = 0.5});
+  std::vector<sim::RankSpec> heat_ranks(static_cast<std::size_t>(heat.ranks),
+                                        sim::RankSpec{&node, nullptr});
+  heat_ranks[0].scenario = &perturbed;
+  const Stopwatch heat_build;
+  const Dag heat_dag =
+      workloads::make_heat_sim_dag(heat, b.ids.heat_compute, b.ids.comm);
+  const double heat_build_s = heat_build.elapsed_s();
+  print_title("Fig. 10 heat DAG on the DES: median wall of 9 constructions + "
+              "runs");
+  TextTable heat_table({"cell", "policy", "events", "wall[ms]", "x-serial",
+                        "vmakespan[s]"});
+  for (Policy policy : b.policies({Policy::kRws})) {
+    double serial_wall = 0.0;
+    for (const int des_req : des_sweep) {
+      const int des_threads = des_req < 0 ? auto_threads : des_req;
+      sim::SimOptions opts;
+      opts.seed = b.seed;
+      opts.des_threads = des_threads;
+      opts.stats_phases = heat.iterations;
+      std::vector<double> walls;
+      std::uint64_t events = 0;
+      double makespan = 0.0;
+      for (int rep = 0; rep < 9; ++rep) {
+        Stopwatch wall;
+        sim::SimEngine eng(heat_ranks, policy, b.registry, opts);
+        makespan = eng.run(heat_dag);
+        walls.push_back(wall.elapsed_s());
+        events = eng.events_processed();
+      }
+      std::sort(walls.begin(), walls.end());
+      const double wall_s = walls[walls.size() / 2];
+      const std::string des_label =
+          des_req < 0 ? std::string("auto") : std::to_string(des_req);
+      if (des_req == 1) serial_wall = wall_s;
+      const double speedup =
+          des_req != 1 && serial_wall > 0.0 ? serial_wall / wall_s : 0.0;
+      const std::string label = std::string("sim/") + policy_name(policy) +
+                                "/heat/ranks=4/des=" + des_label;
+
+      json::Value rec = json::Value::object();
+      rec.set("label", label);
+      rec.set("policy", policy_name(policy));
+      rec.set("backend", "sim");
+      rec.set("seed", b.seed);
+      rec.set("heat_ranks", std::int64_t{heat.ranks});
+      rec.set("des_threads", std::int64_t{des_threads});
+      rec.set("events", static_cast<std::int64_t>(events));
+      rec.set("wall_s", wall_s);
+      if (speedup > 0.0) rec.set("speedup_vs_serial", speedup);
+      rec.set("makespan_s", makespan);
+      rec.set("dag_build_s", heat_build_s);
+      b.report_raw(std::move(rec));
+
+      heat_table.row()
+          .add(label)
+          .add(policy_name(policy))
+          .add(static_cast<double>(events), 0)
+          .add(wall_s * 1e3, 3)
+          .add(speedup > 0.0 ? fmt_double(speedup, 2) + "x"
+                             : std::string("-"))
+          .add(makespan, 6);
+    }
+  }
+  heat_table.print(std::cout);
 
   return b.finish();
 }

@@ -36,9 +36,14 @@ Runtime::Runtime(const Topology& topo, Policy policy,
       DAS_CHECK(f.t_s >= 0.0);
     }
     dead_ = std::make_unique<std::atomic<bool>[]>(static_cast<std::size_t>(n));
-    for (int c = 0; c < n; ++c)
+    worker_tids_ =
+        std::make_unique<std::atomic<int>[]>(static_cast<std::size_t>(n));
+    for (int c = 0; c < n; ++c) {
       dead_[static_cast<std::size_t>(c)].store(false,
                                                std::memory_order_relaxed);
+      worker_tids_[static_cast<std::size_t>(c)].store(
+          0, std::memory_order_relaxed);
+    }
   }
   workers_.reserve(static_cast<std::size_t>(n));
   for (int c = 0; c < n; ++c) {

@@ -1,3 +1,5 @@
+#include <unistd.h>
+
 #include <thread>
 
 #include "core/cost_expr.hpp"
@@ -27,6 +29,9 @@ constexpr int kStealAttemptsPerRound = 4;
 
 void Runtime::worker_loop(int core) {
   Worker& self = *workers_[static_cast<std::size_t>(core)];
+  if (faults_armed_)
+    worker_tids_[static_cast<std::size_t>(core)].store(
+        static_cast<int>(gettid()), std::memory_order_release);
 
   int idle_rounds = 0;
   std::int64_t polling_since_ns = 0;  // start of the current stage 2

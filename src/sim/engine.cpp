@@ -141,10 +141,6 @@ SimEngine::~SimEngine() {
   }
 }
 
-double SimEngine::Shard::next_event_time() const {
-  return events.empty() ? kInf : events.top().time;
-}
-
 double SimEngine::now() const {
   double m = shards_[0].now;
   for (std::size_t r = 1; r < shards_.size(); ++r)
@@ -395,22 +391,15 @@ double SimEngine::wait(JobId id) {
 // handlers reuse per-core flat queues; see sim's throughput gate).
 // Everything touched is shard-local: in parallel runs the shard's owning
 // thread is the only caller, so this loop needs no atomics at all.
-void SimEngine::step(Shard& sh) {
-  // Direct pop: with the lane/heap queue a pop is one source scan plus an
-  // O(1) ring pop for the dominant event classes — cheaper than staging
-  // identical-time batches through a side buffer was.
-  const EventQueue<Event>::Item item = sh.events.pop();
+void SimEngine::count_event(Shard& sh, double time, const Event& e) {
   ++sh.events_processed;
-  DAS_ASSERT(item.time + 1e-12 >= sh.now);
-  sh.now = std::max(sh.now, item.time);
-  const Event& e = item.payload;
   if (options_.hash_traces) [[unlikely]] {
     // FNV-1a over the full event identity: equal per-rank hashes <=> the
     // runs took bitwise-identical per-rank event paths (the parallel-vs-
     // serial equality tests compare these).
     std::uint64_t h = sh.trace_hash;
     const auto fold = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ULL; };
-    fold(std::bit_cast<std::uint64_t>(item.time));
+    fold(std::bit_cast<std::uint64_t>(time));
     fold(static_cast<std::uint64_t>(static_cast<std::uint8_t>(e.kind)));
     fold(static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.core)) |
          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.from_core))
@@ -419,6 +408,18 @@ void SimEngine::step(Shard& sh) {
     fold(static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.task)));
     sh.trace_hash = h;
   }
+}
+
+void SimEngine::step(Shard& sh) {
+  // Direct pop: with the lane/heap queue a pop is one source scan plus an
+  // O(1) ring pop for the dominant event classes, and a handler's wake of
+  // its own core that pops next comes out of the queue's next slot with no
+  // scan at all.
+  const EventQueue<Event>::Item item = sh.events.pop();
+  DAS_ASSERT(item.time + 1e-12 >= sh.now);
+  sh.now = std::max(sh.now, item.time);
+  const Event& e = item.payload;
+  count_event(sh, item.time, e);
   if (faults_enabled_) [[unlikely]] {
     // Per-core events against a failed or frozen core: a dead core's stale
     // wakes/completions are dropped (its queued and in-flight work was
@@ -796,27 +797,40 @@ bool SimEngine::try_steal(Shard& sh, int core, double t) {
   // Victim count by bit rank over the occupancy bitmap — the same count,
   // and below the same k-th victim in ascending core order, that the old
   // scan-and-collect vector produced, so the seeded RNG stream (and with it
-  // every virtual-time result) is unchanged.
-  int n_victims = 0;
-  for (int w = 0; w <= (hi - 1) >> 6; ++w) {
-    std::uint64_t bits = masked_word(sh.wsq_bits, w, 0, hi);
-    if (w == self_word) bits &= self_mask;
-    n_victims += std::popcount(bits);
-  }
-  if (n_victims == 0) return false;
-
-  std::size_t k = sh.rng.below(static_cast<std::size_t>(n_victims));
+  // every virtual-time result) is unchanged. A shard of <= 64 cores has one
+  // word: its few set bits are counted by clearing them one at a time, which
+  // the baseline x86-64 build does inline, where std::popcount becomes a
+  // libgcc call.
   int victim = -1;
-  for (int w = 0; w <= (hi - 1) >> 6; ++w) {
-    std::uint64_t bits = masked_word(sh.wsq_bits, w, 0, hi);
-    if (w == self_word) bits &= self_mask;
-    const auto pc = static_cast<std::size_t>(std::popcount(bits));
-    if (k < pc) {
-      for (; k > 0; --k) bits &= bits - 1;  // drop k lowest set bits
-      victim = (w << 6) + std::countr_zero(bits);
-      break;
+  if (hi <= 64) {
+    std::uint64_t bits = masked_word(sh.wsq_bits, 0, 0, hi) & self_mask;
+    int n_victims = 0;
+    for (std::uint64_t b = bits; b != 0; b &= b - 1) ++n_victims;
+    if (n_victims == 0) return false;
+    for (std::size_t k = sh.rng.below(static_cast<std::size_t>(n_victims));
+         k > 0; --k)
+      bits &= bits - 1;  // drop k lowest set bits
+    victim = std::countr_zero(bits);
+  } else {
+    int n_victims = 0;
+    for (int w = 0; w <= (hi - 1) >> 6; ++w) {
+      std::uint64_t bits = masked_word(sh.wsq_bits, w, 0, hi);
+      if (w == self_word) bits &= self_mask;
+      n_victims += std::popcount(bits);
     }
-    k -= pc;
+    if (n_victims == 0) return false;
+    std::size_t k = sh.rng.below(static_cast<std::size_t>(n_victims));
+    for (int w = 0; w <= (hi - 1) >> 6; ++w) {
+      std::uint64_t bits = masked_word(sh.wsq_bits, w, 0, hi);
+      if (w == self_word) bits &= self_mask;
+      const auto pc = static_cast<std::size_t>(std::popcount(bits));
+      if (k < pc) {
+        for (; k > 0; --k) bits &= bits - 1;  // drop k lowest set bits
+        victim = (w << 6) + std::countr_zero(bits);
+        break;
+      }
+      k -= pc;
+    }
   }
   DAS_ASSERT(victim >= 0);
 
@@ -834,7 +848,7 @@ bool SimEngine::try_steal(Shard& sh, int core, double t) {
   // Mark the thief active first (one pending wake), then distribute after
   // the steal round-trip.
   set_active(sh, core);
-  sh.events.push_lane(
+  sh.events.push_next(
       kLaneSteal, t + kStealLatencyS + kDispatchOverheadS,
       Event{Ev::kWake, core, kInvalidJob, kInvalidNode, -1});
   distribute(sh, job, qt.job, qt.task, place, t + kStealLatencyS);
@@ -863,7 +877,7 @@ void SimEngine::handle_wake(Shard& sh, int core, double t) {
     // to activate the participants — otherwise the distributor would get a
     // second wake event and could double-book itself.
     set_active(sh, core);
-    sh.events.push_lane(kLaneDispatch, t + kDispatchOverheadS,
+    sh.events.push_next(kLaneDispatch, t + kDispatchOverheadS,
                         Event{Ev::kWake, core, kInvalidJob, kInvalidNode, -1});
     distribute(sh, job, qt.job, qt.task, ts.place, t);
     return;
@@ -880,7 +894,7 @@ void SimEngine::handle_wake(Shard& sh, int core, double t) {
         ts.has_fixed_place ? ts.place
                            : r.policy->on_execute(n.type, n.priority, core);
     set_active(sh, core);  // see the inbox branch: one pending wake only
-    sh.events.push_lane(kLaneDispatch, t + kDispatchOverheadS,
+    sh.events.push_next(kLaneDispatch, t + kDispatchOverheadS,
                         Event{Ev::kWake, core, kInvalidJob, kInvalidNode, -1});
     distribute(sh, job, qt.job, qt.task, place, t);
     return;
@@ -896,6 +910,10 @@ void SimEngine::handle_done(Shard& sh, const Event& e, double t) {
   const DagNode& n = node_of(job, id);
   TaskState& ts = job.tasks[static_cast<std::size_t>(id)];
   Rank& r = ranks_[static_cast<std::size_t>(sh.rank)];
+  // The participant core looks for new work after the completion
+  // bookkeeping (see kCompletionOverheadS).
+  CoreState& cs = sh.cores[static_cast<std::size_t>(e.core)];
+  const Event wake{Ev::kWake, e.core, kInvalidJob, kInvalidNode, -1};
 
   ts.departures++;
   DAS_ASSERT(ts.departures + ts.lost <= ts.place.width);
@@ -907,12 +925,10 @@ void SimEngine::handle_done(Shard& sh, const Event& e, double t) {
     // TaskState.
     if (ts.departures + ts.lost == ts.place.width)
       requeue_lost(sh, e.job, e.task, t);
-    CoreState& finisher = sh.cores[static_cast<std::size_t>(e.core)];
-    DAS_ASSERT(finisher.busy);
-    finisher.busy = false;
+    DAS_ASSERT(cs.busy);
+    cs.busy = false;
     set_active(sh, e.core);
-    sh.events.push_lane(kLaneCompletion, t + kCompletionOverheadS,
-                        Event{Ev::kWake, e.core, kInvalidJob, kInvalidNode, -1});
+    sh.events.push_next(kLaneCompletion, t + kCompletionOverheadS, wake);
     return;
   }
   if (ts.departures == ts.place.width) {
@@ -926,70 +942,99 @@ void SimEngine::handle_done(Shard& sh, const Event& e, double t) {
     const int place_id = r.topo->place_id(ts.place);
     r.stats->record_task_at_st(n.priority, place_id, n.phase);
     ts.completion = t;
-    if (shards_.size() == 1) {
-      // Single-rank: the historical plain-field path, byte-for-byte.
-      job.completed++;
-      // Release fan-out over the sealed CSR arena: a flat span walk, no
-      // per-node vector indirection. The overwhelmingly common zero-delay
-      // edge releases at `t` exactly — FIFO-lane territory; only delayed
-      // edges pay the heap.
-      for (const DagEdge& edge : job.dag->successors(id)) {
-        const Event rel{Ev::kRelease, -1, e.job, edge.to, e.core};
-        if (edge.delay_s == 0.0) {
-          sh.events.push_lane(kLaneImmediate, t, rel);
-        } else {
-          sh.events.push(t + edge.delay_s, rel);
-        }
-      }
-      if (job.completed == job.dag->num_nodes()) {
-        job.done = true;
-        job.finish_s = t;
-        sh.yield = true;
-        if (job_done_hook_)
-          sh.deferred.push_back(
-              Deferred{false, static_cast<std::uint64_t>(e.job), t});
-      }
-    } else {
-      // Multi-rank: rank-local releases stay on this shard; cross-rank
-      // releases are STAGED into the destination's boundary buffer (drained
-      // at the next window-phase boundary in sender-rank order — never
-      // pushed into another shard's live event queue).
-      for (const DagEdge& edge : job.dag->successors(id)) {
+    count_completion(sh, job, e.job, t);
+    // Release fan-out over the sealed CSR arena: a flat span walk, no
+    // per-node vector indirection. Multi-rank, cross-rank releases are
+    // STAGED into the destination's boundary buffer (drained at the next
+    // window-phase boundary in sender-rank order — never pushed into
+    // another shard's live event queue). Local ones are pushed — the common
+    // zero-delay edge at `t` exactly, FIFO-lane territory; delayed edges
+    // pay the heap — unless they would pop next, back to back: then they
+    // run here (fused), each counted and hashed as step() would. The
+    // completion wake comes first either way: a fused path reserves its
+    // seq before the releases push anything.
+    const Dag::SuccessorRange succ = job.dag->successors(id);
+    const bool fuse = !succ.empty() && releases_pop_next(sh, *job.dag, succ, t);
+    std::uint64_t wake_seq = 0;
+    if (fuse) {
+      DAS_ASSERT(cs.busy);
+      cs.busy = false;
+      set_active(sh, e.core);
+      wake_seq = sh.events.reserve_seq();
+    }
+    for (const DagEdge& edge : succ) {
+      if (shards_.size() > 1) {
         const int target = job.dag->node(edge.to).rank;
-        if (target == sh.rank) {
-          const Event rel{Ev::kRelease, -1, e.job, edge.to, e.core};
-          if (edge.delay_s == 0.0) {
-            sh.events.push_lane(kLaneImmediate, t, rel);
-          } else {
-            sh.events.push(t + edge.delay_s, rel);
-          }
-        } else {
+        if (target != sh.rank) {
           const double at = t + edge.delay_s;
           sh.out[sh.parity][static_cast<std::size_t>(target)].push(BoundaryMsg{
               at, Event{Ev::kRelease, -1, e.job, edge.to, kRemoteWaker}});
           sh.staged_min = std::min(sh.staged_min, at);
+          continue;
         }
       }
-      // Completion accounting stays shard-local until the window's fold
-      // (fold_completions): no shared RMW per task.
-      const auto slot = static_cast<std::size_t>(&job - job_slots_.data());
-      CompletionTally& tally = sh.tally[slot];
-      if (tally.completed++ == 0) {
-        tally.job = e.job;
-        sh.tally_slots.push_back(static_cast<std::int32_t>(slot));
+      const Event rel{Ev::kRelease, -1, e.job, edge.to, e.core};
+      if (fuse) {
+        count_event(sh, t, rel);
+        handle_release(sh, rel, t);
+      } else if (edge.delay_s == 0.0) {
+        sh.events.push_lane(kLaneImmediate, t, rel);
+      } else {
+        sh.events.push(t + edge.delay_s, rel);
       }
-      tally.finish_s = std::max(tally.finish_s, t);
+    }
+    if (fuse) {
+      sh.events.push_next(kLaneCompletion, t + kCompletionOverheadS, wake_seq,
+                          wake);
+      return;
     }
   }
 
-  // The participant core looks for new work after the completion
-  // bookkeeping (see kCompletionOverheadS).
-  CoreState& cs = sh.cores[static_cast<std::size_t>(e.core)];
   DAS_ASSERT(cs.busy);
   cs.busy = false;
   set_active(sh, e.core);
-  sh.events.push_lane(kLaneCompletion, t + kCompletionOverheadS,
-                      Event{Ev::kWake, e.core, kInvalidJob, kInvalidNode, -1});
+  sh.events.push_next(kLaneCompletion, t + kCompletionOverheadS, wake);
+}
+
+bool SimEngine::releases_pop_next(const Shard& sh, const Dag& dag,
+                                  Dag::SuccessorRange succ, double t) const {
+  // The loop must go on after this event: a single-rank pump stops right
+  // after the first event past its horizon, and a later submit at that
+  // instant must find the releases still queued. A multi-rank window runs
+  // every event up to its hi, and t <= hi.
+  if (shards_.size() == 1 && t > pump_horizon_) return false;
+  // Every rank-local release must be due at t (a delayed one is not next).
+  for (const DagEdge& edge : succ)
+    if (edge.delay_s != 0.0 &&
+        (shards_.size() == 1 || dag.node(edge.to).rank == sh.rank))
+      return false;
+  // Releases pushed now would pop after everything queued at <= t.
+  return sh.events.next_time() > t;
+}
+
+void SimEngine::count_completion(Shard& sh, Job& job, JobId job_id, double t) {
+  if (shards_.size() == 1) {
+    // Single-rank: the historical plain-field path.
+    job.completed++;
+    if (job.completed == job.dag->num_nodes()) {
+      job.done = true;
+      job.finish_s = t;
+      sh.yield = true;
+      if (job_done_hook_)
+        sh.deferred.push_back(
+            Deferred{false, static_cast<std::uint64_t>(job_id), t});
+    }
+    return;
+  }
+  // Multi-rank: completion accounting stays shard-local until the window's
+  // fold (fold_completions): no shared RMW per task.
+  const auto slot = static_cast<std::size_t>(&job - job_slots_.data());
+  CompletionTally& tally = sh.tally[slot];
+  if (tally.completed++ == 0) {
+    tally.job = job_id;
+    sh.tally_slots.push_back(static_cast<std::int32_t>(slot));
+  }
+  tally.finish_s = std::max(tally.finish_s, t);
 }
 
 void SimEngine::handle_release(Shard& sh, const Event& e, double t) {
@@ -1002,6 +1047,7 @@ void SimEngine::handle_release(Shard& sh, const Event& e, double t) {
 // --- pump loops --------------------------------------------------------------
 
 void SimEngine::advance(double horizon) {
+  pump_horizon_ = horizon;
   if (shards_.size() == 1) {
     Shard& sh = shards_[0];
     sh.yield = false;
@@ -1018,11 +1064,10 @@ void SimEngine::advance(double horizon) {
   double w = kInf;
   for (Shard& sh : shards_) {
     sh.yield = false;
-    w = std::min(w, sh.next_event_time());
+    w = std::min(w, sh.events.next_time());
   }
   DAS_ASSERT(w != kInf);  // pump() checked events_pending()
   first_window_hi_ = w + lookahead_;  // +inf lookahead: one window drains all
-  pump_horizon_ = horizon;
   if (protocol_threads_ > 1) {
     ensure_workers();
     // One command per pump: the release publishes the fields above (and
@@ -1052,7 +1097,7 @@ std::uint64_t SimEngine::window_loop(int thread_index) {
       // will hold after the drain is either already queued locally or was
       // staged by it or another rank this window — the min over all
       // ranks' bounds is exactly the next window start.
-      sync_.arrive(r, k, std::min(sh.next_event_time(), sh.staged_min),
+      sync_.arrive(r, k, std::min(sh.events.next_time(), sh.staged_min),
                    sh.yield || sh.now > horizon);
     }
     sync_.wait_all_at_least(k);
@@ -1073,7 +1118,7 @@ void SimEngine::window_phase1(Shard& sh, double hi, int parity) {
   sh.staged_min = kInf;
   // INCLUSIVE horizon: with zero lookahead the window degenerates to
   // [W, W] and the protocol still advances one timestamp per round.
-  while (!sh.events.empty() && sh.events.top().time <= hi) step(sh);
+  while (!sh.events.empty() && sh.events.next_time() <= hi) step(sh);
   if (!sh.tally_slots.empty()) fold_completions(sh);
 }
 // daslint: end-hot-path

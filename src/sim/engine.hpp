@@ -18,8 +18,8 @@
 // a seed.
 //
 // Hot-path design (bench/sim_throughput.cpp is the regression sentinel; the
-// golden determinism test pins that none of this perturbs the event or RNG
-// streams):
+// golden determinism and event-stream tests pin that none of this perturbs
+// the event or RNG streams):
 //   - per-core queues are flat ring buffers reused across jobs (no
 //     steady-state allocation, O(1) pops at both WSQ ends);
 //   - an idle-core bitmap (bit set <=> no pending wake/done event) lets a
@@ -31,7 +31,32 @@
 //   - jobs live in a slot-indexed table (free-list reuse) with a flat
 //     JobId -> slot window, so per-event job resolution is two array
 //     loads, not a std::map walk;
-//   - release fan-out walks the DAG's sealed CSR adjacency arena.
+//   - release fan-out walks the DAG's sealed CSR adjacency arena;
+//   - fused releases: when every rank-local out-edge of a completing task
+//     has zero delay, nothing queued is due at or before the completion
+//     instant, and the loop goes on after this event (single-rank: the
+//     instant is within the pump horizon; a multi-rank window always runs
+//     on to its hi), the releases would pop next, back to back — so
+//     handle_done runs them itself, each counted and folded into the trace
+//     hash as step() would. The completion wake reserves its seq first, so
+//     everything the releases push still orders after it. Otherwise the
+//     releases are pushed as before;
+//   - a handler's wake of its own core (dispatch, steal, completion) goes
+//     through EventQueue::push_next: when it precedes every queued event
+//     it waits in the queue's one-item next slot, and the next step pops
+//     it with no lane push, ring pop or merge scan. The slot is part of
+//     the queue (sim/event_queue.hpp), so a pump or window that stops
+//     leaves nothing outside it;
+//   - per-event lookups stay flat: the SpeedScenario answers speed() and
+//     bandwidth_share() from a per-core index, and try_steal counts the
+//     victims of a <= 64-core shard without std::popcount (a libgcc call
+//     on the baseline x86-64 build).
+//
+// None of these is a knob: each fast path depends only on what the engine
+// can see, and its push-path fallback lives in the same function. The
+// event-stream goldens (tests/sim_event_stream_test.cpp) pin per-rank event
+// counts and trace hashes generated before the fused releases and the next
+// slot existed.
 //
 // Job service: the engine executes a *stream* of independent DAGs (jobs)
 // over one persistent worker/PTT state. submit() releases a job's roots at
@@ -443,8 +468,6 @@ class SimEngine {
     /// Earliest release staged into out[parity] this window: half of the
     /// rank's lower bound on the next window start.
     double staged_min = 0.0;
-
-    double next_event_time() const;
   };
 
   /// API-boundary resolution (submit/wait): throws on unknown ids.
@@ -507,8 +530,21 @@ class SimEngine {
   // and the closed-form cost evaluation (core/cost_expr.hpp) are inline, so
   // they fold into the handlers.
   void step(Shard& sh);
+  /// Counts one processed event and folds it into the rank's trace hash
+  /// (step() for every popped event, handle_done for each fused release).
+  void count_event(Shard& sh, double time, const Event& e);
   void handle_wake(Shard& sh, int core, double t);
   void handle_done(Shard& sh, const Event& e, double t);
+  /// True when the releases of a completion at `t` with out-edges `succ`
+  /// would pop next, back to back, had they been pushed: every rank-local
+  /// edge has zero delay, nothing queued is due at <= t, and the loop
+  /// goes on after this event. handle_done then runs them itself.
+  bool releases_pop_next(const Shard& sh, const Dag& dag,
+                         Dag::SuccessorRange succ, double t) const;
+  /// A task's completion, counted into its job (single-rank) or into the
+  /// shard's tally (multi-rank).
+  void count_completion(Shard& sh, Job& job, JobId job_id, double t);
+
   // --- fail-stop / freeze machinery (engine.cpp, outside the lint regions) --
   // Everything below is reached only when faults_enabled_; an empty fault
   // plan leaves the event and RNG streams byte-identical to the bare engine
@@ -615,7 +651,8 @@ class SimEngine {
   double lookahead_ = std::numeric_limits<double>::infinity();
   // The pump in progress: the first window's inclusive horizon and the
   // stop horizon, written by the calling thread before the command
-  // publication and read by every protocol thread after its acquire.
+  // publication and read by every protocol thread after its acquire (and,
+  // single-rank, by handle_done's fusion check).
   double first_window_hi_ = 0.0;
   double pump_horizon_ = 0.0;
   /// Windows run so far: window numbers are the barrier epochs, so they

@@ -11,9 +11,9 @@
 //     construction. Virtual time never goes backwards, so "now + <fixed
 //     per-lane delay>" pushes arrive already sorted — a flat ring buffer
 //     holds them in pop order with O(1) push and pop, no heap at all. The
-//     engine routes its dominant traffic (dispatch/completion/steal wakes,
-//     zero-delay releases) through lanes; push_lane asserts the
-//     monotonicity contract.
+//     engine routes its dominant traffic (dispatch/completion/steal wakes
+//     that miss the next slot below, zero-delay releases it does not run
+//     in place) through lanes; push_lane asserts the monotonicity contract.
 //   - a 4-ary array *heap* for irregular timestamps (cost-model completion
 //     times, jittered backoff wakes, job arrival offsets). Explicit 4-ary
 //     beats std::push_heap/std::pop_heap over a binary tree: half the
@@ -27,8 +27,25 @@
 // 1+i = lane i) keeps the merge from scanning empty heads: with one hot
 // source — the common regime, a lane burst or a heap-only tail — pop does
 // a single countr_zero and no compare at all.
+//
+// A one-item *next slot* in front of both tiers holds an item that is known
+// to pop next. push_next() puts its item there when the slot is empty and
+// the item precedes every queued item by (time, seq); otherwise the item
+// goes to its lane, or to the heap when the lane's newest item does not
+// precede it. While the slot is full, every push()/push_lane() of an item
+// that precedes it first moves the slot item into the heap, with its own
+// seq. So the slot item always precedes everything else that is queued,
+// and top()/pop() return it without a merge scan, a lane push or a ring
+// pop: the pop sequence is the plain queue's by construction. top(),
+// pop(), empty() and size() all count the slot, so no caller ever sees a
+// queue with an item missing.
+//
+// Each item's seq is normally taken at its push. reserve_seq() takes one
+// early, for an item its caller creates now but pushes (through push_next)
+// only after pushing items that must order after it.
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -54,18 +71,16 @@ class EventQueue {
     DAS_CHECK(empty());
     DAS_CHECK(n >= 0 && n < 31);  // mask bit 1+i per lane
     lanes_.resize(static_cast<std::size_t>(n));
-    heads_.assign(lanes_.size() + 1, Head{});
+    heads_.fill(Head{});
     active_mask_ = 0;
   }
 
   /// Heap push: any timestamp >= 0.
   void push(double time, Payload payload) {
     DAS_ASSERT(time >= 0.0);
-    heap_.push_back(Item{time, seq_++, std::move(payload)});
-    sift_up(heap_.size() - 1);
+    yield_next(time);
+    heap_push(Item{time, seq_++, std::move(payload)});
     ++size_;
-    heads_[0] = Head{heap_.front().time, heap_.front().seq};
-    active_mask_ |= 1u;
   }
 
   /// Lane push: `time` must be >= the lane's newest entry (the caller's
@@ -73,14 +88,36 @@ class EventQueue {
   /// lane's delay is a constant).
   void push_lane(int lane, double time, Payload payload) {
     DAS_ASSERT(time >= 0.0);
-    RingBuffer<Item>& q = lanes_[static_cast<std::size_t>(lane)];
-    DAS_ASSERT(q.empty() || time >= q.back().time);
-    if (q.empty()) {
-      heads_[static_cast<std::size_t>(lane) + 1] = Head{time, seq_};
-      active_mask_ |= 1u << (lane + 1);
-    }
-    q.push_back(Item{time, seq_++, std::move(payload)});
+    DAS_ASSERT(lanes_[static_cast<std::size_t>(lane)].empty() ||
+               time >= lanes_[static_cast<std::size_t>(lane)].back().time);
+    yield_next(time);
+    lane_push(lane, Item{time, seq_++, std::move(payload)});
     ++size_;
+  }
+
+  /// The next insertion sequence number, taken now for an item that is
+  /// pushed later through push_next (see the header comment).
+  std::uint64_t reserve_seq() { return seq_++; }
+
+  /// Push of an item its caller expects to pop next: into the next slot
+  /// when it precedes every queued item, else into lane `lane` (or the
+  /// heap, when the lane's newest item does not precede it). `seq` comes
+  /// from reserve_seq(); the overload without it takes a fresh one.
+  void push_next(int lane, double time, std::uint64_t seq,
+                 const Payload& payload) {
+    DAS_ASSERT(time >= 0.0 && seq < seq_);
+    if (!has_next_ && precedes_queued(time, seq)) [[likely]] {
+      next_.time = time;
+      next_.seq = seq;
+      next_.payload = payload;
+      has_next_ = true;
+      ++size_;
+      return;
+    }
+    push_next_slow(lane, Item{time, seq, payload});
+  }
+  void push_next(int lane, double time, const Payload& payload) {
+    push_next(lane, time, seq_++, payload);
   }
 
   bool empty() const { return size_ == 0; }
@@ -88,19 +125,36 @@ class EventQueue {
 
   const Item& top() const {
     DAS_ASSERT(!empty());
+    if (has_next_) return next_;
     const int src = best_source();
     return src < 0 ? heap_.front()
                    : lanes_[static_cast<std::size_t>(src)].front();
   }
 
-  Item pop() { return pop_from(best_source()); }
+  /// Time of the earliest queued item; +inf when empty.
+  double next_time() const {
+    if (has_next_) return next_.time;
+    double t = std::numeric_limits<double>::infinity();
+    for (std::uint32_t m = active_mask_; m != 0; m &= m - 1)
+      t = std::min(t, heads_[static_cast<std::size_t>(std::countr_zero(m))].time);
+    return t;
+  }
 
-  /// Pre-sizes the heap for `n` more events than currently queued. Called
-  /// at job release with the DAG's node count: root/release pushes then
-  /// grow the vector at most once instead of through the doubling ladder.
-  /// Growth stays geometric (never below 2x the current capacity) so a
-  /// burst of submits does not degrade into quadratic exact-fit
-  /// reallocations.
+  Item pop() {
+    if (has_next_) {
+      has_next_ = false;
+      --size_;
+      return std::move(next_);
+    }
+    return pop_from(best_source());
+  }
+
+  /// Pre-sizes the heap for `n` more events than currently queued (the
+  /// engine passes a job's roots plus two per core plus a margin at
+  /// submit): the heap then grows at most once instead of through the
+  /// doubling ladder. Growth stays geometric (never below 2x the current
+  /// capacity) so a burst of submits does not degrade into quadratic
+  /// exact-fit reallocations.
   void reserve(std::size_t n) {
     const std::size_t want = heap_.size() + n;
     if (want > heap_.capacity())
@@ -110,8 +164,9 @@ class EventQueue {
   void clear() {
     heap_.clear();
     for (auto& q : lanes_) q.clear();
-    heads_.assign(lanes_.size() + 1, Head{});
+    heads_.fill(Head{});
     active_mask_ = 0;
+    has_next_ = false;
     size_ = 0;
   }
 
@@ -120,6 +175,67 @@ class EventQueue {
   static bool before(const Item& a, const Item& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
+  }
+
+  /// An item pushed with a fresh seq precedes the slot item exactly when it
+  /// is earlier in time: the slot item's seq is the older one. Such a push
+  /// first moves the slot item into the heap.
+  void yield_next(double time) {
+    if (has_next_ && time < next_.time) [[unlikely]] evict_next();
+  }
+  [[gnu::noinline]] void evict_next() {
+    has_next_ = false;
+    heap_push(std::move(next_));
+  }
+
+  /// push_next when the slot is taken or `item` does not precede every
+  /// queued item. This and evict_next stay out of line so that the fast
+  /// paths of push_next and push stay small enough to inline into the
+  /// engine's handlers.
+  [[gnu::noinline]] void push_next_slow(int lane, Item item) {
+    ++size_;
+    if (has_next_ && before(item, next_)) {
+      heap_push(std::move(next_));  // the new item precedes the slot's
+      next_ = std::move(item);
+      return;
+    }
+    place(lane, std::move(item));
+  }
+
+  /// True when an item (time, seq) precedes every item in the lanes and
+  /// the heap.
+  bool precedes_queued(double time, std::uint64_t seq) const {
+    for (std::uint32_t m = active_mask_; m != 0; m &= m - 1) {
+      const Head& h = heads_[static_cast<std::size_t>(std::countr_zero(m))];
+      if (h.time < time || (h.time == time && h.seq < seq)) return false;
+    }
+    return true;
+  }
+
+  /// Lane `lane` when its newest item precedes `item` (the lane stays
+  /// sorted), the heap otherwise.
+  void place(int lane, Item item) {
+    const RingBuffer<Item>& q = lanes_[static_cast<std::size_t>(lane)];
+    if (q.empty() || before(q.back(), item))
+      lane_push(lane, std::move(item));
+    else
+      heap_push(std::move(item));
+  }
+
+  void heap_push(Item item) {
+    heap_.push_back(std::move(item));
+    sift_up(heap_.size() - 1);
+    heads_[0] = Head{heap_.front().time, heap_.front().seq};
+    active_mask_ |= 1u;
+  }
+
+  void lane_push(int lane, Item item) {
+    RingBuffer<Item>& q = lanes_[static_cast<std::size_t>(lane)];
+    if (q.empty()) {
+      heads_[static_cast<std::size_t>(lane) + 1] = Head{item.time, item.seq};
+      active_mask_ |= 1u << (lane + 1);
+    }
+    q.push_back(std::move(item));
   }
 
   /// Removes and returns the head of `src` (lane index or -1 = heap).
@@ -213,10 +329,12 @@ class EventQueue {
 
   std::vector<Item> heap_;            // 4-ary min-heap, irregular times
   std::vector<RingBuffer<Item>> lanes_;  // per-class FIFOs, sorted by contract
-  std::vector<Head> heads_ = std::vector<Head>(1);  // [0]=heap, [1+i]=lane i
+  std::array<Head, 32> heads_{};      // [0]=heap, [1+i]=lane i (mask bits)
   std::uint32_t active_mask_ = 0;     // bit set <=> heads_[bit] is live
+  bool has_next_ = false;             // next_ holds an item
+  Item next_{};                       // precedes every other queued item
   std::uint64_t seq_ = 0;
-  std::size_t size_ = 0;              // heap + all lanes
+  std::size_t size_ = 0;              // slot + heap + all lanes
 };
 
 }  // namespace das::sim

@@ -5,11 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "kernels/registry.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
+#include "util/rng.hpp"
 #include "workloads/heat.hpp"
 #include "workloads/synthetic_dag.hpp"
 
@@ -86,6 +91,86 @@ TEST_F(SimTest, EventQueueReservePreservesContentAndOrder) {
   q.reserve(100000);  // headroom for a big job release; no behaviour change
   ASSERT_EQ(q.size(), 100u);
   for (int i = 99; i >= 0; --i) EXPECT_EQ(q.pop().payload, i);
+}
+
+// Differential check of the lane/heap/next-slot queue against a plain set
+// ordered by (time, seq): 100k seeded operations mixing heap pushes, lane
+// pushes (per-lane monotone times), next-slot pushes with fresh and with
+// reserved seqs, and pops. Times sit on a coarse grid, so equal times are
+// common; heap pushes land at or after the last popped instant, often
+// before a held slot item. The queue stays small, so next-slot pushes
+// often take the slot.
+TEST_F(SimTest, EventQueueMatchesASortedReferenceUnderRandomOperations) {
+  constexpr int kLanes = 3;
+  EventQueue<int> q;
+  q.set_num_lanes(kLanes);
+  std::set<std::tuple<double, std::uint64_t, int>> ref;
+  Xoshiro256 rng(2024);
+  std::uint64_t seq = 0;   // the queue's seq counter, mirrored
+  double now = 0.0;        // time of the last pop
+  double lane_last[kLanes] = {};
+  std::vector<std::uint64_t> reserved;
+  int id = 0;
+  const auto grid = [&rng](int steps) {
+    return 0.25 * static_cast<double>(rng.below(static_cast<std::uint64_t>(steps)));
+  };
+  const auto lane_time = [&](int lane) {
+    const double t = std::max(lane_last[lane], now) + grid(3);
+    lane_last[lane] = t;
+    return t;
+  };
+  const auto check_pop = [&] {
+    ASSERT_FALSE(q.empty());
+    ASSERT_EQ(q.size(), ref.size());
+    const auto [t, sq, want] = *ref.begin();
+    EXPECT_EQ(q.next_time(), t);
+    EXPECT_EQ(q.top().payload, want);
+    const EventQueue<int>::Item item = q.pop();
+    ASSERT_EQ(item.payload, want);
+    ASSERT_EQ(item.time, t);
+    ASSERT_EQ(item.seq, sq);
+    ref.erase(ref.begin());
+    now = t;
+  };
+  for (int op = 0; op < 100000; ++op) {
+    const std::uint64_t r = rng.below(100);
+    if (!ref.empty() && (r < 40 || (ref.size() > 12 && r < 60))) {
+      ASSERT_NO_FATAL_FAILURE(check_pop()) << "operation " << op;
+      continue;
+    }
+    const int lane = static_cast<int>(rng.below(kLanes));
+    if (r < 55) {
+      const double t = now + grid(6);
+      q.push(t, id);
+      ref.emplace(t, seq++, id++);
+    } else if (r < 70) {
+      const double t = lane_time(lane);
+      q.push_lane(lane, t, id);
+      ref.emplace(t, seq++, id++);
+    } else if (r < 85) {
+      const double t = lane_time(lane);
+      q.push_next(lane, t, id);
+      ref.emplace(t, seq++, id++);
+      if (rng.below(2) == 0) {
+        // An earlier heap item right behind it: the slot must give way.
+        const double early = std::max(now, t - 0.25);
+        q.push(early, id);
+        ref.emplace(early, seq++, id++);
+      }
+    } else if (r < 92 || reserved.empty()) {
+      reserved.push_back(q.reserve_seq());
+      ASSERT_EQ(reserved.back(), seq++);
+    } else {
+      const std::uint64_t sq = reserved.back();
+      reserved.pop_back();
+      const double t = lane_time(lane);
+      q.push_next(lane, t, sq, id);
+      ref.emplace(t, sq, id++);
+    }
+  }
+  while (!ref.empty()) ASSERT_NO_FATAL_FAILURE(check_pop());
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.next_time(), std::numeric_limits<double>::infinity());
 }
 
 TEST_F(SimTest, EveryTaskExecutesExactlyOnce) {
