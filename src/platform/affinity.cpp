@@ -3,6 +3,11 @@
 #if defined(__linux__)
 #include <pthread.h>
 #include <sched.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstring>
 #endif
 
 #include <thread>
@@ -33,6 +38,34 @@ int allowed_cpu_count() {
 #endif
   unsigned hc = std::thread::hardware_concurrency();
   return hc > 0 ? static_cast<int>(hc) : 1;
+}
+
+int current_thread_id() {
+#if defined(__linux__)
+  return static_cast<int>(syscall(SYS_gettid));
+#else
+  return 0;
+#endif
+}
+
+bool thread_runnable(int tid) {
+#if defined(__linux__)
+  if (tid == 0) return false;
+  char path[64];
+  std::snprintf(path, sizeof path, "/proc/self/task/%d/stat", tid);
+  std::FILE* f = std::fopen(path, "r");
+  if (f == nullptr) return false;
+  char buf[512];
+  const std::size_t n = std::fread(buf, 1, sizeof buf - 1, f);
+  std::fclose(f);
+  buf[n] = '\0';
+  // The state field follows the parenthesised name, which may hold spaces.
+  const char* name_end = std::strrchr(buf, ')');
+  return name_end != nullptr && name_end[1] == ' ' && name_end[2] == 'R';
+#else
+  (void)tid;
+  return false;
+#endif
 }
 
 }  // namespace das

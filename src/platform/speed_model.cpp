@@ -1,5 +1,6 @@
 #include "platform/speed_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/assert.hpp"
@@ -11,10 +12,6 @@ SpeedScenario& SpeedScenario::add_dvfs(DvfsSchedule s) {
   DAS_CHECK(s.period_s > 0.0);
   DAS_CHECK(s.duty_hi >= 0.0 && s.duty_hi <= 1.0);
   DAS_CHECK(s.hi > 0.0 && s.lo > 0.0);
-  const Cluster& c = topo_->cluster(s.cluster);
-  for (int i = 0; i < c.num_cores; ++i)
-    by_core_[static_cast<std::size_t>(c.first_core + i)].dvfs.push_back(
-        static_cast<int>(dvfs_.size()));
   dvfs_.push_back(std::move(s));
   return *this;
 }
@@ -26,14 +23,6 @@ SpeedScenario& SpeedScenario::add_interference(InterferenceEvent e) {
   DAS_CHECK(e.cpu_share > 0.0 && e.cpu_share <= 1.0);
   DAS_CHECK(e.victim_cluster_bw > 0.0 && e.victim_cluster_bw <= 1.0);
   DAS_CHECK(e.global_bw > 0.0 && e.global_bw <= 1.0);
-  const int index = static_cast<int>(events_.size());
-  for (const int c : e.cores) {
-    std::vector<int>& list = by_core_[static_cast<std::size_t>(c)].events;
-    if (list.empty() || list.back() != index) list.push_back(index);
-  }
-  if (e.victim_cluster_bw < 1.0 || e.global_bw < 1.0)
-    bw_events_.push_back(
-        BandwidthEvent{index, topo_->cluster_index_of(e.cores.front())});
   events_.push_back(std::move(e));
   return *this;
 }
@@ -95,13 +84,12 @@ bool active(const InterferenceEvent& e, double t) {
 double SpeedScenario::speed(int core, double t) const {
   const int ci = topo_->cluster_index_of(core);
   double v = topo_->cluster(ci).base_speed;
-  const CoreIndex& ix = by_core_[static_cast<std::size_t>(core)];
-  for (const int i : ix.dvfs)
-    v *= dvfs_multiplier(dvfs_[static_cast<std::size_t>(i)], t);
-  for (const int i : ix.events) {
-    const InterferenceEvent& e = events_[static_cast<std::size_t>(i)];
-    if (active(e, t)) v *= e.cpu_share;
-  }
+  for (const DvfsSchedule& s : dvfs_)
+    if (s.cluster == ci) v *= dvfs_multiplier(s, t);
+  for (const InterferenceEvent& e : events_)
+    if (active(e, t) &&
+        std::find(e.cores.begin(), e.cores.end(), core) != e.cores.end())
+      v *= e.cpu_share;
   return v;
 }
 
@@ -112,10 +100,11 @@ double SpeedScenario::relative_speed(int core, double t) const {
 double SpeedScenario::bandwidth_share(int cluster, double t) const {
   DAS_CHECK(cluster >= 0 && cluster < topo_->num_clusters());
   double share = 1.0;
-  for (const BandwidthEvent& b : bw_events_) {
-    const InterferenceEvent& e = events_[static_cast<std::size_t>(b.event)];
+  for (const InterferenceEvent& e : events_) {
     if (!active(e, t)) continue;
-    share *= (cluster == b.victim_cluster) ? e.victim_cluster_bw : e.global_bw;
+    if (e.victim_cluster_bw >= 1.0 && e.global_bw >= 1.0) continue;
+    const int victim_cluster = topo_->cluster_index_of(e.cores.front());
+    share *= (cluster == victim_cluster) ? e.victim_cluster_bw : e.global_bw;
   }
   return share;
 }

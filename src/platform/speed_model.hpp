@@ -16,15 +16,6 @@
 //
 // The model is a pure function of t: both engines (virtual-time DES and the
 // real-thread runtime, which passes seconds since its epoch) share it.
-//
-// Lookup. The DES asks for speed() and bandwidth_share() once per
-// participation, so the scenario keeps a per-core index, built at
-// construction (empty lists for a scenario with no entries) and extended by
-// every add: the DVFS schedules of the core's cluster and the interference
-// events that name the core, each in scenario order. speed() walks only
-// those, and bandwidth_share() walks only the events that touch bandwidth,
-// with each event's victim cluster resolved once. Both do the same
-// multiplications in the same order as a scan over every entry would.
 
 #include <limits>
 #include <vector>
@@ -59,8 +50,7 @@ struct InterferenceEvent {
 
 class SpeedScenario {
  public:
-  explicit SpeedScenario(const Topology& topo)
-      : topo_(&topo), by_core_(static_cast<std::size_t>(topo.num_cores())) {}
+  explicit SpeedScenario(const Topology& topo) : topo_(&topo) {}
 
   SpeedScenario& add_dvfs(DvfsSchedule s);
   SpeedScenario& add_interference(InterferenceEvent e);
@@ -100,23 +90,9 @@ class SpeedScenario {
   const std::vector<InterferenceEvent>& interference_events() const { return events_; }
 
  private:
-  /// The entries that can change one core's speed, as indices into dvfs_
-  /// and events_, in scenario order.
-  struct CoreIndex {
-    std::vector<int> dvfs;
-    std::vector<int> events;
-  };
-  /// An interference event that shrinks bandwidth, with its victim cluster.
-  struct BandwidthEvent {
-    int event;
-    int victim_cluster;
-  };
-
   const Topology* topo_;
   std::vector<DvfsSchedule> dvfs_;
   std::vector<InterferenceEvent> events_;
-  std::vector<CoreIndex> by_core_;              // [core]
-  std::vector<BandwidthEvent> bw_events_;       // scenario order
 };
 
 }  // namespace das

@@ -400,10 +400,10 @@ class Runtime {
   // routing and place molding consult it to steer new work to survivors.
   bool faults_armed_ = false;
   std::unique_ptr<std::atomic<bool>[]> dead_;
-  /// Linux thread id of each worker (0 until the worker starts), so the
-  /// wedge scan can tell a silent worker that waits for a CPU from one that
-  /// sleeps. A side array, allocated only when faults are armed: Worker's
-  /// layout stays as it is.
+  /// Kernel thread id of each worker (0 until it starts, and where the
+  /// platform has none), so the wedge scan can tell a silent worker that
+  /// waits for a CPU from one that sleeps. A side array, allocated only
+  /// when faults are armed: Worker's layout stays as it is.
   std::unique_ptr<std::atomic<int>[]> worker_tids_;
   std::atomic<std::uint64_t> tasks_reexecuted_{0};
   std::atomic<int> workers_failed_{0};

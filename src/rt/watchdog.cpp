@@ -11,11 +11,12 @@
 //   2. scans for wedged workers: a worker whose heartbeat has not moved for
 //      kWedgeGraceTicks while it is neither parked, nor frozen, nor inside
 //      a progress round (in_round) is presumed dead and force-retired.
-//      A silent tick counts only while the worker is not runnable: a worker
-//      the OS keeps off a CPU although it could run (state R in
-//      /proc/self/task/<tid>/stat), or one whose thread has not started
-//      yet, is descheduled, not wedged, so that tick neither counts nor
-//      resets. Where the file cannot be read, every silent tick counts.
+//      A silent tick counts only once the worker has reached its first
+//      loop top (heartbeat > 0) and while its thread is not runnable: a
+//      worker the OS has not run yet, or keeps off a CPU although it could
+//      run (platform/affinity.hpp, thread_runnable), is descheduled, not
+//      wedged, so that tick neither counts nor resets. Where the thread
+//      state cannot be read, every silent tick of a started worker counts.
 //      in_round is what makes the takeover sound: every queue pop happens
 //      under in_round == true, so a worker eligible for force-retirement
 //      provably holds no pop, and the watchdog can become the sole consumer
@@ -42,10 +43,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <thread>
 
+#include "platform/affinity.hpp"
 #include "rt/runtime.hpp"
 #include "util/assert.hpp"
 #include "util/time.hpp"
@@ -59,26 +59,6 @@ namespace {
 /// of waiting longer is detection latency, while a premature takeover of a
 /// merely descheduled worker retires it for the rest of the run.
 constexpr int kWedgeGraceTicks = 20;
-
-/// Whether a silent tick of the worker with Linux thread id `tid` counts
-/// toward its wedge grace. It does not while the worker has not started
-/// (`tid` still 0) or is runnable — on a CPU or waiting on a run queue, by
-/// the state field of its /proc stat line, read after the parenthesised
-/// name, which may itself hold spaces. It does when the worker sleeps, and
-/// when the file cannot be read.
-bool silent_tick_counts(int tid) {
-  if (tid == 0) return false;
-  char path[64];
-  std::snprintf(path, sizeof path, "/proc/self/task/%d/stat", tid);
-  std::FILE* f = std::fopen(path, "r");
-  if (f == nullptr) return true;
-  char buf[512];
-  const std::size_t n = std::fread(buf, 1, sizeof buf - 1, f);
-  std::fclose(f);
-  buf[n] = '\0';
-  const char* name_end = std::strrchr(buf, ')');
-  return name_end == nullptr || name_end[1] != ' ' || name_end[2] != 'R';
-}
 
 }  // namespace
 
@@ -246,7 +226,8 @@ void Runtime::watchdog_loop() {
         stale_ticks[ci] = 0;
         continue;
       }
-      if (!silent_tick_counts(worker_tids_[ci].load(std::memory_order_acquire)))
+      if (hb == 0 ||
+          thread_runnable(worker_tids_[ci].load(std::memory_order_acquire)))
         continue;  // not started, or descheduled: not wedged
       stale_ticks[ci] = std::min(stale_ticks[ci] + 1, kWedgeGraceTicks);
       if (stale_ticks[ci] < kWedgeGraceTicks) continue;

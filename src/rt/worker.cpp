@@ -1,8 +1,7 @@
-#include <unistd.h>
-
 #include <thread>
 
 #include "core/cost_expr.hpp"
+#include "platform/affinity.hpp"
 #include "rt/runtime.hpp"
 #include "util/assert.hpp"
 #include "util/spinlock.hpp"  // cpu_relax
@@ -31,7 +30,7 @@ void Runtime::worker_loop(int core) {
   Worker& self = *workers_[static_cast<std::size_t>(core)];
   if (faults_armed_)
     worker_tids_[static_cast<std::size_t>(core)].store(
-        static_cast<int>(gettid()), std::memory_order_release);
+        current_thread_id(), std::memory_order_release);
 
   int idle_rounds = 0;
   std::int64_t polling_since_ns = 0;  // start of the current stage 2

@@ -797,40 +797,27 @@ bool SimEngine::try_steal(Shard& sh, int core, double t) {
   // Victim count by bit rank over the occupancy bitmap — the same count,
   // and below the same k-th victim in ascending core order, that the old
   // scan-and-collect vector produced, so the seeded RNG stream (and with it
-  // every virtual-time result) is unchanged. A shard of <= 64 cores has one
-  // word: its few set bits are counted by clearing them one at a time, which
-  // the baseline x86-64 build does inline, where std::popcount becomes a
-  // libgcc call.
+  // every virtual-time result) is unchanged.
+  int n_victims = 0;
+  for (int w = 0; w <= (hi - 1) >> 6; ++w) {
+    std::uint64_t bits = masked_word(sh.wsq_bits, w, 0, hi);
+    if (w == self_word) bits &= self_mask;
+    n_victims += std::popcount(bits);
+  }
+  if (n_victims == 0) return false;
+
+  std::size_t k = sh.rng.below(static_cast<std::size_t>(n_victims));
   int victim = -1;
-  if (hi <= 64) {
-    std::uint64_t bits = masked_word(sh.wsq_bits, 0, 0, hi) & self_mask;
-    int n_victims = 0;
-    for (std::uint64_t b = bits; b != 0; b &= b - 1) ++n_victims;
-    if (n_victims == 0) return false;
-    for (std::size_t k = sh.rng.below(static_cast<std::size_t>(n_victims));
-         k > 0; --k)
-      bits &= bits - 1;  // drop k lowest set bits
-    victim = std::countr_zero(bits);
-  } else {
-    int n_victims = 0;
-    for (int w = 0; w <= (hi - 1) >> 6; ++w) {
-      std::uint64_t bits = masked_word(sh.wsq_bits, w, 0, hi);
-      if (w == self_word) bits &= self_mask;
-      n_victims += std::popcount(bits);
+  for (int w = 0; w <= (hi - 1) >> 6; ++w) {
+    std::uint64_t bits = masked_word(sh.wsq_bits, w, 0, hi);
+    if (w == self_word) bits &= self_mask;
+    const auto pc = static_cast<std::size_t>(std::popcount(bits));
+    if (k < pc) {
+      for (; k > 0; --k) bits &= bits - 1;  // drop k lowest set bits
+      victim = (w << 6) + std::countr_zero(bits);
+      break;
     }
-    if (n_victims == 0) return false;
-    std::size_t k = sh.rng.below(static_cast<std::size_t>(n_victims));
-    for (int w = 0; w <= (hi - 1) >> 6; ++w) {
-      std::uint64_t bits = masked_word(sh.wsq_bits, w, 0, hi);
-      if (w == self_word) bits &= self_mask;
-      const auto pc = static_cast<std::size_t>(std::popcount(bits));
-      if (k < pc) {
-        for (; k > 0; --k) bits &= bits - 1;  // drop k lowest set bits
-        victim = (w << 6) + std::countr_zero(bits);
-        break;
-      }
-      k -= pc;
-    }
+    k -= pc;
   }
   DAS_ASSERT(victim >= 0);
 

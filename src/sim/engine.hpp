@@ -46,11 +46,7 @@
 //     it waits in the queue's one-item next slot, and the next step pops
 //     it with no lane push, ring pop or merge scan. The slot is part of
 //     the queue (sim/event_queue.hpp), so a pump or window that stops
-//     leaves nothing outside it;
-//   - per-event lookups stay flat: the SpeedScenario answers speed() and
-//     bandwidth_share() from a per-core index, and try_steal counts the
-//     victims of a <= 64-core shard without std::popcount (a libgcc call
-//     on the baseline x86-64 build).
+//     leaves nothing outside it.
 //
 // None of these is a knob: each fast path depends only on what the engine
 // can see, and its push-path fallback lives in the same function. The

@@ -1,8 +1,9 @@
 // Tests for the real-thread runtime: conservation, dependency ordering,
 // moldable cooperative execution, steal-exemption of high-priority tasks,
 // multi-run reuse, randomised stress DAGs, throttle-based asymmetry,
-// per-worker stats blocks, and the idle protocol (a starved or idle pool
-// must end up parked, not spinning).
+// per-worker stats blocks, the idle protocol (a starved or idle pool
+// must end up parked, not spinning), and the thread-state read of the
+// watchdog's wedge scan.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -443,6 +446,39 @@ TEST_F(RtTest, StressManySmallTasksAllPolicies) {
         << policy_name(p);
     EXPECT_EQ(st.snapshot().tasks_total, kJobs * 1200) << policy_name(p);
   }
+}
+
+// The wedge scan skips a silent worker whose thread is runnable
+// (rt/watchdog.cpp). Pins the thread-state read it relies on: the calling
+// thread reads runnable, a thread blocked on a condition variable does not.
+TEST(ThreadState, RunnableTellsARunningThreadFromABlockedOne) {
+  EXPECT_FALSE(thread_runnable(0));
+  const int self = current_thread_id();
+  if (self == 0) GTEST_SKIP() << "no thread ids on this platform";
+  EXPECT_TRUE(thread_runnable(self));
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> tid{0};
+  std::thread sleeper([&] {
+    tid.store(current_thread_id());
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return release; });
+  });
+  while (tid.load() == 0) std::this_thread::yield();
+  bool blocked_seen = false;
+  for (int i = 0; i < 2000 && !blocked_seen; ++i) {
+    blocked_seen = !thread_runnable(tid.load());
+    if (!blocked_seen) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_one();
+  sleeper.join();
+  EXPECT_TRUE(blocked_seen);
 }
 
 }  // namespace

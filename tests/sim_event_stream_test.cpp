@@ -303,9 +303,9 @@ TEST_F(SimEventStreamTest, PaperKernelsOnTx2) {
   expect_goldens({"paper/"});
 }
 
-// Shards of exactly 64 cores and of more: try_steal counts the victims of a
-// one-word shard without std::popcount and walks the words of a wider one;
-// both must pick the victims the parent picked.
+// Shards of exactly 64 cores and of more: try_steal's victim count and
+// pick walk one bitmap word or several, and both must pick the victims the
+// parent picked.
 TEST_F(SimEventStreamTest, WideShards) {
   const TaskTypeId empty =
       registry_.register_type("empty", kernels::fixed_cost(1e-9));

@@ -3,9 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-
 #include "platform/speed_model.hpp"
 #include "platform/throttle.hpp"
 #include "util/assert.hpp"
@@ -88,77 +85,6 @@ TEST_F(SpeedModelTest, CpuCorunnerLeavesBandwidth) {
   s.add_cpu_corunner(0);
   EXPECT_DOUBLE_EQ(s.bandwidth_share(0, 10.0), 1.0);
   EXPECT_DOUBLE_EQ(s.speed(0, 10.0), 0.5);
-}
-
-/// speed() as a scan over every DVFS schedule and interference event.
-double scan_speed(const SpeedScenario& s, const Topology& topo, int core,
-                  double t) {
-  const int ci = topo.cluster_index_of(core);
-  double v = topo.cluster(ci).base_speed;
-  for (const DvfsSchedule& d : s.dvfs_schedules()) {
-    if (d.cluster != ci) continue;
-    double pos = std::fmod(t - d.phase_s, d.period_s);
-    if (pos < 0.0) pos += d.period_s;
-    v *= pos < d.duty_hi * d.period_s ? d.hi : d.lo;
-  }
-  for (const InterferenceEvent& e : s.interference_events())
-    if (t >= e.t_start && t < e.t_end &&
-        std::find(e.cores.begin(), e.cores.end(), core) != e.cores.end())
-      v *= e.cpu_share;
-  return v;
-}
-
-/// bandwidth_share() as a scan over every interference event.
-double scan_bandwidth(const SpeedScenario& s, const Topology& topo,
-                      int cluster, double t) {
-  double share = 1.0;
-  for (const InterferenceEvent& e : s.interference_events()) {
-    if (t < e.t_start || t >= e.t_end) continue;
-    if (e.victim_cluster_bw >= 1.0 && e.global_bw >= 1.0) continue;
-    share *= cluster == topo.cluster_index_of(e.cores.front())
-                 ? e.victim_cluster_bw
-                 : e.global_bw;
-  }
-  return share;
-}
-
-TEST_F(SpeedModelTest, IndexedLookupMatchesAScanOverEveryEntry) {
-  // The per-core index must give bit-identical results to a scan over all
-  // entries: several schedules on one cluster, events naming a core twice
-  // or several cores, bandwidth events on both clusters, and an open event
-  // closed after the index was built.
-  SpeedScenario s(topo_);
-  s.add_dvfs(DvfsSchedule{.cluster = 0, .period_s = 4.0, .duty_hi = 0.5,
-                          .hi = 1.0, .lo = 0.3});
-  s.add_interference(InterferenceEvent{.cores = {2, 2, 5}, .t_start = 1.0,
-                                       .t_end = 6.0, .cpu_share = 0.7});
-  s.add_dvfs(DvfsSchedule{.cluster = 1, .period_s = 3.0, .duty_hi = 0.25,
-                          .hi = 0.9, .lo = 0.4, .phase_s = 1.0});
-  s.add_mem_corunner(0, 2.0, 8.0);
-  s.add_dvfs(DvfsSchedule{.cluster = 0, .period_s = 7.0, .duty_hi = 0.6,
-                          .hi = 0.8, .lo = 0.5, .phase_s = 0.5});
-  s.add_interference(InterferenceEvent{.cores = {3}, .t_start = 0.0,
-                                       .cpu_share = 0.6,
-                                       .victim_cluster_bw = 0.9,
-                                       .global_bw = 0.95});
-  s.add_cluster_slowdown(1, 0.75, 4.0, 9.0);
-  s.close_open_interference(7.5);
-  const SpeedScenario copy = s;
-  for (int step = 0; step < 100; ++step) {
-    const double t = 0.1 * step;
-    for (int c = 0; c < topo_.num_cores(); ++c) {
-      EXPECT_EQ(s.speed(c, t), scan_speed(s, topo_, c, t))
-          << "core " << c << " t " << t;
-      EXPECT_EQ(copy.speed(c, t), scan_speed(s, topo_, c, t));
-    }
-    for (int k = 0; k < topo_.num_clusters(); ++k)
-      EXPECT_EQ(s.bandwidth_share(k, t), scan_bandwidth(s, topo_, k, t))
-          << "cluster " << k << " t " << t;
-  }
-  // A scenario with no entries is indexed too.
-  const SpeedScenario none(topo_);
-  for (int c = 0; c < topo_.num_cores(); ++c)
-    EXPECT_EQ(none.speed(c, 1.0), scan_speed(none, topo_, c, 1.0));
 }
 
 TEST_F(SpeedModelTest, ValidationRejectsBadInputs) {
