@@ -5,6 +5,9 @@
 // BM_PolicyGlobalSearch/10 measures exactly that decision; the larger
 // instances show how the cost scales with the number of places (the paper's
 // stated scalability concern).
+//
+// Each cell's comment names the BENCHMARK.json per-layer metric (perfbench
+// `--trace 1`) whose per-call cost it isolates, and the workload it shows on.
 
 #include <benchmark/benchmark.h>
 
@@ -30,11 +33,12 @@ using namespace das;
 Topology topology_with_places(int places) {
   switch (places) {
     case 10: return Topology::tx2();          // 10 places (paper platform)
-    case 36: return Topology::haswell16();    // 2 x 18 places... (see below)
-    default: return Topology::haswell_cluster(4);  // 144 places
+    case 30: return Topology::haswell16();    // 2 sockets x 15 places
+    default: return Topology::haswell_cluster(4);  // 8 sockets x 18 places
   }
 }
 
+// sim.ns_per_event on paper-sim: every DAM-C search reads PTT entries.
 void BM_PttLookup(benchmark::State& state) {
   const Topology topo = Topology::tx2();
   Ptt ptt(topo);
@@ -47,6 +51,7 @@ void BM_PttLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_PttLookup);
 
+// sim.ns_per_event on paper-sim: one PTT update per completed task.
 void BM_PttUpdate(benchmark::State& state) {
   const Topology topo = Topology::tx2();
   Ptt ptt(topo);
@@ -56,6 +61,8 @@ void BM_PttUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_PttUpdate);
 
+// sim.ns_per_event on paper-sim: a high-priority task's DAM-C placement
+// (/10 is the TX2 model the workload runs).
 void BM_PolicyGlobalSearch(benchmark::State& state) {
   const Topology topo = topology_with_places(static_cast<int>(state.range(0)));
   PttStore store(topo, 1);
@@ -68,8 +75,10 @@ void BM_PolicyGlobalSearch(benchmark::State& state) {
   }
   state.counters["places"] = topo.num_places();
 }
-BENCHMARK(BM_PolicyGlobalSearch)->Arg(10)->Arg(36)->Arg(144);
+BENCHMARK(BM_PolicyGlobalSearch)->Arg(10)->Arg(30)->Arg(144);
 
+// sim.ns_per_event on paper-sim: a low-priority task's DAM-C width search
+// at dispatch.
 void BM_PolicyLocalSearch(benchmark::State& state) {
   const Topology topo = Topology::tx2();
   PttStore store(topo, 1);
@@ -83,11 +92,11 @@ void BM_PolicyLocalSearch(benchmark::State& state) {
 BENCHMARK(BM_PolicyLocalSearch);
 
 // ---- dispatch cost cells ---------------------------------------------------
-// Per-call price of the policy hooks (one switch over the policy) and of the
-// std::function cost-model call vs the inline closed-form evaluator vs the
-// fixed-cost load. The engine benches (sim_throughput, overhead_scaling)
-// measure the end-to-end effect; these isolate the per-call deltas.
+// Per-call price of the policy's wake-up hook and of the closed-form cost
+// evaluation. The engine benches (sim_throughput, overhead_scaling) measure
+// the end-to-end effect; these isolate the per-call deltas.
 
+// sim.ns_per_event on paper-sim: every ready task's DAM-C wake-up hook.
 void BM_DispatchOnReadyDynamic(benchmark::State& state) {
   const Topology topo = Topology::tx2();
   PttStore store(topo, 1);
@@ -100,40 +109,9 @@ void BM_DispatchOnReadyDynamic(benchmark::State& state) {
 }
 BENCHMARK(BM_DispatchOnReadyDynamic);
 
-void BM_DispatchOnExecuteDynamic(benchmark::State& state) {
-  const Topology topo = Topology::tx2();
-  PttStore store(topo, 1);
-  for (int pid = 0; pid < topo.num_places(); ++pid)
-    store.table(0).update(pid, 1e-3 + pid * 1e-5);
-  PolicyEngine eng(Policy::kDamC, topo, &store);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eng.on_execute(0, Priority::kLow, 3));
-  }
-}
-BENCHMARK(BM_DispatchOnExecuteDynamic);
-
-void BM_DispatchCostEvalErased(benchmark::State& state) {
-  // Every cost evaluation through the type-erased CostFn (a std::function
-  // wrapping CostExprFn): the path a kCallable type takes.
-  const Topology topo = Topology::tx2();
-  TaskTypeRegistry reg;
-  const kernels::PaperKernelIds ids = kernels::register_paper_kernels(reg);
-  const TaskTypeInfo& info = reg.info(ids.matmul);
-  TaskParams p;
-  p.p0 = 64.0;
-  CostQuery q;
-  q.place = ExecutionPlace{0, 1};
-  q.cluster = &topo.cluster_of_core(0);
-  q.speed = 1.0;
-  q.bw_share = 1.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(info.cost(p, q));
-  }
-}
-BENCHMARK(BM_DispatchCostEvalErased);
-
+// sim.ns_per_event on paper-sim: one matmul cost evaluation per
+// participation.
 void BM_DispatchCostEvalExpr(benchmark::State& state) {
-  // The engines' evaluation: the identical arithmetic, inlined.
   const Topology topo = Topology::tx2();
   TaskTypeRegistry reg;
   const kernels::PaperKernelIds ids = kernels::register_paper_kernels(reg);
@@ -146,14 +124,14 @@ void BM_DispatchCostEvalExpr(benchmark::State& state) {
   q.speed = 1.0;
   q.bw_share = 1.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cost_expr_eval(info.expr, p, q));
+    benchmark::DoNotOptimize(cost_expr_eval(info.cost, p, q));
   }
 }
 BENCHMARK(BM_DispatchCostEvalExpr);
 
+// sim.ns_per_event on halo-sim: its empty kernels are kFixed, so each
+// participation's cost is this evaluation.
 void BM_DispatchCostEvalFixed(benchmark::State& state) {
-  // A kFixed expression's evaluation: one load. The floor the
-  // scheduler-overhead benches (grain 0) run on.
   TaskTypeRegistry reg;
   const TaskTypeId fixed =
       reg.register_type("fixed", kernels::fixed_cost(1e-6));
@@ -162,13 +140,13 @@ void BM_DispatchCostEvalFixed(benchmark::State& state) {
   CostQuery q;
   q.place = ExecutionPlace{0, 1};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(info.expr.u.fixed.seconds);
     benchmark::DoNotOptimize(p);
+    benchmark::DoNotOptimize(cost_expr_eval(info.cost, p, q));
   }
-  (void)q;
 }
 BENCHMARK(BM_DispatchCostEvalFixed);
 
+// exec.run_s on rt-fine: a worker pushes and pops each task it spawns.
 void BM_WsDequePushPop(benchmark::State& state) {
   rt::WsDeque<int> q;
   int item = 7;
@@ -179,6 +157,7 @@ void BM_WsDequePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_WsDequePushPop);
 
+// exec.run_s on rt-fine: a thief's steal from a victim's deque.
 void BM_WsDequeStealUncontended(benchmark::State& state) {
   rt::WsDeque<int> q;
   std::vector<int> items(1024);
@@ -194,6 +173,8 @@ void BM_WsDequeStealUncontended(benchmark::State& state) {
 }
 BENCHMARK(BM_WsDequeStealUncontended);
 
+// sim.ns_per_event on paper-sim and halo-sim: one push and one pop per
+// queued event.
 void BM_EventQueue(benchmark::State& state) {
   sim::EventQueue<int> q;
   Xoshiro256 rng(3);
@@ -205,6 +186,8 @@ void BM_EventQueue(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueue);
 
+// sim.ns_per_event on paper-sim: the dvfs-wave and interference-burst cells
+// query a core's speed at each participation start.
 void BM_SpeedScenarioQuery(benchmark::State& state) {
   const Topology topo = Topology::tx2();
   SpeedScenario sc(topo);

@@ -56,20 +56,13 @@ int main(int argc, char** argv) {
 
   // The swept kernel: zero (or --grain) seconds of work so every remaining
   // cycle is scheduling machinery. One registered type serves both engines —
-  // the closure drives rt, the cost model drives the DES. At grain 0 the
-  // cost is the constant 1e-9 (exactly what the lambda would compute), so
-  // registering through the fixed-cost factory lets the DES evaluate the
-  // closed form inline instead of calling through the std::function — the
-  // overhead floor this bench exists to measure. A positive grain divides by
-  // q.speed and must stay a callable.
+  // the closure drives rt, the cost model drives the DES. Grain 0 costs the
+  // constant 1e-9 s; a positive grain is work that slows with its core's
+  // speed (the DES floors every participation at 1e-9 s).
   const double grain_s = static_cast<double>(grain_ns) * 1e-9;
-  const TaskTypeId empty_id =
-      grain_ns == 0
-          ? b.registry.register_type("empty", kernels::fixed_cost(1e-9))
-          : b.registry.register_type(
-                "empty", [grain_s](const TaskParams&, const CostQuery& q) {
-                  return std::max(grain_s / q.speed, 1e-9);
-                });
+  const TaskTypeId empty_id = b.registry.register_type(
+      "empty", grain_ns == 0 ? kernels::fixed_cost(1e-9)
+                             : kernels::work_cost(grain_s));
 
   print_backend(b);
   const SpeedScenario scenario =

@@ -2,17 +2,10 @@
 // Inline evaluation of the tagged CostExpr forms (core/task_type.hpp).
 //
 // This is the single implementation of the kernel catalog's cost
-// arithmetic: the factories in src/kernels/cost_models.cpp wrap these same
-// evaluations in a CostExprFn and hand THAT to the type-erased CostFn, so
-// a call through the std::function and an engine calling cost_expr_eval
-// directly execute the identical operation sequence — bit-for-bit equal
-// doubles. (No re-association happens at the default build flags; the
-// expressions below must stay textually in the documented evaluation
-// order.)
-//
-// Both engines evaluate costs through cost_eval below: the closed form
-// inline when the type has one, the std::function only for a kCallable
-// type (a user-supplied lambda).
+// arithmetic, and both engines and criticality's node weights call it
+// directly. The expressions below must stay textually in the documented
+// evaluation order: the sim goldens pin the doubles they produce (no
+// re-association happens at the default build flags).
 
 #include <algorithm>
 #include <cmath>
@@ -39,7 +32,7 @@ inline double cost_expr_cache_fit(double bytes, const Cluster& cl,
 }  // namespace detail
 
 /// Evaluates a closed-form cost expression. Precondition: e.kind is not
-/// kCallable (callers route kCallable through TaskTypeInfo::cost).
+/// kNone (engines reject a model-less type before evaluating it).
 inline double cost_expr_eval(const CostExpr& e, const TaskParams& p,
                              const CostQuery& q) {
   switch (e.kind) {
@@ -107,6 +100,8 @@ inline double cost_expr_eval(const CostExpr& e, const TaskParams& p,
     }
     case CostExpr::Kind::kFixed:
       return e.u.fixed.seconds;
+    case CostExpr::Kind::kWork:
+      return e.u.fixed.seconds / q.speed;
     case CostExpr::Kind::kComm: {
       const CostExpr::Comm& m = e.u.comm;
       const double bytes = std::max(p.p0, 0.0);
@@ -139,31 +134,11 @@ inline double cost_expr_eval(const CostExpr& e, const TaskParams& p,
       return flops / (m.rate_g * 1e9 * q.speed) / q.place.width +
              1e-6;  // fixed task-dispatch floor
     }
-    case CostExpr::Kind::kCallable:
+    case CostExpr::Kind::kNone:
       break;
   }
-  DAS_ASSERT(!"cost_expr_eval on a kCallable expression");
+  DAS_ASSERT(!"cost_expr_eval on a type with no cost model");
   return 0.0;
 }
-
-/// Evaluates through the expression when one exists, the callable otherwise
-/// — the engines' cost path, which skips the std::function indirection for
-/// catalog-built types.
-inline double cost_eval(const TaskTypeInfo& info, const TaskParams& p,
-                        const CostQuery& q) {
-  return info.expr.kind == CostExpr::Kind::kCallable ? info.cost(p, q)
-                                                     : cost_expr_eval(info.expr, p, q);
-}
-
-/// The functor the kernel factories wrap into CostFn. register_type
-/// recognises it via std::function::target<CostExprFn>() and copies the
-/// expression into TaskTypeInfo::expr — registration sites need no change
-/// to get the inline evaluation.
-struct CostExprFn {
-  CostExpr expr;
-  double operator()(const TaskParams& p, const CostQuery& q) const {
-    return cost_expr_eval(expr, p, q);
-  }
-};
 
 }  // namespace das

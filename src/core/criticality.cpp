@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/cost_expr.hpp"
 #include "util/assert.hpp"
 
 namespace das {
@@ -16,14 +17,14 @@ double node_weight(const DagNode& n, const CriticalityOptions& opts) {
   DAS_CHECK_MSG(opts.reference_cluster != nullptr,
                 "reference_cluster required for cost-weighted criticality");
   const TaskTypeInfo& info = opts.registry->info(n.type);
-  if (!info.cost) return 1.0;
+  if (info.cost.kind == CostExpr::Kind::kNone) return 1.0;
   CostQuery q;
   q.place = ExecutionPlace{opts.reference_cluster->first_core, 1};
   q.core = opts.reference_cluster->first_core;
   q.speed = opts.reference_cluster->base_speed;
   q.bw_share = 1.0;
   q.cluster = opts.reference_cluster;
-  return std::max(info.cost(n.params, q), 1e-12);
+  return std::max(cost_expr_eval(info.cost, n.params, q), 1e-12);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -48,25 +47,20 @@ struct CostQuery {
   const Cluster* cluster = nullptr;
 };
 
-/// Seconds of busy time for the queried participant.
-using CostFn = std::function<double(const TaskParams&, const CostQuery&)>;
-
-/// Tagged, inlinable cost-model expression — the fast path past the
-/// type-erased CostFn. Every analytic model the kernel catalog registers
-/// (src/kernels/cost_models.cpp) is one of these closed forms; the payload
-/// holds the factory's calibration constants and core/cost_expr.hpp
-/// evaluates the form with arithmetic identical to the original lambda, so
-/// the engines compute bit-for-bit the same doubles as a call through the
-/// std::function. kCallable marks a user-supplied model with no expression
-/// — the escape hatch the engines call through the CostFn.
+/// A task type's analytic cost model: a tagged closed form whose payload
+/// holds the factory's calibration constants (src/kernels/cost_models.cpp).
+/// core/cost_expr.hpp evaluates it to the seconds of busy time of one
+/// queried participant. kNone means "no model": the DES refuses such a type
+/// and the rt runtime runs it only through node closures.
 struct CostExpr {
   enum class Kind : std::uint8_t {
-    kCallable = 0,  ///< no closed form: evaluate TaskTypeInfo::cost
+    kNone = 0,      ///< no cost model
     kMatMul,        ///< compute-bound tile kernel with cache-fit factor
     kCopy,          ///< bandwidth-bound, min(share, issue-rate) limited
     kStencil,       ///< cache-bound tile sweep with L2 stream-fit
     kHeatBand,      ///< streaming row band with cache-aggregation bonus
     kFixed,         ///< constant seconds
+    kWork,          ///< Fixed payload's seconds / queried speed
     kComm,          ///< latency + bytes/bandwidth wire model
     kKmeansMap,     ///< flops-rate assignment chunk
     kKmeansReduce,  ///< flops-rate reduction with dispatch floor
@@ -102,13 +96,13 @@ struct CostExpr {
     Kmeans kmeans;
     constexpr Payload() : fixed{0.0} {}
   };
-  Kind kind = Kind::kCallable;
+  Kind kind = Kind::kNone;
   Payload u{};
 };
 
 struct TaskTypeInfo {
   std::string name;
-  CostFn cost;          ///< empty => DES refuses to run this type
+  CostExpr cost{};      ///< kNone => DES refuses to run this type
   double noise0 = 0.0;  ///< lognormal sigma floor (relative dispersion)
   /// Absolute measurement error in "sigma x ms" units: a timestamp /
   /// preemption error of ~noise1 milliseconds per measurement, so the
@@ -116,11 +110,6 @@ struct TaskTypeInfo {
   /// become very noisy (the paper's Fig. 8 tile-32 regime) while
   /// millisecond tasks measure cleanly.
   double noise1 = 0.0;
-  /// Closed-form twin of `cost`, when one exists. register_type recovers it
-  /// automatically from factory-built models (the CostFn holds a CostExprFn
-  /// target); hand-written lambdas stay kCallable and keep the generic
-  /// dispatch path.
-  CostExpr expr{};
 };
 
 /// Registry of task types. Registration happens during setup (single
@@ -128,8 +117,8 @@ struct TaskTypeInfo {
 class TaskTypeRegistry {
  public:
   TaskTypeId register_type(TaskTypeInfo info);
-  TaskTypeId register_type(std::string name, CostFn cost = {}) {
-    return register_type(TaskTypeInfo{std::move(name), std::move(cost), 0.0, 0.0});
+  TaskTypeId register_type(std::string name, CostExpr cost = {}) {
+    return register_type(TaskTypeInfo{std::move(name), cost, 0.0, 0.0});
   }
 
   const TaskTypeInfo& info(TaskTypeId id) const;
@@ -137,11 +126,9 @@ class TaskTypeRegistry {
   TaskTypeId find(const std::string& name) const;
   int size() const { return static_cast<int>(types_.size()); }
 
-  /// Lognormal sigma for a measurement of a task of this type whose
-  /// noise-free duration is `cost_s` seconds.
-  double noise_sigma(TaskTypeId id, double cost_s) const;
-  /// Same, from an already-resolved info — the per-participant hot path
-  /// caches the TaskTypeInfo once per task and skips the id lookup.
+  /// Lognormal sigma for a measurement of a task of type `t` whose
+  /// noise-free duration is `cost_s` seconds. Takes the resolved info: the
+  /// per-participant hot path caches it once per task.
   static double noise_sigma_of(const TaskTypeInfo& t, double cost_s);
 
  private:

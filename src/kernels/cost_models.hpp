@@ -22,14 +22,10 @@
 //
 // TaskParams conventions per kernel are documented at each factory.
 //
-// Closed forms: every factory below returns its CostFn wrapped around a
-// tagged CostExpr (core/task_type.hpp) — a closed-form payload of the
-// calibration constants that core/cost_expr.hpp evaluates inline with the
-// identical arithmetic. TaskTypeRegistry::register_type recovers the
-// expression from the CostFn automatically, which is what lets the engines
-// skip the std::function for catalog-built types while a hand-written
-// lambda cost model still goes through it. Both produce bitwise-identical
-// costs by construction (one shared implementation).
+// Every factory below returns a tagged CostExpr (core/task_type.hpp): the
+// closed form's kind plus the calibration constants it reads. The one
+// evaluator, cost_expr_eval in core/cost_expr.hpp, holds the arithmetic;
+// both engines and criticality's node weights call it directly.
 
 #include "core/task_type.hpp"
 
@@ -79,13 +75,13 @@ struct CostModelConfig {
 };
 
 /// MatMul: p0 = tile dimension n (task multiplies n x n tiles).
-CostFn matmul_cost(CostModelConfig cfg = {});
+CostExpr matmul_cost(CostModelConfig cfg = {});
 
 /// Copy: p0 = number of doubles moved by the task (read + write charged).
-CostFn copy_cost(CostModelConfig cfg = {});
+CostExpr copy_cost(CostModelConfig cfg = {});
 
 /// Stencil: p0 = grid dimension n (task sweeps an n x n tile).
-CostFn stencil_cost(CostModelConfig cfg = {});
+CostExpr stencil_cost(CostModelConfig cfg = {});
 
 /// Heat row-band sweep: p0 = grid-equivalent dimension n (n^2 points per
 /// task). Unlike the tile stencil above, these are large streaming bands
@@ -94,20 +90,24 @@ CostFn stencil_cost(CostModelConfig cfg = {});
 /// bonus (the paper's §5.4: "sharing CPU caches can have a significant
 /// impact"), making the cost-based searches willing to mold — the mechanism
 /// behind RWSM-C's and DAM-C's Fig. 10 edge.
-CostFn heat_compute_cost(CostModelConfig cfg = {});
+CostExpr heat_compute_cost(CostModelConfig cfg = {});
 
 /// Fixed-duration task (e.g. a barrier-ish helper); p0 ignored.
-CostFn fixed_cost(double seconds);
+CostExpr fixed_cost(double seconds);
+
+/// Pure compute of `seconds` at speed 1: time = seconds / speed, whatever
+/// the width or params (a busy-work grain that slows with its core).
+CostExpr work_cost(double seconds);
 
 /// Communication task: time = latency + p0 bytes / bandwidth, scaled by
 /// nothing else (message passing is single-core by nature; the paper's Heat
 /// still benefits from molding because sharing caches speeds the copies —
 /// modelled as a mild width discount on the local packing portion).
-CostFn comm_cost(double latency_s, double bw_gbs);
+CostExpr comm_cost(double latency_s, double bw_gbs);
 
 /// K-means assignment chunk: p0 = points, p1 = dims, p2 = k.
-CostFn kmeans_map_cost(double flops_rate_g = 3.0);
+CostExpr kmeans_map_cost(double flops_rate_g = 3.0);
 /// K-means reduction: p0 = k * dims accumulated values.
-CostFn kmeans_reduce_cost(double flops_rate_g = 3.0);
+CostExpr kmeans_reduce_cost(double flops_rate_g = 3.0);
 
 }  // namespace das::kernels

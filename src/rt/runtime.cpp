@@ -108,8 +108,8 @@ void Runtime::check_dag(const Dag& dag) const {
     // Every node's type must be registered, closure or not: the policy
     // reads its PTT table on a worker thread.
     const TaskTypeInfo& info = registry_->info(n.type);
-    DAS_CHECK_MSG(dag.work(i) != nullptr || info.cost != nullptr ||
-                      info.expr.kind != CostExpr::Kind::kCallable,
+    DAS_CHECK_MSG(dag.work(i) != nullptr ||
+                      info.cost.kind != CostExpr::Kind::kNone,
                   "node without work closure needs a cost model to emulate");
   }
 }

@@ -338,9 +338,8 @@ std::int64_t Runtime::run_work(int core, TaskRec* task, int rank) {
     q.cluster = &topo_->cluster_of_core(core);
     q.speed = topo_->max_base_speed();
     q.bw_share = 1.0;
-    // Expression-aware: catalog types evaluate their closed form inline,
-    // user std::function models still work (core/cost_expr.hpp).
-    busy_wait_ns(s_to_ns(cost_eval(registry_->info(node.type), node.params, q)));
+    busy_wait_ns(s_to_ns(
+        cost_expr_eval(registry_->info(node.type).cost, node.params, q)));
   }
   std::int64_t busy = now_ns() - t0;
   if (emulator_ != nullptr) {

@@ -250,8 +250,7 @@ void SimEngine::check_dag(const Dag& dag) const {
   // Validation over the DAG's sealed metadata — O(#types + 1), not O(nodes).
   for (const TaskTypeId t : dag.distinct_types()) {
     const TaskTypeInfo& ti = registry_->info(t);
-    DAS_CHECK_MSG(ti.cost != nullptr ||
-                      ti.expr.kind != CostExpr::Kind::kCallable,
+    DAS_CHECK_MSG(ti.cost.kind != CostExpr::Kind::kNone,
                   "task type '" + ti.name +
                       "' has no cost model; the DES cannot execute it");
   }
@@ -755,7 +754,7 @@ double SimEngine::participation_cost(Shard& sh, const Job& job, NodeId id,
   // Hoisted per-task invariant (make_ready cached the registry row): the
   // per-participant path is the query build + the cost arithmetic itself.
   const TaskTypeInfo& info = *ts.type_info;
-  double cost = cost_eval(info, n.params, q);
+  double cost = cost_expr_eval(info.cost, n.params, q);
   cost *= lognormal_noise(sh, TaskTypeRegistry::noise_sigma_of(info, cost));
   return std::max(cost, 1e-9);
 }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cost_expr.hpp"
 #include "kernels/registry.hpp"
 #include "rt/runtime.hpp"
 #include "sim/engine.hpp"
@@ -74,7 +75,8 @@ TEST_F(EngineInvariants, PttLearnsIntrinsicDurationNotQueueSkew) {
     q.cluster = &topo_.cluster(1);
     TaskParams params;
     params.p0 = 64;
-    const double predicted = quiet.info(quiet_ids.matmul).cost(params, q);
+    const double predicted =
+        cost_expr_eval(quiet.info(quiet_ids.matmul).cost, params, q);
     EXPECT_LT(ptt.value(wide), predicted * 1.5)
         << "PTT value contaminated by arrival skew";
     EXPECT_GT(ptt.value(wide), predicted * 0.5);

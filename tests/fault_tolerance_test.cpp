@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -272,7 +273,20 @@ TEST_F(FaultToleranceTest, RtPlannedFailStopQuarantinesAndJobsComplete) {
   o.faults.events.push_back(CoreFault{CoreFault::Kind::kFail, 5, 0.005, kInf});
   rt::Runtime runtime(topo_, Policy::kRws, registry_, o);
 
-  const WorkFn spin = [](const ExecContext&) { busy_wait_ns(200'000); };
+  // The first task to run holds its job open until both deaths are armed,
+  // so they land while work is still queued however late the watchdog
+  // thread gets a CPU. It cannot hold up a doomed worker's retirement: the
+  // watchdog counts a planned death when it arms it, not when it is acked.
+  std::atomic<bool> gate_taken{false};
+  const WorkFn spin = [&](const ExecContext&) {
+    busy_wait_ns(200'000);
+    if (gate_taken.exchange(true)) return;
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (runtime.workers_failed() < 2 &&
+           std::chrono::steady_clock::now() < give_up)
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+  };
   std::vector<Dag> dags;
   for (int j = 0; j < 4; ++j) dags.push_back(make_dag(4, 40, spin));
   std::vector<JobId> ids;

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <vector>
 
+#include "core/cost_expr.hpp"
 #include "kernels/copy.hpp"
 #include "kernels/cost_models.hpp"
 #include "kernels/matmul.hpp"
@@ -142,21 +143,21 @@ class CostModelTest : public ::testing::Test {
 };
 
 TEST_F(CostModelTest, MatmulScalesInverselyWithSpeed) {
-  const CostFn f = matmul_cost(cfg_);
+  const CostExpr f = matmul_cost(cfg_);
   TaskParams p;
   p.p0 = 64;
-  const double fast = f(p, query(0, 1, 1.0));
-  const double slow = f(p, query(0, 1, 0.5));
+  const double fast = cost_expr_eval(f, p, query(0, 1, 1.0));
+  const double slow = cost_expr_eval(f, p, query(0, 1, 0.5));
   EXPECT_NEAR(slow / fast, 2.0, 1e-9);
 }
 
 TEST_F(CostModelTest, MatmulCacheResidencyMatchesPaperNarrative) {
   // Tile 32 fits both L1s; 64/80 only the 64 KB Denver L1; 96 only L2.
-  const CostFn f = matmul_cost(cfg_);
+  const CostExpr f = matmul_cost(cfg_);
   auto per_flop = [&](int tile, int core) {
     TaskParams p;
     p.p0 = tile;
-    const double t = f(p, query(core, 1, 1.0));
+    const double t = cost_expr_eval(f, p, query(core, 1, 1.0));
     return t / (2.0 * tile * tile * tile);
   };
   // Denver (core 0): 32, 64, 80 all L1-resident -> same per-flop rate.
@@ -169,94 +170,101 @@ TEST_F(CostModelTest, MatmulCacheResidencyMatchesPaperNarrative) {
 }
 
 TEST_F(CostModelTest, MatmulWidthReducesTimeButRaisesCost) {
-  const CostFn f = matmul_cost(cfg_);
+  const CostExpr f = matmul_cost(cfg_);
   TaskParams p;
   p.p0 = 64;
-  const double t1 = f(p, query(2, 1, 0.55));
-  const double t4 = f(p, query(2, 4, 0.55));
+  const double t1 = cost_expr_eval(f, p, query(2, 1, 0.55));
+  const double t4 = cost_expr_eval(f, p, query(2, 4, 0.55));
   EXPECT_LT(t4, t1);            // molding helps the task's latency
   EXPECT_GT(4.0 * t4, t1);      // but parallel cost rises (alpha > 0)
 }
 
 TEST_F(CostModelTest, CopyWidthScalingShowsDiminishingReturns) {
-  const CostFn f = copy_cost(cfg_);
+  const CostExpr f = copy_cost(cfg_);
   TaskParams p;
   p.p0 = 1024 * 1024;
   // Denver (full speed): a single core is bandwidth-bound at 12 of the
   // cluster's 20 GB/s, so width 2 gains only 20/12 = 1.67x, not 2x.
-  const double d1 = f(p, query(0, 1, 1.0));
-  const double d2 = f(p, query(0, 2, 1.0));
+  const double d1 = cost_expr_eval(f, p, query(0, 1, 1.0));
+  const double d2 = cost_expr_eval(f, p, query(0, 2, 1.0));
   EXPECT_LT(d2, d1);
   EXPECT_GT(d2, d1 / 2.0);
   // A57: issue-bound singles; width scaling flattens as the cluster
   // bandwidth share becomes the limit.
-  const double t1 = f(p, query(2, 1, 0.55));
-  const double t2 = f(p, query(2, 2, 0.55));
-  const double t4 = f(p, query(2, 4, 0.55));
+  const double t1 = cost_expr_eval(f, p, query(2, 1, 0.55));
+  const double t2 = cost_expr_eval(f, p, query(2, 2, 0.55));
+  const double t4 = cost_expr_eval(f, p, query(2, 4, 0.55));
   EXPECT_LT(t2, t1);
   EXPECT_LT(t4, t2);
   EXPECT_LT(t2 - t4, t1 - t2);  // diminishing returns
 }
 
 TEST_F(CostModelTest, CopyRespondsToBandwidthShare) {
-  const CostFn f = copy_cost(cfg_);
+  const CostExpr f = copy_cost(cfg_);
   TaskParams p;
   p.p0 = 1 << 20;
   // Width-2 on Denver is bandwidth-bound, so shrinking the cluster share
   // from 20 to 14 GB/s must show up.
-  const double full = f(p, query(0, 2, 1.0, 1.0));
-  const double shared = f(p, query(0, 2, 1.0, 0.7));
+  const double full = cost_expr_eval(f, p, query(0, 2, 1.0, 1.0));
+  const double shared = cost_expr_eval(f, p, query(0, 2, 1.0, 0.7));
   EXPECT_GT(shared, full * 1.2);
 }
 
 TEST_F(CostModelTest, CopyBecomesCpuBoundUnderDeepDvfs) {
-  const CostFn f = copy_cost(cfg_);
+  const CostExpr f = copy_cost(cfg_);
   TaskParams p;
   p.p0 = 1 << 20;
-  const double full = f(p, query(0, 1, 1.0));
-  const double throttled = f(p, query(0, 1, 0.17));
+  const double full = cost_expr_eval(f, p, query(0, 1, 1.0));
+  const double throttled = cost_expr_eval(f, p, query(0, 1, 0.17));
   // At 17% frequency the issue rate, not bandwidth, limits: time rises.
   EXPECT_GT(throttled, full * 1.01);
 }
 
 TEST_F(CostModelTest, StencilL2SpillHurts) {
-  const CostFn f = stencil_cost(cfg_);
+  const CostExpr f = stencil_cost(cfg_);
   TaskParams small;
   small.p0 = 256;  // 2*8*256^2 = 1 MiB < 2 MiB L2
   TaskParams big;
   big.p0 = 1024;   // 16 MiB > L2
-  const double t_small = f(small, query(2, 1, 0.55));
-  const double t_big = f(big, query(2, 1, 0.55));
+  const double t_small = cost_expr_eval(f, small, query(2, 1, 0.55));
+  const double t_big = cost_expr_eval(f, big, query(2, 1, 0.55));
   const double per_point_small = t_small / (256.0 * 256.0);
   const double per_point_big = t_big / (1024.0 * 1024.0);
   EXPECT_GT(per_point_big, per_point_small * 1.5);
 }
 
 TEST_F(CostModelTest, FixedAndCommCosts) {
-  const CostFn fx = fixed_cost(0.25);
+  const CostExpr fx = fixed_cost(0.25);
   TaskParams p;
-  EXPECT_DOUBLE_EQ(fx(p, query(0, 1, 1.0)), 0.25);
+  EXPECT_DOUBLE_EQ(cost_expr_eval(fx, p, query(0, 1, 1.0)), 0.25);
 
-  const CostFn cm = comm_cost(10e-6, 5.0);
+  // Work slows with its core: exactly seconds / speed.
+  const CostExpr wk = work_cost(0.25);
+  EXPECT_EQ(cost_expr_eval(wk, p, query(0, 1, 1.0)), 0.25);
+  EXPECT_EQ(cost_expr_eval(wk, p, query(2, 1, 0.55)), 0.25 / 0.55);
+
+  const CostExpr cm = comm_cost(10e-6, 5.0);
   TaskParams msg;
   msg.p0 = 5e9;  // 1 second of wire time at 5 GB/s
-  const double t = cm(msg, query(0, 1, 1.0));
+  const double t = cost_expr_eval(cm, msg, query(0, 1, 1.0));
   EXPECT_GT(t, 1.0);
   TaskParams empty;
-  EXPECT_GT(cm(empty, query(0, 1, 1.0)), 0.0);  // latency floor
+  EXPECT_GT(cost_expr_eval(cm, empty, query(0, 1, 1.0)), 0.0);  // latency floor
 }
 
 TEST_F(CostModelTest, KmeansCostsScaleWithWork) {
-  const CostFn map = kmeans_map_cost();
+  const CostExpr map = kmeans_map_cost();
   TaskParams a;
   a.p0 = 1000; a.p1 = 8; a.p2 = 4;
   TaskParams b = a;
   b.p0 = 2000;
-  EXPECT_NEAR(map(b, query(0, 1, 1.0)) / map(a, query(0, 1, 1.0)), 2.0, 1e-9);
-  const CostFn red = kmeans_reduce_cost();
+  EXPECT_NEAR(cost_expr_eval(map, b, query(0, 1, 1.0)) /
+                  cost_expr_eval(map, a, query(0, 1, 1.0)),
+              2.0, 1e-9);
+  const CostExpr red = kmeans_reduce_cost();
   TaskParams r;
   r.p0 = 64;
-  EXPECT_GT(red(r, query(0, 1, 1.0)), 0.0);
+  EXPECT_GT(cost_expr_eval(red, r, query(0, 1, 1.0)), 0.0);
 }
 
 TEST(Registry, PaperKernelsRegisterOnce) {
@@ -266,10 +274,12 @@ TEST(Registry, PaperKernelsRegisterOnce) {
   EXPECT_EQ(reg.info(ids.matmul).name, "matmul");
   EXPECT_EQ(reg.find("stencil"), ids.stencil);
   EXPECT_EQ(reg.find("nope"), kInvalidTaskType);
-  EXPECT_NE(reg.info(ids.comm).cost, nullptr);
+  EXPECT_EQ(reg.info(ids.comm).cost.kind, CostExpr::Kind::kComm);
+  const TaskTypeId bare = reg.register_type("x");
+  EXPECT_EQ(reg.info(bare).cost.kind, CostExpr::Kind::kNone);
   // Noise grows for shorter tasks (drives the paper's Fig. 8).
-  EXPECT_GT(reg.noise_sigma(ids.matmul, 40e-6),
-            reg.noise_sigma(ids.matmul, 1e-3));
+  EXPECT_GT(TaskTypeRegistry::noise_sigma_of(reg.info(ids.matmul), 40e-6),
+            TaskTypeRegistry::noise_sigma_of(reg.info(ids.matmul), 1e-3));
 }
 
 TEST(Registry, DuplicateNameRejected) {

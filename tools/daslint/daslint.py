@@ -18,11 +18,11 @@ Rules (each violation prints `file:line: [rule] message`; exit 1 on any):
                    miss it on an idle machine.
 
   hot-path-stdfunction  Same regions: no type-erased dispatch — naming
-                   std::function or invoking a TaskTypeInfo cost callable
-                   (`.cost(`). The steady-state path calls the inline
-                   policy hooks (core/policy.hpp) directly, and catalog
-                   cost models evaluate through cost_expr_eval /
-                   cost_eval (core/cost_expr.hpp) instead.
+                   std::function or invoking a `.cost(...)` callable. The
+                   steady-state path calls the inline policy hooks
+                   (core/policy.hpp) directly, and a task type's cost
+                   model, a tagged CostExpr, evaluates through
+                   cost_expr_eval (core/cost_expr.hpp) instead.
 
   hot-path-park    Same regions: no parking/blocking primitives —
                    eventcount waits (prepare_wait / commit_wait /
